@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from circgeo.core import find_orthogonal_q_basis, load_spec, metric_at, q_apply
+from circgeo.core import find_orthogonal_q_basis, load_spec, metric_at
 from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
-from circgeo.verify import QBasisCoefficients, coeff_angles
+from circgeo.verify import QBasisCoefficients, mu_law_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 POINT = [0.0, 0.0, 0.0, 0.0]
@@ -33,30 +33,19 @@ def main() -> None:
     m = metric_at(spec, POINT)
     r = riemann_from_christoffel(m, christoffel_from_metric(m))
     basis = find_orthogonal_q_basis(m, seed=SEED)
-    shifts = [q_apply(basis, k) for k in range(4)]
-    rho = float(
-        np.einsum("ijkl,i,j,k,l->", r.r_low, shifts[0], shifts[1], shifts[0], shifts[1])
-    )
+    rng = np.random.default_rng(SEED)
+    coeffs = np.array([QBasisCoefficients.random_unit(rng).as_array() for _ in range(SAMPLES)])
+    cases, _ = mu_law_cases(r, basis, coeffs)
+    rho = cases[0]["angle_law_prediction"]
     print(f"spec={spec.name}  point={POINT}  R(x,qx,x,qx) = {rho:.10g}")
     header = f"{'cos_phi':>9s} {'cos_theta':>9s} {'direct':>13s} {'expansion':>13s} {'angle law':>13s} {'ratio':>9s} {'(1-ct)^2':>9s}"
     print(header)
-    rng = np.random.default_rng(SEED)
-    for _ in range(SAMPLES):
-        c = QBasisCoefficients.random_unit(rng)
-        angles = coeff_angles(c)
-        u = (
-            c.alpha * shifts[0]
-            + c.beta * shifts[1]
-            + c.gamma * shifts[2]
-            + c.delta * shifts[3]
-        )
-        qu = q_apply(u, 1)
-        direct = float(np.einsum("ijkl,i,j,k,l->", r.r_low, u, qu, u, qu))
-        expansion = (1.0 - angles.cos_theta) ** 2 * rho
-        ratio = direct / rho
+    for case in cases:
+        cos_theta = case["cos_theta"]
         print(
-            f"{angles.cos_phi:9.4f} {angles.cos_theta:9.4f} {direct:13.6e} "
-            f"{expansion:13.6e} {rho:13.6e} {ratio:9.4f} {(1 - angles.cos_theta) ** 2:9.4f}"
+            f"{case['cos_phi']:9.4f} {cos_theta:9.4f} {case['direct']:13.6e} "
+            f"{case['expansion_prediction']:13.6e} {rho:13.6e} "
+            f"{case['ratio_direct_to_angle_law']:9.4f} {(1 - cos_theta) ** 2:9.4f}"
         )
 
 

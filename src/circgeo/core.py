@@ -311,12 +311,13 @@ def inner(m: MetricAtPoint, x, y) -> float:
     return float(np.asarray(x, float) @ m.matrix @ np.asarray(y, float))
 
 
-def _clamp_cosine(value: float) -> float:
-    if abs(value) > 1.0:
-        if abs(value) > 1.0 + 1e-12:
-            raise ValueError(f"cosine {value} out of [-1, 1] beyond rounding")
-        return math.copysign(1.0, value)
-    return value
+def _clamp_cosine(value):
+    """Clip cosines (a float or an array) to [-1, 1]; raise beyond rounding."""
+    value = np.asarray(value, dtype=float)
+    beyond = np.abs(value) > 1.0 + 1e-12
+    if beyond.any():
+        raise ValueError(f"cosine {value[beyond].flat[0]} out of [-1, 1] beyond rounding")
+    return np.clip(value, -1.0, 1.0)
 
 
 def cos_angle(m: MetricAtPoint, x, y) -> float:
@@ -326,7 +327,15 @@ def cos_angle(m: MetricAtPoint, x, y) -> float:
         raise ZeroVectorError(
             f"cannot measure an angle with squared lengths {gxx}, {gyy}"
         )
-    return _clamp_cosine(inner(m, x, y) / (math.sqrt(gxx) * math.sqrt(gyy)))
+    return float(_clamp_cosine(inner(m, x, y) / (math.sqrt(gxx) * math.sqrt(gyy))))
+
+
+def _q_basis_criterion(xs) -> tuple[np.ndarray, np.ndarray]:
+    """`induces_q_basis` over the last axis of xs: (flags, criterion values)."""
+    x1, x2, x3, x4 = np.asarray(xs, dtype=float).T
+    value = ((x1 - x3) ** 2 + (x2 - x4) ** 2) * ((x1 + x3) ** 2 - (x2 + x4) ** 2)
+    norm4 = (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) ** 2
+    return np.abs(value) > 1e-12 * norm4, value
 
 
 def induces_q_basis(x) -> tuple[bool, float]:
@@ -336,11 +345,8 @@ def induces_q_basis(x) -> tuple[bool, float]:
     cutoff |value| > 1e-12 * |x|^4 since an exact float zero test is
     meaningless off the measure-zero degenerate set.
     """
-    v = np.asarray(x, dtype=float)
-    x1, x2, x3, x4 = v
-    value = ((x1 - x3) ** 2 + (x2 - x4) ** 2) * ((x1 + x3) ** 2 - (x2 + x4) ** 2)
-    norm4 = float(v @ v) ** 2
-    return bool(abs(value) > 1e-12 * norm4), float(value)
+    flag, value = _q_basis_criterion(x)
+    return bool(flag), float(value)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ points where the identity itself does not hold.
 
 from __future__ import annotations
 
-import math
+import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -34,18 +33,18 @@ from .core import (
     MetricAtPoint,
     Q,
     _clamp_cosine,
+    _q_basis_criterion,
     find_orthogonal_q_basis,
-    induces_q_basis,
     inverse_metric,
     metric_at,
-    q_apply,
 )
 from .tensor import (
+    ChristoffelAtPoint,
+    DegeneratePlaneError,
     RiemannAtPoint,
     christoffel_from_metric,
     nabla_q,
     riemann_from_christoffel,
-    sectional_curvature,
 )
 
 __all__ = [
@@ -62,6 +61,7 @@ __all__ = [
     "check_sectional_relations",
     "coeff_angles",
     "convention_text",
+    "mu_law_cases",
     "report_to_json",
     "run_suite",
     "sample_q_basis_vectors",
@@ -99,7 +99,11 @@ def convention_text() -> str:
 
 @dataclass
 class CheckReport:
-    """One named check: absolute residuals, scales, tolerance and verdict."""
+    """One named check: absolute residuals, scales, tolerance and verdict.
+
+    The payload holds plain JSON types only (dict, list, str, float, int,
+    bool, None), so `to_dict` passes it through unconverted.
+    """
 
     name: str
     point: list | None
@@ -119,24 +123,8 @@ class CheckReport:
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "tolerance": float(self.tolerance),
             "status": self.status,
-            "payload": _jsonable(self.payload),
+            "payload": self.payload,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _verdict(entries: dict[str, tuple[float, float]], tolerance: float) -> str:
@@ -176,16 +164,39 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_q_basis_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectors with components uniform in [-1, 1] that induce a q-basis."""
-    out = np.empty((n, 4))
+def _draw_rows(rng: np.random.Generator, n: int, accept) -> np.ndarray:
+    """n rows uniform in [-1, 1]^4 that pass `accept`, in draw order.
+
+    Each block asks for only as many rows as are still missing, so it never
+    draws past the row a one-row-at-a-time rejection loop would stop at: the
+    rows and the generator's final state equal that loop's.
+    """
+    blocks = [np.empty((0, 4))]
     count = 0
     while count < n:
-        x = rng.uniform(-1.0, 1.0, size=4)
-        if induces_q_basis(x)[0]:
-            out[count] = x
-            count += 1
-    return out
+        block = rng.uniform(-1.0, 1.0, size=(n - count, 4))
+        block = block[accept(block)]
+        blocks.append(block)
+        count += len(block)
+    return np.concatenate(blocks)
+
+
+def sample_q_basis_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Vectors with components uniform in [-1, 1] that induce a q-basis."""
+    return _draw_rows(rng, n, lambda xs: _q_basis_criterion(xs)[0])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # A stacked row-by-row dot product goes through the same kernel as
+    # np.linalg.norm of one row, so block draws normalise bit for bit like
+    # single draws.
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _unit_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit rows, drawn uniform in [-1, 1]^4 with norm above 1e-3, normalised."""
+    rows = _draw_rows(rng, n, lambda v: _row_norms(v) > 1e-3)
+    return rows / _row_norms(rows)[:, None]
 
 
 @dataclass(frozen=True)
@@ -202,12 +213,19 @@ class QBasisCoefficients:
 
     @classmethod
     def random_unit(cls, rng: np.random.Generator) -> "QBasisCoefficients":
-        while True:
-            v = rng.uniform(-1.0, 1.0, size=4)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-3:
-                v = v / norm
-                return cls(*[float(c) for c in v])
+        return cls(*_unit_coefficients(rng, 1)[0].tolist())
+
+
+def _coeff_cosines(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phi) and cos(theta) for each row (alpha, beta, gamma, delta)."""
+    norm2 = np.einsum("ni,ni->n", coeffs, coeffs)
+    off = np.abs(norm2 - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"coefficients must be unit norm, got |u|^2 = {norm2[off][0]}")
+    a, b, g, d = coeffs.T
+    cos_phi = a * b + a * d + b * g + d * g
+    cos_theta = 2.0 * a * g + 2.0 * b * d
+    return _clamp_cosine(cos_phi), _clamp_cosine(cos_theta)
 
 
 def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
@@ -217,14 +235,8 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
     cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
     cos(theta) = 2 alpha gamma + 2 beta delta.
     """
-    v = c.as_array()
-    norm2 = float(v @ v)
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"coefficients must be unit norm, got |u|^2 = {norm2}")
-    a, b, g, d = c.alpha, c.beta, c.gamma, c.delta
-    cos_phi = a * b + a * d + b * g + d * g
-    cos_theta = 2.0 * a * g + 2.0 * b * d
-    return BasisAngles(_clamp_cosine(cos_phi), _clamp_cosine(cos_theta))
+    cos_phi, cos_theta = _coeff_cosines(c.as_array()[None])
+    return BasisAngles(float(cos_phi[0]), float(cos_theta[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +244,9 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
 # ---------------------------------------------------------------------------
 
 
-def check_isometry(m: MetricAtPoint, samples: int = 1000, seed=0) -> CheckReport:
+def check_isometry(
+    m: MetricAtPoint, samples: int = 1000, seed=0, tolerance: float | None = None
+) -> CheckReport:
     """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 over random vector pairs."""
     rng = _rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(samples, 4))
@@ -250,7 +264,7 @@ def check_isometry(m: MetricAtPoint, samples: int = 1000, seed=0) -> CheckReport
         "isometry",
         m.point,
         entries,
-        DEFAULT_TOLERANCES["isometry"],
+        DEFAULT_TOLERANCES["isometry"] if tolerance is None else tolerance,
         {"samples": samples},
     )
 
@@ -288,25 +302,67 @@ def _parallel_residuals(m: MetricAtPoint) -> tuple[dict[str, float], float]:
     return dict(zip(_PARALLEL_LABELS, (abs(float(v)) for v in values))), scale
 
 
+def _parallel_condition_report(
+    m: MetricAtPoint, residuals: dict[str, float], scale: float, tolerance: float
+) -> CheckReport:
+    entries = {k: (v, scale) for k, v in residuals.items()}
+    return _make_report(
+        "parallel-condition",
+        m.point,
+        entries,
+        tolerance,
+        {
+            "grad_A": m.jet_a.grad.tolist(),
+            "grad_B": m.jet_b.grad.tolist(),
+            "grad_C": m.jet_c.grad.tolist(),
+        },
+    )
+
+
 def check_parallel_condition(spec: ManifoldSpec, p, tolerance: float | None = None) -> CheckReport:
     """Gradient conditions tying grad A and grad B to shifted grad C.
 
     Componentwise: A_i = C_(i-2), B_1 = B_3, B_2 = B_4 and
     2 B_i = C_(i-1) + C_(i+1), indices cyclic.
     """
+    tolerance = DEFAULT_TOLERANCES["parallel-condition"] if tolerance is None else tolerance
     m = metric_at(spec, p)
-    residuals, scale = _parallel_residuals(m)
-    entries = {k: (v, scale) for k, v in residuals.items()}
+    return _parallel_condition_report(m, *_parallel_residuals(m), tolerance)
+
+
+def _equivalence_row(
+    m: MetricAtPoint,
+    ch: ChristoffelAtPoint,
+    residuals: dict[str, float],
+    scale: float,
+    f4_tol: float,
+    nq_tol: float,
+) -> dict:
+    """Both parallelism predicates at one point, evaluated independently."""
+    gradient = max(residuals.values())
+    f4_scaled = gradient / max(1.0, scale)
+    nq = nabla_q(ch).max_abs
+    nq_scaled = nq / max(1.0, ch.max_abs)
+    return {
+        "point": m.point.tolist(),
+        "gradient_residual": gradient,
+        "gradient_residual_scaled": f4_scaled,
+        "nabla_q_residual": nq,
+        "nabla_q_residual_scaled": nq_scaled,
+        "gradient_holds": f4_scaled <= f4_tol,
+        "parallel_holds": nq_scaled <= nq_tol,
+    }
+
+
+def _equivalence_report(rows: list[dict], f4_tol: float, nq_tol: float) -> CheckReport:
+    disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
+    entries = {"disagreements": (float(disagreements), 1.0)}
     return _make_report(
-        "parallel-condition",
-        m.point,
+        "parallel-equivalence",
+        None,
         entries,
-        DEFAULT_TOLERANCES["parallel-condition"] if tolerance is None else tolerance,
-        {
-            "grad_A": m.jet_a.grad.tolist(),
-            "grad_B": m.jet_b.grad.tolist(),
-            "grad_C": m.jet_c.grad.tolist(),
-        },
+        DEFAULT_TOLERANCES["parallel-equivalence"],
+        {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows},
     )
 
 
@@ -325,36 +381,13 @@ def check_parallel_equivalence(
     f4_tol = DEFAULT_TOLERANCES["parallel-condition"] if f4_tol is None else f4_tol
     nq_tol = DEFAULT_TOLERANCES["nabla-q"] if nq_tol is None else nq_tol
     rows = []
-    disagreements = 0
     for p in points:
         m = metric_at(spec, p)
         residuals, scale = _parallel_residuals(m)
-        f4_scaled = max(residuals.values()) / max(1.0, scale)
-        ch = christoffel_from_metric(m)
-        nq = nabla_q(ch)
-        nq_scaled = nq.max_abs / max(1.0, ch.max_abs)
-        gradient_holds = f4_scaled <= f4_tol
-        parallel_holds = nq_scaled <= nq_tol
-        disagreements += int(gradient_holds != parallel_holds)
         rows.append(
-            {
-                "point": [float(v) for v in np.asarray(p).ravel()],
-                "gradient_residual": float(max(residuals.values())),
-                "gradient_residual_scaled": float(f4_scaled),
-                "nabla_q_residual": float(nq.max_abs),
-                "nabla_q_residual_scaled": float(nq_scaled),
-                "gradient_holds": gradient_holds,
-                "parallel_holds": parallel_holds,
-            }
+            _equivalence_row(m, christoffel_from_metric(m), residuals, scale, f4_tol, nq_tol)
         )
-    entries = {"disagreements": (float(disagreements), 1.0)}
-    return _make_report(
-        "parallel-equivalence",
-        None,
-        entries,
-        DEFAULT_TOLERANCES["parallel-equivalence"],
-        {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows},
-    )
+    return _equivalence_report(rows, f4_tol, nq_tol)
 
 
 def check_curvature_q_identity(r: RiemannAtPoint, tolerance: float | None = None) -> CheckReport:
@@ -407,38 +440,45 @@ def check_integrability(r: RiemannAtPoint, tolerance: float | None = None) -> Ch
     )
 
 
+# Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
+_SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
+
+# The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
+# the four ring planes, then the two diagonal planes.
+_PLANES = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+
+
+def _r_xyxy(r: RiemannAtPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R(x, y, x, y) over the leading axes of x and y, as one contraction."""
+    w = (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], 16)
+    return np.einsum("...a,ab,...b->...", w, r.r_low.reshape(16, 16), w)
+
+
 def _sectional_entries(
-    m: MetricAtPoint, r: RiemannAtPoint, xs
+    m: MetricAtPoint, r: RiemannAtPoint, xs: np.ndarray
 ) -> tuple[dict[str, tuple[float, float]], dict]:
-    ring_spread = 0.0
-    ring_scale = 1.0
-    diag_a = 0.0
-    diag_b = 0.0
-    sample = None
-    for x in xs:
-        shifts = [q_apply(x, k) for k in range(4)]
-        ring = [
-            sectional_curvature(r, m, shifts[0], shifts[1]),
-            sectional_curvature(r, m, shifts[1], shifts[2]),
-            sectional_curvature(r, m, shifts[2], shifts[3]),
-            sectional_curvature(r, m, shifts[3], shifts[0]),
-        ]
-        diag = [
-            sectional_curvature(r, m, shifts[0], shifts[2]),
-            sectional_curvature(r, m, shifts[1], shifts[3]),
-        ]
-        ring_spread = max(ring_spread, max(ring) - min(ring))
-        ring_scale = max(ring_scale, max(abs(v) for v in ring))
-        diag_a = max(diag_a, abs(diag[0]))
-        diag_b = max(diag_b, abs(diag[1]))
-        if sample is None:
-            sample = {"ring": ring, "diagonal": diag}
+    """Sectional curvatures of the six q-basis planes of each row of xs."""
+    shifts = xs[:, _SHIFTS]  # (n, 4, 4): shifts[v, k] = q^k x_v
+    gram = np.einsum("nki,ij,nlj->nkl", shifts, m.matrix, shifts)
+    a, b = _PLANES.T
+    det = gram[:, a, a] * gram[:, b, b] - gram[:, a, b] ** 2
+    euclid = np.einsum("nki,nki->nk", shifts, shifts)
+    degenerate = det <= 1e-12 * euclid[:, a] * euclid[:, b]
+    if degenerate.any():
+        first = det.ravel()[np.argmax(degenerate.ravel())]
+        raise DegeneratePlaneError(
+            f"vectors span no 2-plane (Gram determinant {first:.3e})"
+        )
+    mu = _r_xyxy(r, shifts[:, a], shifts[:, b]) / det
+    ring, diag = mu[:, :4], mu[:, 4:]
+    ring_spread = float(np.max(ring.max(axis=1) - ring.min(axis=1), initial=0.0))
     entries = {
-        "ring_spread": (ring_spread, ring_scale),
-        "mu_x_q2x": (diag_a, r.norm_inf),
-        "mu_qx_q3x": (diag_b, r.norm_inf),
+        "ring_spread": (ring_spread, float(np.max(np.abs(ring), initial=1.0))),
+        "mu_x_q2x": (float(np.max(np.abs(diag[:, 0]), initial=0.0)), r.norm_inf),
+        "mu_qx_q3x": (float(np.max(np.abs(diag[:, 1]), initial=0.0)), r.norm_inf),
     }
-    return entries, {"vectors": len(list(xs)), "first_vector_values": sample}
+    sample = {"ring": mu[0, :4].tolist(), "diagonal": mu[0, 4:].tolist()} if len(xs) else None
+    return entries, {"vectors": len(xs), "first_vector_values": sample}
 
 
 def check_sectional_relations(
@@ -451,7 +491,7 @@ def check_sectional_relations(
     """
     m = metric_at(spec, p)
     r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    entries, payload = _sectional_entries(m, r, [np.asarray(x, float)])
+    entries, payload = _sectional_entries(m, r, np.asarray(x, float)[None])
     return _make_report(
         "sectional-relations",
         m.point,
@@ -461,32 +501,44 @@ def check_sectional_relations(
     )
 
 
-def _mu_law_case(
-    m: MetricAtPoint, r: RiemannAtPoint, basis: np.ndarray, c: QBasisCoefficients
-) -> dict:
-    shifts = [q_apply(basis, k) for k in range(4)]
-    u = (
-        c.alpha * shifts[0]
-        + c.beta * shifts[1]
-        + c.gamma * shifts[2]
-        + c.delta * shifts[3]
-    )
-    qu = q_apply(u, 1)
-    direct = float(np.einsum("ijkl,i,j,k,l->", r.r_low, u, qu, u, qu))
-    rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, shifts[0], shifts[1], shifts[0], shifts[1]))
-    angles = coeff_angles(c)
-    expansion = (1.0 - angles.cos_theta) ** 2 * rho
+def mu_law_cases(
+    r: RiemannAtPoint, basis: np.ndarray, coeffs: np.ndarray
+) -> tuple[list[dict], float]:
+    """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
+
+    `basis` is x, spanning an orthonormal q-basis; each row of `coeffs` is a
+    unit (alpha, beta, gamma, delta).  All rows are contracted at once, and
+    R(x, qx, x, qx) once.  Returns one plain-typed case dict per row and the
+    largest |direct - expansion| over the cases whose u induces a q-basis
+    (0 if none does).  The ratio to the angle law is None where
+    R(x, qx, x, qx) = 0.
+    """
+    coeffs = np.asarray(coeffs, float)
+    shifts = np.asarray(basis, float)[_SHIFTS]
+    # rho is repeated in every case; this scalar contraction keeps it, and the
+    # expansion built on it, bit-identical to the one-case-at-a-time formula.
+    x, qx = shifts[0], shifts[1]
+    rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, x, qx, x, qx))
+    u = coeffs @ shifts
+    direct = _r_xyxy(r, u, u[:, _SHIFTS[1]])
+    cos_phi, cos_theta = _coeff_cosines(coeffs)
+    expansion = (1.0 - cos_theta) ** 2 * rho
     angle_law = rho  # curvature of the u-plane rescaled by its own Gram factor
-    return {
-        "coefficients": [c.alpha, c.beta, c.gamma, c.delta],
-        "cos_phi": angles.cos_phi,
-        "cos_theta": angles.cos_theta,
-        "direct": direct,
-        "expansion_prediction": expansion,
-        "angle_law_prediction": angle_law,
-        "ratio_direct_to_angle_law": direct / angle_law if angle_law != 0.0 else math.nan,
-        "q_basis": bool(induces_q_basis(u)[0]),
+    q_basis = _q_basis_criterion(u)[0]
+    n = len(coeffs)
+    columns = {
+        "coefficients": coeffs.tolist(),
+        "cos_phi": cos_phi.tolist(),
+        "cos_theta": cos_theta.tolist(),
+        "direct": direct.tolist(),
+        "expansion_prediction": expansion.tolist(),
+        "angle_law_prediction": [angle_law] * n,
+        "ratio_direct_to_angle_law": (direct / angle_law).tolist() if angle_law else [None] * n,
+        "q_basis": q_basis.tolist(),
     }
+    cases = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    worst = float(np.max(np.abs(direct - expansion)[q_basis], initial=0.0))
+    return cases, worst
 
 
 def check_mu_law(
@@ -511,13 +563,12 @@ def check_mu_law(
     r = riemann_from_christoffel(m, christoffel_from_metric(m))
     if basis is None:
         basis = find_orthogonal_q_basis(m, seed=seed)
-    case = _mu_law_case(m, r, basis, c)
+    (case,), resid = mu_law_cases(r, basis, c.as_array()[None])
     if not case["q_basis"]:
         report = _make_report("mu-law", m.point, {}, tolerance, {"case": case})
         report.status = "skipped"
         report.payload["reason"] = "u does not induce a q-basis"
         return report
-    resid = abs(case["direct"] - case["expansion_prediction"])
     entries = {"expansion": (resid, r.norm_inf)}
     return _make_report(
         "mu-law", m.point, entries, tolerance, {"case": case, "basis": basis.tolist()}
@@ -567,28 +618,29 @@ def run_suite(
         tols[name] = float(value)
 
     reports: list[CheckReport] = []
-    point_list = [np.asarray(p, float) for p in points]
-    for idx, p in enumerate(point_list):
+    rows: list[dict] = []
+    for idx, p in enumerate(points):
         m = metric_at(spec, p)
         ch = christoffel_from_metric(m)
         r = riemann_from_christoffel(m, ch)
         residuals, scale = _parallel_residuals(m)
-        parallel_holds = (
-            max(residuals.values()) / max(1.0, scale) <= tols["parallel-condition"]
-            and nabla_q(ch).max_abs / max(1.0, ch.max_abs) <= tols["nabla-q"]
+        row = _equivalence_row(
+            m, ch, residuals, scale, tols["parallel-condition"], tols["nabla-q"]
         )
+        rows.append(row)
+        parallel_holds = row["gradient_holds"] and row["parallel_holds"]
 
         if "isometry" in selected:
-            rep = check_isometry(m, samples=isometry_samples, seed=[seed, idx, 0])
-            rep.tolerance = tols["isometry"]
-            rep.status = _verdict(
-                {k: (v, rep.payload["scales"][k]) for k, v in rep.residuals.items()},
-                rep.tolerance,
+            reports.append(
+                check_isometry(
+                    m, samples=isometry_samples, seed=[seed, idx, 0], tolerance=tols["isometry"]
+                )
             )
-            reports.append(rep)
 
         if "parallel-condition" in selected:
-            reports.append(check_parallel_condition(spec, p, tolerance=tols["parallel-condition"]))
+            reports.append(
+                _parallel_condition_report(m, residuals, scale, tols["parallel-condition"])
+            )
 
         identity_rep = check_curvature_q_identity(r, tolerance=tols["curvature-identity"])
         identity_holds = identity_rep.passed
@@ -631,23 +683,13 @@ def run_suite(
         if "mu-law" in selected:
             if identity_holds:
                 basis = find_orthogonal_q_basis(m, seed=[seed, idx, 2])
-                rng = _rng([seed, idx, 3])
-                cases = []
-                worst = 0.0
-                for _ in range(mu_samples):
-                    c = QBasisCoefficients.random_unit(rng)
-                    case = _mu_law_case(m, r, basis, c)
-                    cases.append(case)
-                    if case["q_basis"]:
-                        worst = max(
-                            worst, abs(case["direct"] - case["expansion_prediction"])
-                        )
-                entries = {"expansion_max": (worst, r.norm_inf)}
+                coeffs = _unit_coefficients(_rng([seed, idx, 3]), mu_samples)
+                cases, worst = mu_law_cases(r, basis, coeffs)
                 reports.append(
                     _make_report(
                         "mu-law",
                         m.point,
-                        entries,
+                        {"expansion_max": (worst, r.norm_inf)},
                         tols["mu-law"],
                         {"basis": basis.tolist(), "cases": cases},
                     )
@@ -662,14 +704,9 @@ def run_suite(
                     )
                 )
 
-    if "parallel-equivalence" in selected and point_list:
+    if "parallel-equivalence" in selected and rows:
         reports.append(
-            check_parallel_equivalence(
-                spec,
-                point_list,
-                f4_tol=tols["parallel-condition"],
-                nq_tol=tols["nabla-q"],
-            )
+            _equivalence_report(rows, tols["parallel-condition"], tols["nabla-q"])
         )
 
     return {
@@ -680,6 +717,4 @@ def run_suite(
 
 
 def report_to_json(report: dict) -> str:
-    import json
-
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"

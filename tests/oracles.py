@@ -88,3 +88,54 @@ def stacked_shift_det(x) -> float:
     x = np.asarray(x, float)
     rows = np.array([np.roll(x, -k) for k in range(4)])
     return float(np.linalg.det(rows))
+
+
+# Planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers: the four
+# ring planes, then the two diagonal planes.
+PLANES = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+
+
+def sectional_planes_loop(m, r, xs) -> np.ndarray:
+    """Curvatures of the six q-basis planes of each x, one public call per plane."""
+    from circgeo.tensor import sectional_curvature
+
+    out = []
+    for x in np.asarray(xs, float):
+        shifts = [np.roll(x, -k) for k in range(4)]
+        out.append([sectional_curvature(r, m, shifts[a], shifts[b]) for a, b in PLANES])
+    return np.array(out)
+
+
+def mu_law_case_scalar(r, basis, coeffs) -> dict:
+    """One mu-law case from the scalar formulas, one 4-vector contraction each."""
+    a, b, g, d = (float(c) for c in coeffs)
+    shifts = [np.roll(np.asarray(basis, float), -k) for k in range(4)]
+    u = a * shifts[0] + b * shifts[1] + g * shifts[2] + d * shifts[3]
+    qu = np.roll(u, -1)
+    rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, shifts[0], shifts[1], shifts[0], shifts[1]))
+    cos_theta = min(1.0, max(-1.0, 2.0 * a * g + 2.0 * b * d))
+    return {
+        "coefficients": [a, b, g, d],
+        "cos_phi": min(1.0, max(-1.0, a * b + a * d + b * g + d * g)),
+        "cos_theta": cos_theta,
+        "direct": float(np.einsum("ijkl,i,j,k,l->", r.r_low, u, qu, u, qu)),
+        "expansion_prediction": (1.0 - cos_theta) ** 2 * rho,
+        "angle_law_prediction": rho,
+        "q_basis": abs(stacked_shift_det(u)) > 1e-12 * float(u @ u) ** 2,
+    }
+
+
+def sequential_rows(rng, n: int, accept) -> np.ndarray:
+    """One-row-at-a-time rejection sampling of rows uniform in [-1, 1]^4."""
+    out = []
+    while len(out) < n:
+        x = rng.uniform(-1.0, 1.0, size=4)
+        if accept(x):
+            out.append(x)
+    return np.array(out).reshape(n, 4)
+
+
+def sequential_unit_coefficients(rng, n: int) -> np.ndarray:
+    """Unit coefficient rows drawn one at a time, normalised by np.linalg.norm."""
+    rows = sequential_rows(rng, n, lambda v: float(np.linalg.norm(v)) > 1e-3)
+    return np.array([v / float(np.linalg.norm(v)) for v in rows]).reshape(n, 4)

@@ -14,6 +14,7 @@ CURVED = str(fixture_path("curved-par"))
 NONPAR = str(fixture_path("nonpar"))
 BAD_ORDER = str(fixture_path("bad-order"))
 CONST = str(fixture_path("const"))
+FLAT = str(fixture_path("flat-par"))
 
 
 def test_validate_passes_on_curved_par():
@@ -184,6 +185,21 @@ def test_verify_byte_identical_reports(tmp_path):
     assert main(argv + ["--json", str(out1)]) == 0
     assert main(argv + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+@pytest.mark.parametrize("spec", [FLAT, CONST])
+def test_verify_flat_report_is_strict_json(tmp_path, spec):
+    # On a flat metric R(x, qx, x, qx) = 0, so the mu-law ratio has no value.
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--grid", "2", "--json", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    cases = [c for e in report["checks"] if e["name"] == "mu-law" for c in e["payload"]["cases"]]
+    assert len(cases) == 16 * 100
+    assert all(c["ratio_direct_to_angle_law"] is None for c in cases)
 
 
 def test_module_entrypoint_runs():

@@ -12,13 +12,17 @@ from circgeo.core import (
     circulant_matrix,
     cos_angle,
     find_orthogonal_q_basis,
+    induces_q_basis,
     metric_at,
     q_apply,
 )
-from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
+from circgeo.tensor import DegeneratePlaneError, christoffel_from_metric, riemann_from_christoffel
 from circgeo.verify import (
     KNOWN_CHECKS,
     QBasisCoefficients,
+    _draw_rows,
+    _sectional_entries,
+    _unit_coefficients,
     check_curvature_q_identity,
     check_integrability,
     check_isometry,
@@ -27,8 +31,17 @@ from circgeo.verify import (
     check_parallel_equivalence,
     check_sectional_relations,
     coeff_angles,
+    mu_law_cases,
     report_to_json,
     run_suite,
+    sample_q_basis_vectors,
+)
+
+from oracles import (
+    mu_law_case_scalar,
+    sectional_planes_loop,
+    sequential_rows,
+    sequential_unit_coefficients,
 )
 
 ORIGIN = [0.0, 0.0, 0.0, 0.0]
@@ -61,6 +74,8 @@ def test_isometry_negative_control():
     fake = SimpleNamespace(matrix=bad, point=None)
     rep = check_isometry(fake, samples=200, seed=0)
     assert rep.status == "fail"
+    loose = check_isometry(fake, samples=200, seed=0, tolerance=10.0)
+    assert (loose.status, loose.tolerance, loose.residuals) == ("pass", 10.0, rep.residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +176,6 @@ def test_integrability_residual_reported_on_nonpar(nonpar):
 
 def test_sectional_relations_curved_par(curved_par):
     rng = np.random.default_rng(12)
-    from circgeo.verify import sample_q_basis_vectors
-
     for x in sample_q_basis_vectors(rng, 10):
         rep = check_sectional_relations(curved_par, ORIGIN, x)
         assert rep.status == "pass"
@@ -304,6 +317,23 @@ def test_suite_tolerance_override(nonpar):
     assert report["checks"][0]["status"] == "pass"
 
 
+def test_suite_computes_geometry_once_per_point(curved_par, monkeypatch):
+    import circgeo.verify as verify
+
+    calls = {"metric_at": 0, "christoffel_from_metric": 0}
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    points = curved_par.domain.grid(2)
+    run_suite(curved_par, points, seed=3, mu_samples=5, sectional_samples=5)
+    assert calls == {"metric_at": len(points), "christoffel_from_metric": len(points)}
+
+
 def test_suite_rejects_unknown_names(curved_par):
     with pytest.raises(ValueError):
         run_suite(curved_par, [ORIGIN], checks=["nope"])
@@ -346,3 +376,98 @@ def test_expansion_bracket_identity_bulk():
         bracket = first**2 + second**2 + 2 * first * second
         cos_theta = 2 * a * g + 2 * b * d
         assert abs(bracket - (1 - cos_theta) ** 2) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batched sampling and contractions against one-at-a-time oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_points(curved_par, nonpar):
+    return [
+        (curved_par, ORIGIN),
+        (curved_par, [0.3, -0.2, 0.1, 0.4]),
+        (nonpar, [0.5, 0.2, -0.3, 0.1]),
+        (nonpar, [0.0, 0.3, 0.2, -0.1]),
+    ]
+
+
+def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
+    rng = np.random.default_rng(21)
+    for spec, p in oracle_points(curved_par, nonpar):
+        m, r = riemann_of(spec, p)
+        xs = sample_q_basis_vectors(rng, 50)
+        entries, payload = _sectional_entries(m, r, xs)
+        mu = sectional_planes_loop(m, r, xs)
+        ring, diag = mu[:, :4], mu[:, 4:]
+        spread = np.max(ring.max(axis=1) - ring.min(axis=1))
+        expected = {
+            "ring_spread": (spread, max(1.0, np.max(np.abs(ring)))),
+            "mu_x_q2x": (np.max(np.abs(diag[:, 0])), r.norm_inf),
+            "mu_qx_q3x": (np.max(np.abs(diag[:, 1])), r.norm_inf),
+        }
+        assert entries.keys() == expected.keys()
+        for key, (value, scale) in expected.items():
+            assert entries[key][0] == pytest.approx(value, rel=0, abs=1e-12)
+            assert entries[key][1] == pytest.approx(scale, rel=0, abs=1e-12)
+        assert payload["vectors"] == 50
+        first = payload["first_vector_values"]
+        assert np.allclose(first["ring"] + first["diagonal"], mu[0], rtol=0, atol=1e-12)
+
+
+def test_sectional_entries_reject_degenerate_plane(curved_par):
+    m, r = riemann_of(curved_par, ORIGIN)
+    xs = np.array([[0.3, -0.7, 0.2, 0.9], [1.0, 0.0, 1.0, 0.0]])  # x = q^2 x in row 2
+    with pytest.raises(DegeneratePlaneError):
+        sectional_planes_loop(m, r, xs)
+    with pytest.raises(DegeneratePlaneError):
+        _sectional_entries(m, r, xs)
+
+
+def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
+    rng = np.random.default_rng(22)
+    pinned = [[1, 0, 0, 0], [0.8, 0.6, 0, 0], [0.8, 0, 0.6, 0], [0.5, 0.5, 0.5, 0.5]]
+    for k, (spec, p) in enumerate(oracle_points(curved_par, nonpar)):
+        m, r = riemann_of(spec, p)
+        basis = find_orthogonal_q_basis(m, seed=k)
+        coeffs = np.vstack([pinned, sequential_unit_coefficients(rng, 100)])
+        cases, worst = mu_law_cases(r, basis, coeffs)
+        expected = [mu_law_case_scalar(r, basis, c) for c in coeffs]
+        assert len(cases) == len(expected)
+        for case, want in zip(cases, expected):
+            assert case["coefficients"] == want["coefficients"]
+            assert case["q_basis"] == want["q_basis"]
+            want["ratio_direct_to_angle_law"] = want["direct"] / want["angle_law_prediction"]
+            for key in want.keys() - {"coefficients", "q_basis"}:
+                assert case[key] == pytest.approx(want[key], rel=0, abs=1e-12), key
+        assert expected[3]["q_basis"] is False  # u = (s, s, s, s) spans no q-basis
+        want_worst = max(
+            abs(w["direct"] - w["expansion_prediction"]) for w in expected if w["q_basis"]
+        )
+        assert worst == pytest.approx(want_worst, rel=0, abs=1e-12)
+
+
+def test_block_draws_equal_sequential_draws():
+    for seed in range(5):
+        block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = sample_q_basis_vectors(block_rng, 50)
+        loop = sequential_rows(loop_rng, 50, lambda x: induces_q_basis(x)[0])
+        assert np.array_equal(block, loop)
+        assert block_rng.uniform() == loop_rng.uniform()
+
+        block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _unit_coefficients(block_rng, 100)
+        assert np.array_equal(block, sequential_unit_coefficients(loop_rng, 100))
+        assert block_rng.uniform() == loop_rng.uniform()
+
+        # About half the draws are rejected here, so the block loop refills.
+        block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        half = lambda xs: xs[..., 0] > 0.0  # noqa: E731
+        assert np.array_equal(_draw_rows(block_rng, 40, half), sequential_rows(loop_rng, 40, half))
+        assert block_rng.uniform() == loop_rng.uniform()
+
+
+def test_random_unit_equals_block_coefficients():
+    one_rng, block_rng = np.random.default_rng(9), np.random.default_rng(9)
+    singles = [QBasisCoefficients.random_unit(one_rng).as_array() for _ in range(100)]
+    assert np.array_equal(np.array(singles), _unit_coefficients(block_rng, 100))
