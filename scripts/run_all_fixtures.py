@@ -2,14 +2,22 @@
 """Run the full check suite over every shipped fixture and print a summary.
 
 Writes one JSON report per fixture into reports/ (created next to this
-script's repository root).  A fixture whose metric leaves the admissible
-class is reported as such rather than crashing the sweep.
+script's repository root).  A fixture whose metric cannot be evaluated on
+the grid (inadmissible, a field outside its domain or not finite, a point
+outside the box, a singular inverse) is reported as such rather than
+crashing the sweep.
 """
 
 from collections import Counter
 from pathlib import Path
 
-from circgeo.core import AdmissibilityError, load_spec
+from circgeo.core import (
+    AdmissibilityError,
+    OutsideDomainError,
+    SingularMetricError,
+    load_spec,
+)
+from circgeo.expr import DomainError
 from circgeo.verify import report_to_json, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,8 +34,8 @@ def main() -> None:
         points = spec.domain.grid(GRID)
         try:
             report = run_suite(spec, points, seed=SEED, mu_samples=20, sectional_samples=20)
-        except AdmissibilityError as exc:
-            print(f"{name:12s} inadmissible: {exc}")
+        except (AdmissibilityError, DomainError, OutsideDomainError, SingularMetricError) as exc:
+            print(f"{name:12s} {type(exc).__name__}: {exc}")
             continue
         path = out_dir / f"{name}.json"
         path.write_text(report_to_json(report))

@@ -7,6 +7,10 @@ cyclic coordinate shift, which satisfies q^4 = id and is an isometry of every
 metric of this shape.  This module builds metrics from a manifold spec,
 tests admissibility, evaluates the closed-form inverse, measures inner
 products and angles, classifies q-bases and finds orthogonal ones.
+
+The domain check, the field jets, admissibility and the inverse are
+computed for many points at once (`_metric_jets`, `_inverse_factors`);
+`metric_at` and `inverse_metric` are their one-point case.
 """
 
 from __future__ import annotations
@@ -20,7 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import FieldJet, ScalarField, as_point, parse
+from .expr import (
+    FieldJet,
+    ScalarField,
+    _Failure,
+    _field_jets,
+    _point_failure,
+    _raise_first,
+    _single,
+    as_point,
+    parse,
+)
 
 __all__ = [
     "AdmissibilityError",
@@ -54,7 +68,7 @@ class AdmissibilityError(ValueError):
 
 
 class SingularMetricError(ValueError):
-    """The closed-form inverse is undefined (determinant factor vanishes)."""
+    """The closed-form inverse is undefined (determinant factor vanishes or overflows)."""
 
 
 class OutsideDomainError(ValueError):
@@ -90,8 +104,12 @@ Q = np.roll(np.eye(4), 1, axis=1)
 Q.setflags(write=False)
 
 
-def circulant_matrix(a: float, b: float, c: float) -> np.ndarray:
-    """Symmetric circulant matrix with first row (a, b, c, b)."""
+def circulant_matrix(a, b, c) -> np.ndarray:
+    """Symmetric circulant matrix with first row (a, b, c, b).
+
+    Floats give one (4, 4) matrix; arrays of shape (n,) give n of them.
+    """
+    a, b, c = (np.asarray(v)[..., None, None] for v in (a, b, c))
     return a * MASK_A + b * MASK_B + c * MASK_C
 
 
@@ -121,8 +139,11 @@ class Box:
         object.__setattr__(self, "hi", hi)
 
     def contains(self, p, slack: float = 1e-12) -> bool:
-        x = as_point(p)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(self._inside(as_point(p)[None], slack)[0])
+
+    def _inside(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+        """Which rows of xs (n, 4) lie in the box."""
+        return np.all((xs >= self.lo - slack) & (xs <= self.hi + slack), axis=1)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -180,16 +201,30 @@ def load_spec(path) -> ManifoldSpec:
 # ---------------------------------------------------------------------------
 
 
+def _ordered(a, b, c):
+    """0 < b < c < a with every value finite, elementwise over arrays."""
+    # b and c lie between 0 and a, so a finite a makes all three finite.
+    return (0.0 < b) & (b < c) & (c < a) & np.isfinite(a)
+
+
 def admissibility(a: float, b: float, c: float) -> tuple[bool, tuple[float, float, float, float]]:
-    """Ordering test 0 < b < c < a plus the four closed-form leading minors."""
-    ordered = 0.0 < b < c < a
+    """Ordering test 0 < b < c < a (finite) plus the four closed-form leading minors."""
     minors = (
         a,
         (a - b) * (a + b),
         (a - c) * (a * (c + a) - 2.0 * b * b),
-        (a - c) ** 2 * ((a + c) ** 2 - 4.0 * b * b),
+        (a - c) * (a - c) * ((a + c) * (a + c) - 4.0 * b * b),
     )
-    return ordered, minors
+    return bool(_ordered(a, b, c)), minors
+
+
+def _entry_partials(ga: np.ndarray, gb: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """d_k g_ij from the gradients of A, B, C, over any leading axes: (..., k, i, j)."""
+    return (
+        np.einsum("...k,ij->...kij", ga, MASK_A)
+        + np.einsum("...k,ij->...kij", gb, MASK_B)
+        + np.einsum("...k,ij->...kij", gc, MASK_C)
+    )
 
 
 @dataclass(frozen=True)
@@ -231,11 +266,7 @@ class MetricAtPoint:
 
     @cached_property
     def d1(self) -> np.ndarray:
-        return (
-            np.einsum("k,ij->kij", self.jet_a.grad, MASK_A)
-            + np.einsum("k,ij->kij", self.jet_b.grad, MASK_B)
-            + np.einsum("k,ij->kij", self.jet_c.grad, MASK_C)
-        )
+        return _entry_partials(self.jet_a.grad, self.jet_b.grad, self.jet_c.grad)
 
     @cached_property
     def d2(self) -> np.ndarray:
@@ -245,25 +276,63 @@ class MetricAtPoint:
             + np.einsum("lk,ij->lkij", self.jet_c.hess, MASK_C)
         )
 
+    @cached_property
+    def _inverse(self) -> "InverseMetricAtPoint":
+        inverse, singular = _inverse_factors(*(np.array([v]) for v in (self.a, self.b, self.c)))
+        _raise_first([singular])
+        return InverseMetricAtPoint(
+            *(float(f[0]) for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
+        )
+
+
+def _metric_jets(
+    spec: ManifoldSpec, xs: np.ndarray, check_domain: bool = True
+) -> tuple[tuple[FieldJet, FieldJet, FieldJet], list[_Failure]]:
+    """Jets of A, B and C at every row of xs (n, 4), and the failures unraised.
+
+    The failures are listed in the order `metric_at` tests them at one
+    point: a finite point, inside the domain box (if `check_domain`), the
+    fields A, B and C, then the ordering 0 < B < C < A.
+    """
+    failures = [_point_failure(xs)]
+    if check_domain:
+        failures.append(
+            (
+                ~spec.domain._inside(xs),
+                lambda i: OutsideDomainError(
+                    f"point {xs[i].tolist()} outside the domain box of spec '{spec.name}'"
+                ),
+            )
+        )
+    jets = []
+    for field in (spec.A, spec.B, spec.C):
+        jet, field_failures = _field_jets(field.ast, xs)
+        jets.append(jet)
+        failures += field_failures
+    a, b, c = (jet.value for jet in jets)
+    failures.append(
+        (
+            ~_ordered(a, b, c),
+            lambda i: AdmissibilityError(
+                f"0 < B < C < A fails at {xs[i].tolist()}: "
+                f"A={float(a[i])}, B={float(b[i])}, C={float(c[i])}"
+            ),
+        )
+    )
+    return tuple(jets), failures
+
 
 def metric_at(spec: ManifoldSpec, p, check_domain: bool = True) -> MetricAtPoint:
     """Evaluate the circulant metric of a spec at a point.
 
-    Raises OutsideDomainError when p leaves the domain box and
+    Raises OutsideDomainError when p leaves the domain box, DomainError when
+    a field cannot be evaluated there (or is not finite) and
     AdmissibilityError when the ordering 0 < B < C < A fails there.
     """
     x = as_point(p)
-    if check_domain and not spec.domain.contains(x):
-        raise OutsideDomainError(
-            f"point {x.tolist()} outside the domain box of spec '{spec.name}'"
-        )
-    ja, jb, jc = spec.A.jet(x), spec.B.jet(x), spec.C.jet(x)
-    ordered, _ = admissibility(ja.value, jb.value, jc.value)
-    if not ordered:
-        raise AdmissibilityError(
-            f"0 < B < C < A fails at {x.tolist()}: "
-            f"A={ja.value}, B={jb.value}, C={jc.value}"
-        )
+    jets, failures = _metric_jets(spec, x[None], check_domain)
+    _raise_first(failures)
+    ja, jb, jc = (_single(jet) for jet in jets)
     return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=x)
 
 
@@ -273,32 +342,48 @@ class InverseMetricAtPoint:
 
     The inverse is circulant again, with first row (a_bar, b_bar, c_bar,
     b_bar) / d where a_bar = A(A+C) - 2B^2, b_bar = B(C-A),
-    c_bar = 2B^2 - C(A+C) and d = (A-C)((A+C)^2 - 4B^2).
+    c_bar = 2B^2 - C(A+C) and d = (A-C)((A+C)^2 - 4B^2).  The factors are
+    floats at one point, or (n,) arrays over n points with `matrix` of shape
+    (n, 4, 4).
     """
 
-    a_bar: float
-    b_bar: float
-    c_bar: float
-    d: float
+    a_bar: float | np.ndarray
+    b_bar: float | np.ndarray
+    c_bar: float | np.ndarray
+    d: float | np.ndarray
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return circulant_matrix(self.a_bar, self.b_bar, self.c_bar) / self.d
+        d = np.asarray(self.d)[..., None, None]
+        return circulant_matrix(self.a_bar, self.b_bar, self.c_bar) / d
+
+
+def _inverse_factors(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[InverseMetricAtPoint, _Failure]:
+    """The closed-form inverse at n points, and where it is undefined: where
+    the factor d vanishes, or where a factor overflows (d grows like A^3, so
+    from A of about 5.6e102 on)."""
+    with np.errstate(all="ignore"):
+        d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
+        inverse = InverseMetricAtPoint(
+            a * (a + c) - 2.0 * b * b, b * (c - a), 2.0 * b * b - c * (a + c), d
+        )
+        finite = np.isfinite([inverse.a_bar, inverse.b_bar, inverse.c_bar, d]).all(axis=0)
+
+    def make(i: int) -> Exception:
+        reason = "determinant factor is zero" if d[i] == 0.0 else "closed-form factors overflow"
+        return SingularMetricError(
+            f"inverse undefined for (A, B, C) = ({float(a[i])}, {float(b[i])}, {float(c[i])}): "
+            + reason
+        )
+
+    return inverse, ((d == 0.0) | ~finite, make)
 
 
 def inverse_metric(m: MetricAtPoint) -> InverseMetricAtPoint:
-    a, b, c = m.a, m.b, m.c
-    d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
-    if d == 0.0:
-        raise SingularMetricError(
-            f"inverse undefined for (A, B, C) = ({a}, {b}, {c}): determinant factor is zero"
-        )
-    return InverseMetricAtPoint(
-        a * (a + c) - 2.0 * b * b,
-        b * (c - a),
-        2.0 * b * b - c * (a + c),
-        d,
-    )
+    """The closed-form inverse of m (computed once per metric)."""
+    return m._inverse
 
 
 # ---------------------------------------------------------------------------

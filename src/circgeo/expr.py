@@ -5,6 +5,16 @@ powers and sin/cos/exp/log/sqrt.  Evaluation propagates (value, gradient,
 Hessian) in a single forward pass, so all derivatives are exact calculus
 derivatives up to floating-point rounding; no finite differencing is involved.
 
+There is one evaluator, and it works on many points at once: `eval_jets`
+walks the tree once over an (n, 4) array of points and returns the values
+(n,), gradients (n, 4) and packed Hessians (n, 10) as one `FieldJet`.
+`eval_jet` and `ScalarField.jet` are its one-point case.  A point where a
+subexpression leaves its domain, or where a value, gradient or Hessian
+entry stops being finite, raises `DomainError` naming that subexpression;
+over many points the error is the one a point-by-point walk would meet
+first (the first failing point, and there the first failing node in
+evaluation order).
+
 Grammar (whitespace insignificant, identifiers case-sensitive):
 
     expr   := term { ("+"|"-") term }
@@ -15,14 +25,18 @@ Grammar (whitespace insignificant, identifiers case-sensitive):
 
 Binary +, -, *, / are left-associative, "^" binds tighter than unary minus
 and takes a (possibly signed) integer literal exponent.  Numbers are decimal
-literals, optionally with an exponent part (e.g. ``2.5e-3``).
+literals, optionally with an exponent part (e.g. ``2.5e-3``).  Parentheses
+and function calls nest at most `MAX_DEPTH` levels, and the syntax tree is at
+most `MAX_DEPTH` nodes deep (a sum of n terms is n deep); deeper input
+is a `ParseError` at the token that goes past the limit.  The evaluator and
+`unparse` recurse once per level and rely on this bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -39,12 +53,14 @@ __all__ = [
     "Var",
     "as_point",
     "eval_jet",
+    "eval_jets",
     "parse",
     "unparse",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 VARIABLES = ("x1", "x2", "x3", "x4")
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -155,9 +171,12 @@ def _tokenize(src: str) -> list[tuple[int, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; every method returns (node, depth of its tree)."""
+
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -168,44 +187,61 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, off = self.peek()
         if kind != _EOF:
             raise ParseError(f"unexpected {text!r} after expression", off)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def node(self, node: Node, off: int, *children: tuple[Node, int]) -> tuple[Node, int]:
+        depth = 1 + max(d for _, d in children)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", off)
+        return node, depth
+
+    def nested(self, off: int) -> tuple[Node, int]:
+        """An expression inside parentheses or a call opened at `off`."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {MAX_DEPTH} levels", off)
+        inner = self.expr()
+        self.nesting -= 1
+        return inner
+
+    def expr(self) -> tuple[Node, int]:
+        left = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == _OP and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                right = self.term()
+                left = self.node(BinOp(text, left[0], right[0]), off, left, right)
             else:
-                return node
+                return left
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        left = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == _OP and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor())
+                right = self.factor()
+                left = self.node(BinOp(text, left[0], right[0]), off, left, right)
             else:
-                return node
+                return left
 
-    def factor(self) -> Node:
-        kind, text, _ = self.peek()
+    def factor(self) -> tuple[Node, int]:
+        kind, text, neg_off = self.peek()
         negate = False
         if kind == _OP and text == "-":
             self.advance()
             negate = True
-        node = self.base()
-        kind, text, _ = self.peek()
+        base = self.base()
+        kind, text, off = self.peek()
         if kind == _OP and text == "^":
             self.advance()
-            node = Pow(node, self.integer())
-        return Neg(node) if negate else node
+            base = self.node(Pow(base[0], self.integer()), off, base)
+        return self.node(Neg(base[0]), neg_off, base) if negate else base
 
     def integer(self) -> int:
         kind, text, off = self.peek()
@@ -221,32 +257,33 @@ class _Parser:
             raise ParseError(f"non-integer exponent {text!r}", off)
         return sign * int(text)
 
-    def base(self) -> Node:
+    def base(self) -> tuple[Node, int]:
         kind, text, off = self.advance()
         if kind == _NUM:
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(f"number literal {text!r} overflows", off)
-            return Const(value)
+            return Const(value), 1
         if kind == _IDENT:
             if text in VARIABLES:
-                return Var(int(text[1]))
+                return Var(int(text[1])), 1
             if text in FUNCTIONS:
+                func_off = off
                 kind, _, off = self.advance()
                 if kind != _LPAREN:
                     raise ParseError(f"expected '(' after {text}", off)
-                arg = self.expr()
+                arg = self.nested(off)
                 kind, _, off = self.advance()
                 if kind != _RPAREN:
                     raise ParseError("expected ')'", off)
-                return Call(text, arg)
+                return self.node(Call(text, arg[0]), func_off, arg)
             raise ParseError(f"unknown identifier {text!r}", off)
         if kind == _LPAREN:
-            node = self.expr()
+            inner = self.nested(off)
             kind, _, off = self.advance()
             if kind != _RPAREN:
                 raise ParseError("expected ')'", off)
-            return node
+            return inner
         raise ParseError("expected a number, coordinate, function or '('", off)
 
 
@@ -308,35 +345,45 @@ _Z4 = np.zeros(4)
 _Z4.setflags(write=False)
 _Z10 = np.zeros(10)
 _Z10.setflags(write=False)
+_E4 = np.eye(4)
+_E4.setflags(write=False)
 
 
 def _sym_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Packed a_i b_j + a_j b_i (product-rule cross term)."""
-    return a[_PI] * b[_PJ] + a[_PJ] * b[_PI]
+    return a[..., _PI] * b[..., _PJ] + a[..., _PJ] * b[..., _PI]
 
 
 def _outer_self(a: np.ndarray) -> np.ndarray:
     """Packed a_i a_j (chain-rule term; diagonal not doubled)."""
-    return a[_PI] * a[_PJ]
+    return a[..., _PI] * a[..., _PJ]
+
+
+def _col(v) -> np.ndarray:
+    """A value (float or per-point array) as a column against gradients."""
+    return np.asarray(v)[..., None]
 
 
 @dataclass(frozen=True)
 class FieldJet:
-    """Value, gradient and Hessian of a scalar field at a point.
+    """Value, gradient and Hessian of a scalar field, at one point or many.
 
-    The Hessian is stored as its 10 upper-triangle entries, so symmetry is
-    exact by construction; `hess` assembles the full 4x4 matrix on demand.
+    At one point `value` is a float, `grad` has shape (4,) and `hess_packed`
+    holds the 10 upper-triangle entries, so symmetry is exact by
+    construction; `hess` assembles the full 4x4 matrix on demand.  Over n
+    points each carries a leading axis: (n,), (n, 4), (n, 10) and (n, 4, 4).
+    The arithmetic below is the jet calculus for both.
     """
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess_packed: np.ndarray
 
     @property
     def hess(self) -> np.ndarray:
-        h = np.empty((4, 4))
-        h[_PI, _PJ] = self.hess_packed
-        h[_PJ, _PI] = self.hess_packed
+        h = np.empty(self.hess_packed.shape[:-1] + (4, 4))
+        h[..., _PI, _PJ] = self.hess_packed
+        h[..., _PJ, _PI] = self.hess_packed
         return h
 
     def __add__(self, other: "FieldJet") -> "FieldJet":
@@ -357,97 +404,183 @@ class FieldJet:
         return FieldJet(-self.value, -self.grad, -self.hess_packed)
 
     def __mul__(self, other: "FieldJet") -> "FieldJet":
+        sv, ov = _col(self.value), _col(other.value)
         return FieldJet(
             self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess_packed
-            + other.value * self.hess_packed
-            + _sym_outer(self.grad, other.grad),
+            sv * other.grad + ov * self.grad,
+            sv * other.hess_packed + ov * self.hess_packed + _sym_outer(self.grad, other.grad),
         )
 
     def __truediv__(self, other: "FieldJet") -> "FieldJet":
         # Caller guards other.value != 0.
         v = self.value / other.value
-        g = (self.grad - v * other.grad) / other.value
-        h = (
-            self.hess_packed - _sym_outer(g, other.grad) - v * other.hess_packed
-        ) / other.value
+        ov = _col(other.value)
+        g = (self.grad - _col(v) * other.grad) / ov
+        h = (self.hess_packed - _sym_outer(g, other.grad) - _col(v) * other.hess_packed) / ov
         return FieldJet(v, g, h)
 
 
-def _compose(j: FieldJet, u: float, du: float, ddu: float) -> FieldJet:
+def _compose(j: FieldJet, u, du, ddu) -> FieldJet:
     """Chain rule for a scalar function applied on top of a jet."""
-    return FieldJet(
-        u, du * j.grad, ddu * _outer_self(j.grad) + du * j.hess_packed
-    )
+    du, ddu = _col(du), _col(ddu)
+    return FieldJet(u, du * j.grad, ddu * _outer_self(j.grad) + du * j.hess_packed)
 
 
 def _pow_jet(j: FieldJet, n: int) -> FieldJet:
     if n == 0:
-        return FieldJet(1.0, _Z4, _Z10)
+        return FieldJet(np.ones_like(j.value), _Z4, _Z10)
     if n == 1:
         return j
     v = j.value
-    c1 = n * v ** (n - 1)
-    c2 = n * (n - 1) * v ** (n - 2)
-    return FieldJet(
-        v**n, c1 * j.grad, c2 * _outer_self(j.grad) + c1 * j.hess_packed
+    c1 = _col(n * v ** (n - 1))
+    c2 = _col(n * (n - 1) * v ** (n - 2))
+    return FieldJet(v**n, c1 * j.grad, c2 * _outer_self(j.grad) + c1 * j.hess_packed)
+
+
+# A failure is (mask over points, index -> exception): where a point-by-point
+# walk would raise, and what.  Lists of failures are kept in the order the
+# walk tests them at one point.
+_Failure = tuple[np.ndarray, Callable[[int], Exception]]
+
+
+def _fail(
+    failures: list[_Failure] | None, mask: np.ndarray, make: Callable[[int], Exception]
+) -> None:
+    if failures is not None and mask.any():
+        failures.append((mask, make))
+
+
+def _raise_first(failures: list[_Failure]) -> None:
+    """Raise what a point-by-point walk over the failures would raise first.
+
+    The walk stops at the first point where any mask is set, and there at
+    the first failure (in list order) whose mask is set.
+    """
+    hits = [f for f in failures if f[0].any()]
+    if hits:
+        i = min(int(np.argmax(mask)) for mask, _ in hits)
+        raise next(make(i) for mask, make in hits if mask[i])
+
+
+def _check_finite(jet: FieldJet, node: Node, failures: list[_Failure] | None) -> None:
+    """Record the points where the jet has a non-finite entry."""
+    if failures is None:
+        return
+    finite = (
+        np.isfinite(jet.value)
+        & np.isfinite(jet.grad).all(axis=-1)
+        & np.isfinite(jet.hess_packed).all(axis=-1)
+    )
+
+    def make(i: int) -> Exception:
+        v = float(jet.value[i])
+        what = "derivative" if math.isfinite(v) else f"value {v!r}"
+        return DomainError(f"non-finite {what}", unparse(node))
+
+    _fail(failures, ~finite, make)
+
+
+def _jets(node: Node, xs: np.ndarray, failures: list[_Failure] | None) -> FieldJet:
+    """Jet of a subtree at every row of xs; appends its failures in walk order
+    (none are looked for when `failures` is None).
+
+    Values have shape (n,); a gradient or Hessian that is the same at every
+    point (a constant's zeros, a coordinate's unit vector) keeps shape (4,)
+    or (10,) and broadcasts.
+    """
+    match node:
+        case Const(value=v):
+            jet = FieldJet(np.full(len(xs), v), _Z4, _Z10)
+        case Var(index=i):
+            jet = FieldJet(xs[:, i - 1], _E4[i - 1], _Z10)
+        case Neg(operand=child):
+            jet = -_jets(child, xs, failures)
+        case BinOp(op="+", left=left, right=right):
+            jet = _jets(left, xs, failures) + _jets(right, xs, failures)
+        case BinOp(op="-", left=left, right=right):
+            jet = _jets(left, xs, failures) - _jets(right, xs, failures)
+        case BinOp(op="*", left=left, right=right):
+            jet = _jets(left, xs, failures) * _jets(right, xs, failures)
+        case BinOp(op="/", left=left, right=right):
+            jr = _jets(right, xs, failures)
+            message = "division by zero"
+            _fail(failures, jr.value == 0.0, lambda i: DomainError(message, unparse(node)))
+            jet = _jets(left, xs, failures) / jr
+        case Pow(base=base, exponent=e):
+            jb = _jets(base, xs, failures)
+            if e < 0:
+                message = "zero raised to a negative power"
+                _fail(failures, jb.value == 0.0, lambda i: DomainError(message, unparse(node)))
+            jet = _pow_jet(jb, e)
+        case Call(func=f, arg=arg) if f in FUNCTIONS:
+            ja = _jets(arg, xs, failures)
+            v = ja.value
+            if f in ("log", "sqrt"):
+                _fail(
+                    failures,
+                    v <= 0.0,
+                    lambda i: DomainError(
+                        f"{f} of non-positive value {float(v[i])!r}", unparse(node)
+                    ),
+                )
+            if f == "sin":
+                s, c = np.sin(v), np.cos(v)
+                jet = _compose(ja, s, c, -s)
+            elif f == "cos":
+                s, c = np.sin(v), np.cos(v)
+                jet = _compose(ja, c, -s, -c)
+            elif f == "exp":
+                e = np.exp(v)
+                jet = _compose(ja, e, e, e)
+            elif f == "log":
+                jet = _compose(ja, np.log(v), 1.0 / v, -1.0 / v**2)
+            else:
+                r = np.sqrt(v)
+                jet = _compose(ja, r, 0.5 / r, -0.25 / (r * v))
+        case _:
+            raise TypeError(f"not an AST node: {node!r}")
+    _check_finite(jet, node, failures)
+    return jet
+
+
+def _point_failure(xs: np.ndarray) -> _Failure:
+    """Rows of xs with a non-finite coordinate, as `as_point` would reject them."""
+    return (
+        ~np.isfinite(xs).all(axis=1),
+        lambda i: ValueError(f"point coordinates must be finite, got {xs[i].tolist()}"),
     )
 
 
-def _eval(node: Node, x: np.ndarray) -> FieldJet:
-    match node:
-        case Const(value=v):
-            return FieldJet(v, _Z4, _Z10)
-        case Var(index=i):
-            g = np.zeros(4)
-            g[i - 1] = 1.0
-            return FieldJet(float(x[i - 1]), g, _Z10)
-        case Neg(operand=child):
-            return -_eval(child, x)
-        case BinOp(op="+", left=left, right=right):
-            return _eval(left, x) + _eval(right, x)
-        case BinOp(op="-", left=left, right=right):
-            return _eval(left, x) - _eval(right, x)
-        case BinOp(op="*", left=left, right=right):
-            return _eval(left, x) * _eval(right, x)
-        case BinOp(op="/", left=left, right=right):
-            jr = _eval(right, x)
-            if jr.value == 0.0:
-                raise DomainError("division by zero", unparse(node))
-            return _eval(left, x) / jr
-        case Pow(base=base, exponent=e):
-            jb = _eval(base, x)
-            if jb.value == 0.0 and e < 0:
-                raise DomainError("zero raised to a negative power", unparse(node))
-            return _pow_jet(jb, e)
-        case Call(func=f, arg=arg):
-            ja = _eval(arg, x)
-            if f == "sin":
-                s, c = math.sin(ja.value), math.cos(ja.value)
-                return _compose(ja, s, c, -s)
-            if f == "cos":
-                s, c = math.sin(ja.value), math.cos(ja.value)
-                return _compose(ja, c, -s, -c)
-            if f == "exp":
-                e = math.exp(ja.value)
-                return _compose(ja, e, e, e)
-            if f == "log":
-                if ja.value <= 0.0:
-                    raise DomainError(
-                        f"log of non-positive value {ja.value!r}", unparse(node)
-                    )
-                return _compose(
-                    ja, math.log(ja.value), 1.0 / ja.value, -1.0 / ja.value**2
-                )
-            if f == "sqrt":
-                if ja.value <= 0.0:
-                    raise DomainError(
-                        f"sqrt of non-positive value {ja.value!r}", unparse(node)
-                    )
-                r = math.sqrt(ja.value)
-                return _compose(ja, r, 0.5 / r, -0.25 / (r * ja.value))
-    raise TypeError(f"not an AST node: {node!r}")
+def _field_jets(node: Node, xs: np.ndarray) -> tuple[FieldJet, list[_Failure]]:
+    """Jets of a tree at every row of xs (n, 4), with the failures unraised.
+
+    The gradient and Hessian are broadcast to (n, 4) and (n, 10).  The first
+    walk looks for no failures but raises numpy's floating-point errors:
+    every failure (a zero divisor, log or sqrt of a non-positive value, zero
+    to a negative power, an overflow) sets one, and no inf or NaN can arise
+    from finite literals (all the parser admits) and finite points (the
+    others are `_point_failure`'s) without one.  Only then is the tree walked
+    again, warnings silenced, building the masks that locate each failure.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            jet, failures = _jets(node, xs, None), []
+    except FloatingPointError:
+        failures = []
+        with np.errstate(all="ignore"):
+            jet = _jets(node, xs, failures)
+    n = len(xs)
+    grad, hess = jet.grad, jet.hess_packed
+    if grad.shape != (n, 4):
+        grad = np.broadcast_to(grad, (n, 4))
+    if hess.shape != (n, 10):
+        hess = np.broadcast_to(hess, (n, 10))
+    return FieldJet(jet.value, grad, hess), failures
+
+
+def _single(jet: FieldJet) -> FieldJet:
+    """The one-point jet of a batch holding exactly one point."""
+    return FieldJet(float(jet.value[0]), jet.grad[0], jet.hess_packed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +621,29 @@ def as_point(p) -> np.ndarray:
     return x
 
 
+def _as_points(ps) -> np.ndarray:
+    """Coerce to an (n, 4) array of points; finiteness is checked per point later."""
+    xs = np.asarray(ps, dtype=float)
+    if xs.size == 0:
+        return xs.reshape(0, 4)
+    if xs.ndim != 2 or xs.shape[1] != 4:
+        raise ValueError(f"points need shape (n, 4), got shape {xs.shape}")
+    return xs
+
+
+def eval_jets(field: ScalarField | Node, points) -> FieldJet:
+    """Values (n,), gradients (n, 4) and packed Hessians (n, 10) at n points.
+
+    Raises the ValueError or DomainError that evaluating the points one at a
+    time, in order, would raise first.
+    """
+    xs = _as_points(points)
+    node = field.ast if isinstance(field, ScalarField) else field
+    jet, failures = _field_jets(node, xs)
+    _raise_first([_point_failure(xs), *failures])
+    return jet
+
+
 def eval_jet(field: ScalarField | Node, point) -> FieldJet:
     """Evaluate value, gradient and Hessian of a field at a point."""
-    x = as_point(point)
-    node = field.ast if isinstance(field, ScalarField) else field
-    return _eval(node, x)
+    return _single(eval_jets(field, as_point(point)[None]))

@@ -13,6 +13,10 @@ Conventions, fixed once for the whole package:
               + Gamma^l_ia Gamma^a_jk - Gamma^l_ja Gamma^a_ik.
   * Index lowering uses the last slot: R_ijkl = g_al R^a_ijk, which makes
     R_ijkl = g(R(e_i, e_j) e_k, e_l).
+
+The Christoffel and nabla q contractions take any leading axes, so one
+call covers a block of points (`_christoffel_block`); the per-point
+functions are their case without a leading axis.
 """
 
 from __future__ import annotations
@@ -22,7 +26,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ManifoldSpec, MetricAtPoint, Q, inner, inverse_metric, metric_at
+from .core import (
+    ManifoldSpec,
+    MetricAtPoint,
+    Q,
+    _entry_partials,
+    _inverse_factors,
+    _metric_jets,
+    inner,
+    inverse_metric,
+    metric_at,
+)
+from .expr import FieldJet, _raise_first
 
 __all__ = [
     "ChristoffelAtPoint",
@@ -43,17 +58,39 @@ class DegeneratePlaneError(ValueError):
     """The two vectors do not span a 2-plane."""
 
 
+def _lowered(dg: np.ndarray) -> np.ndarray:
+    """T[..., a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij (symmetric in i, j)."""
+    return np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg) - dg
+
+
+def _gamma(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^s_ij = g^{as} T_aij / 2 over any leading axes: (..., s, i, j)."""
+    return 0.5 * np.einsum("...as,...aij->...sij", ginv, _lowered(dg))
+
+
 @dataclass(frozen=True)
 class ChristoffelAtPoint:
     """Gamma^s_ij (symmetric in i, j) and its analytic derivatives.
 
     `gamma[s, i, j]` is Gamma^s_ij; `dgamma[l, s, i, j]` is d_l Gamma^s_ij,
-    computed with d_l g^{as} = -g^{ab} (d_l g_bc) g^{cs} and the entry
-    Hessians, never by differencing.
+    computed on first use (only the curvature needs it) with
+    d_l g^{as} = -g^{ab} (d_l g_bc) g^{cs} and the entry Hessians, never by
+    differencing.
     """
 
     gamma: np.ndarray
-    dgamma: np.ndarray
+    metric: MetricAtPoint
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        m = self.metric
+        ginv = inverse_metric(m).matrix
+        dginv = -np.einsum("ab,lbc,cs->las", ginv, m.d1, ginv)
+        # The leading axis of d2 is the extra derivative l: dT[l, a, i, j].
+        return 0.5 * (
+            np.einsum("las,aij->lsij", dginv, _lowered(m.d1))
+            + np.einsum("as,laij->lsij", ginv, _lowered(m.d2))
+        )
 
     @cached_property
     def max_abs(self) -> float:
@@ -61,18 +98,21 @@ class ChristoffelAtPoint:
 
 
 def christoffel_from_metric(m: MetricAtPoint) -> ChristoffelAtPoint:
-    ginv = inverse_metric(m).matrix
-    dg = m.d1
-    ddg = m.d2
-    # T[a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij  (symmetric in i, j)
-    t = np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg
-    gamma = 0.5 * np.einsum("as,aij->sij", ginv, t)
-    dginv = -np.einsum("ab,lbc,cs->las", ginv, dg, ginv)
-    dt = np.einsum("liaj->laij", ddg) + np.einsum("ljai->laij", ddg) - ddg
-    dgamma = 0.5 * (
-        np.einsum("las,aij->lsij", dginv, t) + np.einsum("as,laij->lsij", ginv, dt)
-    )
-    return ChristoffelAtPoint(gamma, dgamma)
+    return ChristoffelAtPoint(_gamma(inverse_metric(m).matrix, m.d1), m)
+
+
+def _christoffel_block(
+    spec: ManifoldSpec, xs: np.ndarray
+) -> tuple[tuple[FieldJet, FieldJet, FieldJet], np.ndarray]:
+    """Jets of A, B, C and Gamma (n, 4, 4, 4) at every row of xs (n, 4).
+
+    Raises what `metric_at` and then `christoffel_from_metric` would raise
+    at the first point where either fails.
+    """
+    jets, failures = _metric_jets(spec, xs)
+    inverse, singular = _inverse_factors(*(jet.value for jet in jets))
+    _raise_first([*failures, singular])
+    return jets, _gamma(inverse.matrix, _entry_partials(*(jet.grad for jet in jets)))
 
 
 def christoffel_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
@@ -146,11 +186,13 @@ class NablaQ:
         return float(np.max(np.abs(self.components)))
 
 
+def _nabla_q(gamma: np.ndarray) -> np.ndarray:
+    """Components of nabla q from Gamma over any leading axes: (..., i, s, j)."""
+    return np.einsum("...sik,kj->...isj", gamma, Q) - np.einsum("...kij,sk->...isj", gamma, Q)
+
+
 def nabla_q(ch: ChristoffelAtPoint) -> NablaQ:
-    comp = np.einsum("sik,kj->isj", ch.gamma, Q) - np.einsum(
-        "kij,sk->isj", ch.gamma, Q
-    )
-    return NablaQ(comp)
+    return NablaQ(_nabla_q(ch.gamma))
 
 
 def metric_compatibility_residual(m: MetricAtPoint, ch: ChristoffelAtPoint) -> float:

@@ -38,12 +38,13 @@ from .core import (
     inverse_metric,
     metric_at,
 )
+from .expr import _as_points
 from .tensor import (
-    ChristoffelAtPoint,
     DegeneratePlaneError,
     RiemannAtPoint,
+    _christoffel_block,
+    _nabla_q,
     christoffel_from_metric,
-    nabla_q,
     riemann_from_christoffel,
 )
 
@@ -281,31 +282,38 @@ _PARALLEL_LABELS = (
 )
 
 
-def _parallel_residuals(m: MetricAtPoint) -> tuple[dict[str, float], float]:
-    ga, gb, gc = m.jet_a.grad, m.jet_b.grad, m.jet_c.grad
-    values = (
-        ga[0] - gc[2],
-        ga[1] - gc[3],
-        ga[2] - gc[0],
-        ga[3] - gc[1],
-        gb[0] - gb[2],
-        gb[1] - gb[3],
-        2.0 * gb[0] - gc[1] - gc[3],
-        2.0 * gb[1] - gc[0] - gc[2],
+def _parallel_residuals(
+    ga: np.ndarray, gb: np.ndarray, gc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|residual| of each gradient condition, (n, 8) in `_PARALLEL_LABELS`
+    order, and the scale max(1, max |grad A|, |grad B|, |grad C|), (n,),
+    from gradients of shape (n, 4)."""
+    values = np.stack(
+        (
+            ga[:, 0] - gc[:, 2],
+            ga[:, 1] - gc[:, 3],
+            ga[:, 2] - gc[:, 0],
+            ga[:, 3] - gc[:, 1],
+            gb[:, 0] - gb[:, 2],
+            gb[:, 1] - gb[:, 3],
+            2.0 * gb[:, 0] - gc[:, 1] - gc[:, 3],
+            2.0 * gb[:, 1] - gc[:, 0] - gc[:, 2],
+        ),
+        axis=1,
     )
-    scale = max(
-        1.0,
-        float(np.max(np.abs(ga))),
-        float(np.max(np.abs(gb))),
-        float(np.max(np.abs(gc))),
-    )
-    return dict(zip(_PARALLEL_LABELS, (abs(float(v)) for v in values))), scale
+    scale = np.maximum(1.0, np.abs(np.concatenate((ga, gb, gc), axis=1)).max(axis=1))
+    return np.abs(values), scale
+
+
+def _point_grads(m: MetricAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of A, B, C at one point, each with a leading axis of 1."""
+    return m.jet_a.grad[None], m.jet_b.grad[None], m.jet_c.grad[None]
 
 
 def _parallel_condition_report(
-    m: MetricAtPoint, residuals: dict[str, float], scale: float, tolerance: float
+    m: MetricAtPoint, values: np.ndarray, scale: float, tolerance: float
 ) -> CheckReport:
-    entries = {k: (v, scale) for k, v in residuals.items()}
+    entries = {k: (v, scale) for k, v in zip(_PARALLEL_LABELS, values.tolist())}
     return _make_report(
         "parallel-condition",
         m.point,
@@ -327,31 +335,37 @@ def check_parallel_condition(spec: ManifoldSpec, p, tolerance: float | None = No
     """
     tolerance = DEFAULT_TOLERANCES["parallel-condition"] if tolerance is None else tolerance
     m = metric_at(spec, p)
-    return _parallel_condition_report(m, *_parallel_residuals(m), tolerance)
+    values, scale = _parallel_residuals(*_point_grads(m))
+    return _parallel_condition_report(m, values[0], float(scale[0]), tolerance)
 
 
-def _equivalence_row(
-    m: MetricAtPoint,
-    ch: ChristoffelAtPoint,
-    residuals: dict[str, float],
-    scale: float,
+def _equivalence_rows(
+    points: np.ndarray,
+    values: np.ndarray,
+    scale: np.ndarray,
+    gamma: np.ndarray,
     f4_tol: float,
     nq_tol: float,
-) -> dict:
-    """Both parallelism predicates at one point, evaluated independently."""
-    gradient = max(residuals.values())
-    f4_scaled = gradient / max(1.0, scale)
-    nq = nabla_q(ch).max_abs
-    nq_scaled = nq / max(1.0, ch.max_abs)
-    return {
-        "point": m.point.tolist(),
-        "gradient_residual": gradient,
-        "gradient_residual_scaled": f4_scaled,
-        "nabla_q_residual": nq,
-        "nabla_q_residual_scaled": nq_scaled,
-        "gradient_holds": f4_scaled <= f4_tol,
-        "parallel_holds": nq_scaled <= nq_tol,
+) -> list[dict]:
+    """Both parallelism predicates at each of n points, evaluated independently.
+
+    `values` and `scale` come from `_parallel_residuals`; `gamma` is
+    Gamma (n, 4, 4, 4).  One plain-typed row dict per point.
+    """
+    gradient = values.max(axis=1)
+    f4_scaled = gradient / np.maximum(1.0, scale)
+    nq = np.abs(_nabla_q(gamma)).max(axis=(1, 2, 3))
+    nq_scaled = nq / np.maximum(1.0, np.abs(gamma).max(axis=(1, 2, 3)))
+    columns = {
+        "point": points.tolist(),
+        "gradient_residual": gradient.tolist(),
+        "gradient_residual_scaled": f4_scaled.tolist(),
+        "nabla_q_residual": nq.tolist(),
+        "nabla_q_residual_scaled": nq_scaled.tolist(),
+        "gradient_holds": (f4_scaled <= f4_tol).tolist(),
+        "parallel_holds": (nq_scaled <= nq_tol).tolist(),
     }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _equivalence_report(rows: list[dict], f4_tol: float, nq_tol: float) -> CheckReport:
@@ -366,6 +380,13 @@ def _equivalence_report(rows: list[dict], f4_tol: float, nq_tol: float) -> Check
     )
 
 
+# Points per array pass of `check_parallel_equivalence`.  On curved-par at
+# grid 8 (4096 points; 2-core 2.0 GHz Xeon VM, numpy 2.4), blocks of 256
+# take 0.046 s with 2.7 MB of transient arrays at peak; the whole grid at
+# once takes 0.035 s but 7.6 MB, and blocks of 64 take 0.063 s.
+_BLOCK = 256
+
+
 def check_parallel_equivalence(
     spec: ManifoldSpec,
     points,
@@ -376,17 +397,19 @@ def check_parallel_equivalence(
 
     Both predicates are evaluated independently at every point; the check
     fails only if they ever disagree.  Points where both are false are
-    consistent (the equivalence is two-sided).
+    consistent (the equivalence is two-sided).  The points are evaluated
+    in blocks of `_BLOCK` at a time; an error is the one a point-by-point
+    loop would raise first.
     """
     f4_tol = DEFAULT_TOLERANCES["parallel-condition"] if f4_tol is None else f4_tol
     nq_tol = DEFAULT_TOLERANCES["nabla-q"] if nq_tol is None else nq_tol
+    xs = _as_points(points)
     rows = []
-    for p in points:
-        m = metric_at(spec, p)
-        residuals, scale = _parallel_residuals(m)
-        rows.append(
-            _equivalence_row(m, christoffel_from_metric(m), residuals, scale, f4_tol, nq_tol)
-        )
+    for start in range(0, len(xs), _BLOCK):
+        block = xs[start : start + _BLOCK]
+        jets, gamma = _christoffel_block(spec, block)
+        values, scale = _parallel_residuals(*(jet.grad for jet in jets))
+        rows += _equivalence_rows(block, values, scale, gamma, f4_tol, nq_tol)
     return _equivalence_report(rows, f4_tol, nq_tol)
 
 
@@ -623,9 +646,14 @@ def run_suite(
         m = metric_at(spec, p)
         ch = christoffel_from_metric(m)
         r = riemann_from_christoffel(m, ch)
-        residuals, scale = _parallel_residuals(m)
-        row = _equivalence_row(
-            m, ch, residuals, scale, tols["parallel-condition"], tols["nabla-q"]
+        values, scale = _parallel_residuals(*_point_grads(m))
+        (row,) = _equivalence_rows(
+            m.point[None],
+            values,
+            scale,
+            ch.gamma[None],
+            tols["parallel-condition"],
+            tols["nabla-q"],
         )
         rows.append(row)
         parallel_holds = row["gradient_holds"] and row["parallel_holds"]
@@ -639,7 +667,9 @@ def run_suite(
 
         if "parallel-condition" in selected:
             reports.append(
-                _parallel_condition_report(m, residuals, scale, tols["parallel-condition"])
+                _parallel_condition_report(
+                    m, values[0], float(scale[0]), tols["parallel-condition"]
+                )
             )
 
         identity_rep = check_curvature_q_identity(r, tolerance=tols["curvature-identity"])

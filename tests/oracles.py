@@ -139,3 +139,44 @@ def sequential_unit_coefficients(rng, n: int) -> np.ndarray:
     """Unit coefficient rows drawn one at a time, normalised by np.linalg.norm."""
     rows = sequential_rows(rng, n, lambda v: float(np.linalg.norm(v)) > 1e-3)
     return np.array([v / float(np.linalg.norm(v)) for v in rows]).reshape(n, 4)
+
+
+def equivalence_row_pointwise(spec, p, f4_tol: float, nq_tol: float) -> dict:
+    """One parallel-scan row from the per-point API, with the gradient
+    conditions restated: A_i = C_(i+2), B_1 = B_3, B_2 = B_4 and
+    2 B_i = C_(i-1) + C_(i+1) for i = 1, 2 (indices cyclic)."""
+    from circgeo.core import metric_at
+    from circgeo.tensor import christoffel_from_metric, nabla_q
+
+    m = metric_at(spec, p)
+    ch = christoffel_from_metric(m)
+    ga, gb, gc = m.jet_a.grad, m.jet_b.grad, m.jet_c.grad
+    conditions = [ga[i] - gc[(i + 2) % 4] for i in range(4)]
+    conditions += [gb[0] - gb[2], gb[1] - gb[3]]
+    conditions += [2.0 * gb[i] - gc[(i - 1) % 4] - gc[(i + 1) % 4] for i in (0, 1)]
+    gradient = max(abs(float(v)) for v in conditions)
+    scale = max(1.0, *(float(abs(v)) for v in np.concatenate((ga, gb, gc))))
+    nq = nabla_q(ch).max_abs
+    return {
+        "point": [float(v) for v in p],
+        "gradient_residual": gradient,
+        "gradient_residual_scaled": gradient / scale,
+        "nabla_q_residual": nq,
+        "nabla_q_residual_scaled": nq / max(1.0, ch.max_abs),
+        "gradient_holds": gradient / scale <= f4_tol,
+        "parallel_holds": nq / max(1.0, ch.max_abs) <= nq_tol,
+    }
+
+
+def first_error_pointwise(spec, points):
+    """The exception a point-by-point loop over metric_at and
+    christoffel_from_metric raises first, or None."""
+    from circgeo.core import metric_at
+    from circgeo.tensor import christoffel_from_metric
+
+    for p in points:
+        try:
+            christoffel_from_metric(metric_at(spec, p))
+        except ValueError as exc:
+            return exc
+    return None

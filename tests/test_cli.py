@@ -210,3 +210,45 @@ def test_module_entrypoint_runs():
     )
     assert result.returncode == 0
     assert "pass" in result.stdout
+
+
+def _write_spec(tmp_path, A):
+    path = tmp_path / "spec.json"
+    domain = {"min": [-1, -1, -1, -1], "max": [1, 1, 1, 1]}
+    path.write_text(json.dumps({"name": "probe", "A": A, "B": "1", "C": "2", "domain": domain}))
+    return str(path)
+
+
+def test_overflowing_field_exits_3_without_nan(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "4+1e308*1e308*x1")
+    assert main(["curvature", spec, "--point", "0.1,0,0,0"]) == 3
+    out, err = capsys.readouterr()
+    assert "nan" not in out.lower()
+    assert err.count("\n") == 1 and "1e+308 * 1e+308" in err
+
+
+@pytest.mark.parametrize("command", ["metric", "christoffel", "curvature"])
+def test_huge_finite_field_exits_3_without_nan(tmp_path, capsys, command):
+    spec = _write_spec(tmp_path, "1e200 + x1")
+    assert main([command, spec, "--point", "0,0,0,0"]) == 3
+    out, err = capsys.readouterr()
+    assert "nan" not in out.lower()
+    assert err.count("\n") == 1 and "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["scan", "--grid", "3", "--check", "parallel"], ["verify", "--grid", "2"]]
+)
+def test_exp_overflow_exits_3(tmp_path, capsys, argv):
+    spec = _write_spec(tmp_path, "4+exp(1000*x1)")
+    out = tmp_path / "err.json"
+    assert main([argv[0], spec, *argv[1:], "--json", str(out)]) == 3
+    assert "exp(1000.0 * x1)" in capsys.readouterr().err
+    assert json.loads(out.read_text())["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("A", ["(" * 3000 + "x1+4" + ")" * 3000, "4" + "+x1" * 5000])
+def test_very_deep_field_exits_2(tmp_path, capsys, A):
+    assert main(["validate", _write_spec(tmp_path, A)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "deeper than" in err

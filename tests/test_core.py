@@ -89,9 +89,27 @@ def test_admissibility_pinned_values():
     assert minors == (4, 15, 44, 128)
 
 
-@pytest.mark.parametrize("triple", [(1, 2, 3), (4, -1, 2), (4, 2, 2), (2, 1, 2)])
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (1, 2, 3),
+        (4, -1, 2),
+        (4, 2, 2),
+        (2, 1, 2),
+        (np.inf, 1, 2),
+        (np.nan, 1, 2),
+        (4, np.nan, 2),
+        (4, 1, np.nan),
+    ],
+)
 def test_admissibility_rejects(triple):
     assert not admissibility(*triple)[0]
+
+
+def test_admissibility_accepts_large_finite_values():
+    ordered, minors = admissibility(1e308, 1e300, 1e307)
+    assert ordered is True
+    assert minors[0] == 1e308
 
 
 def test_minor_formulas_match_determinants():
@@ -126,6 +144,14 @@ def test_inverse_pinned_312():
 def test_inverse_singular_when_a_equals_c():
     with pytest.raises(SingularMetricError):
         inverse_metric(MetricAtPoint.from_constants(4, 1, 4, check=False))
+
+
+def test_inverse_rejects_overflowing_factors():
+    # d = (A - C)((A + C)^2 - 4B^2) grows like A^3 and overflows past ~5.6e102.
+    gi = inverse_metric(MetricAtPoint.from_constants(1e100, 1, 2))
+    assert np.all(np.isfinite(gi.matrix))
+    with pytest.raises(SingularMetricError, match="overflow"):
+        inverse_metric(MetricAtPoint.from_constants(1e103, 1, 2))
 
 
 def test_inverse_matches_generic_inversion():

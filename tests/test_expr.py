@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circgeo.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -15,6 +16,7 @@ from circgeo.expr import (
     Pow,
     Var,
     eval_jet,
+    eval_jets,
     parse,
     unparse,
 )
@@ -73,6 +75,32 @@ def test_unknown_identifier_offset():
     with pytest.raises(ParseError) as err:
         parse("x1 + blob")
     assert err.value.offset == 5
+
+
+def test_nesting_limit_offset():
+    ok = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse(ok).ast == Var(1)
+    with pytest.raises(ParseError) as err:
+        parse("(" + ok + ")")
+    assert err.value.offset == MAX_DEPTH  # the opening parenthesis past the limit
+    with pytest.raises(ParseError) as err:
+        parse("sin(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1))
+    assert err.value.offset == 4 * MAX_DEPTH + 3
+
+
+def test_depth_limit_on_left_deep_chain():
+    # A sum of n terms is a tree n nodes deep.
+    chain = parse("x1" + "+x1" * (MAX_DEPTH - 1))
+    assert parse(unparse(chain.ast)).ast == chain.ast
+    with pytest.raises(ParseError) as err:
+        parse("x1" + "+x1" * MAX_DEPTH)
+    assert err.value.offset == 2 + 3 * (MAX_DEPTH - 1)  # the "+" past the limit
+
+
+@pytest.mark.parametrize("source", ["(" * 3000 + "x1" + ")" * 3000, "x1" + "+x1" * 4999])
+def test_very_deep_sources_are_parse_errors(source):
+    with pytest.raises(ParseError):
+        parse(source)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +164,85 @@ def test_division_by_zero_error():
 def test_zero_to_negative_power():
     with pytest.raises(DomainError):
         parse("x1^-1").jet([0, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "source,point,subexpression,message",
+    [
+        ("4 + 1e308*1e308*x1", [0.1, 0, 0, 0], "1e+308 * 1e+308", "non-finite value inf"),
+        ("4 + exp(1000*x1)", [1, 0, 0, 0], "exp(1000.0 * x1)", "non-finite value inf"),
+        ("x1^400", [10, 0, 0, 0], "x1^400", "non-finite value inf"),
+        # sqrt of a subnormal is finite, its second derivative is not.
+        ("sqrt(x1)", [1e-320, 0, 0, 0], "sqrt(x1)", "non-finite derivative"),
+    ],
+)
+def test_non_finite_jets_are_domain_errors(source, point, subexpression, message):
+    with pytest.raises(DomainError) as err:
+        parse(source).jet(point)
+    assert err.value.subexpression == subexpression
+    assert str(err.value).startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# Many points at once
+# ---------------------------------------------------------------------------
+
+MIXED = "sin(x1*x2) - cos(x3)/exp(x4) + log(2 + x1^2)*sqrt(3 + x2 - x3) + (1 + x4^2)^-2"
+
+
+def test_batch_equals_single_points(all_fixture_specs):
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1, 1, size=(17, 4))
+    fields = [f for spec in all_fixture_specs for f in (spec.A, spec.B, spec.C)]
+    for field in fields + [parse(MIXED)]:
+        batch = eval_jets(field, points)
+        assert batch.value.shape == (17,)
+        assert batch.grad.shape == (17, 4)
+        assert batch.hess_packed.shape == (17, 10)
+        assert batch.hess.shape == (17, 4, 4)
+        for k, p in enumerate(points):
+            jet = field.jet(p)
+            assert isinstance(jet.value, float)
+            assert jet.value == batch.value[k]
+            assert np.array_equal(jet.grad, batch.grad[k])
+            assert np.array_equal(jet.hess_packed, batch.hess_packed[k])
+
+
+def _first_pointwise_error(field, points):
+    for p in points:
+        try:
+            field.jet(p)
+        except (DomainError, ValueError) as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "source,points",
+    [
+        # Point 1 fails only at log; point 2 fails at sqrt, which the walk meets first.
+        ("sqrt(0.5 - x4) + log(x1 + 0.5)", [[0, 0, 0, 0], [-1, 0, 0, -1], [0, 0, 0, 1]]),
+        # Division checks the divisor before evaluating the numerator.
+        ("log(x1) / (x2 - 1)", [[1, 0, 0, 0], [2, 1, 0, 0], [-1, 1, 0, 0]]),
+        ("x1^-2 + 1/x2", [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]),
+        # A non-finite point is rejected at its own position in the order.
+        ("log(x1)", [[1, 0, 0, 0], [np.inf, 0, 0, 0], [-1, 0, 0, 0]]),
+        ("log(x1)", [[1, 0, 0, 0], [-1, 0, 0, 0], [np.nan, 0, 0, 0]]),
+    ],
+)
+def test_batch_raises_the_pointwise_first_error(source, points):
+    field = parse(source)
+    expected = _first_pointwise_error(field, points)
+    assert expected is not None
+    with pytest.raises(type(expected)) as err:
+        eval_jets(field, points)
+    assert str(err.value) == str(expected)
+
+
+def test_batch_shape_is_checked():
+    with pytest.raises(ValueError):
+        eval_jets(parse("x1"), [[1, 2, 3]])
+    assert eval_jets(parse("x1"), []).value.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

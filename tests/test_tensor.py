@@ -81,6 +81,15 @@ def test_gamma_matches_finite_differences(nonpar, curved_par):
         assert np.max(np.abs(ch.gamma - fd_christoffel(spec, p))) <= 1e-6
 
 
+def test_dgamma_is_computed_only_for_curvature(curved_par):
+    m = metric_at(curved_par, [0.3, -0.2, 0.1, 0.4])
+    ch = christoffel_from_metric(m)
+    nabla_q(ch)
+    assert "dgamma" not in vars(ch)
+    riemann_from_christoffel(m, ch)
+    assert "dgamma" in vars(ch)
+
+
 def test_dgamma_matches_finite_differences(all_fixture_specs):
     rng = np.random.default_rng(3)
     for spec in all_fixture_specs:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circgeo.core import (
+    ManifoldSpec,
     MetricAtPoint,
     circulant_matrix,
     cos_angle,
@@ -18,6 +19,7 @@ from circgeo.core import (
 )
 from circgeo.tensor import DegeneratePlaneError, christoffel_from_metric, riemann_from_christoffel
 from circgeo.verify import (
+    DEFAULT_TOLERANCES,
     KNOWN_CHECKS,
     QBasisCoefficients,
     _draw_rows,
@@ -38,6 +40,8 @@ from circgeo.verify import (
 )
 
 from oracles import (
+    equivalence_row_pointwise,
+    first_error_pointwise,
     mu_law_case_scalar,
     sectional_planes_loop,
     sequential_rows,
@@ -104,6 +108,62 @@ def test_parallel_condition_nonpar_residual(nonpar):
 # ---------------------------------------------------------------------------
 # Parallel equivalence over grids
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["nonpar", "curved_par"])
+def test_equivalence_blocks_match_pointwise_rows(name, request):
+    # 625 points: three blocks, the last one partial.
+    spec = request.getfixturevalue(name)
+    points = spec.domain.grid(5)
+    f4_tol, nq_tol = DEFAULT_TOLERANCES["parallel-condition"], DEFAULT_TOLERANCES["nabla-q"]
+    rows = check_parallel_equivalence(spec, points).payload["points"]
+    assert len(rows) == len(points)
+    for row, p in zip(rows, points):
+        expected = equivalence_row_pointwise(spec, p, f4_tol, nq_tol)
+        assert row.keys() == expected.keys()
+        for key, value in expected.items():
+            if isinstance(value, bool):
+                assert row[key] is value, key
+            else:
+                assert np.max(np.abs(np.subtract(row[key], value))) <= 1e-12, key
+
+
+def _spec(A, B="1", C="2", box=1.0):
+    return ManifoldSpec.from_dict(
+        {"name": "probe", "A": A, "B": B, "C": C, "domain": {"min": [-box] * 4, "max": [box] * 4}}
+    )
+
+
+GRID_5 = _spec("4").domain.grid(5)
+
+
+@pytest.mark.parametrize(
+    "spec,points",
+    [
+        # Point 0 fails only at log; later points fail at sqrt, an earlier node.
+        (_spec("4 + sqrt(0.5 - x4) + log(x1 + 0.5)"), GRID_5),
+        # The first failure lies in the second block.
+        (_spec("4 + log(0.2 - x1)"), GRID_5),
+        # Admissibility fails (C > A from x4 = 0 on) before the log does.
+        (_spec("4 + log(0.2 - x1)", C="2 + 3*(x4 + 1)"), GRID_5),
+        # A field error at a point beats the vanishing inverse there ...
+        (_spec("1e-200*(4 + log(x1 + 0.5))", B="1e-200", C="2e-200"), GRID_5),
+        # ... and the vanishing inverse is found when nothing fails earlier.
+        (_spec("1e-200*(4 + log(x1 + 1.5))", B="1e-200", C="2e-200"), GRID_5),
+        # The domain check comes first at a point, and order decides between points.
+        (_spec("4 + log(x1 + 0.5)"), [[0, 0, 0, 0], [-0.9, 0, 0, 0], [5, 0, 0, 0]]),
+        (_spec("4 + log(x1 + 0.5)"), [[0, 0, 0, 0], [5, 0, 0, 0], [-0.9, 0, 0, 0]]),
+        (_spec("4 + log(x1 + 0.5)"), [[0, 0, 0, 0], [np.inf, 0, 0, 0], [-0.9, 0, 0, 0]]),
+        # Fields are evaluated A, B, C at each point.
+        (_spec("4 + log(x1 + 0.5)", B="1 + 0*sqrt(x2 + 0.5)"), GRID_5),
+    ],
+)
+def test_equivalence_raises_the_pointwise_first_error(spec, points):
+    expected = first_error_pointwise(spec, points)
+    assert expected is not None
+    with pytest.raises(type(expected)) as err:
+        check_parallel_equivalence(spec, points)
+    assert str(err.value) == str(expected)
 
 
 def test_equivalence_curved_par_grid(curved_par):
