@@ -393,8 +393,7 @@ def _report_error(exc: Exception, json_path: str | None) -> None:
     print(f"error: {exc}", file=sys.stderr)
     if json_path:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        Path(json_path).write_text(text + "\n")
+        Path(json_path).write_text(report_to_json(payload))
 
 
 def app() -> None:

@@ -227,6 +227,15 @@ def _entry_partials(ga: np.ndarray, gb: np.ndarray, gc: np.ndarray) -> np.ndarra
     )
 
 
+def _entry_hessians(ha: np.ndarray, hb: np.ndarray, hc: np.ndarray) -> np.ndarray:
+    """d_l d_k g_ij from the Hessians of A, B, C, over any leading axes: (..., l, k, i, j)."""
+    return (
+        np.einsum("...lk,ij->...lkij", ha, MASK_A)
+        + np.einsum("...lk,ij->...lkij", hb, MASK_B)
+        + np.einsum("...lk,ij->...lkij", hc, MASK_C)
+    )
+
+
 @dataclass(frozen=True)
 class MetricAtPoint:
     """Circulant metric realized at one point, with entry-wise jets.
@@ -270,11 +279,7 @@ class MetricAtPoint:
 
     @cached_property
     def d2(self) -> np.ndarray:
-        return (
-            np.einsum("lk,ij->lkij", self.jet_a.hess, MASK_A)
-            + np.einsum("lk,ij->lkij", self.jet_b.hess, MASK_B)
-            + np.einsum("lk,ij->lkij", self.jet_c.hess, MASK_C)
-        )
+        return _entry_hessians(self.jet_a.hess, self.jet_b.hess, self.jet_c.hess)
 
     @cached_property
     def _inverse(self) -> "InverseMetricAtPoint":
@@ -396,12 +401,21 @@ def inner(m: MetricAtPoint, x, y) -> float:
     return float(np.asarray(x, float) @ m.matrix @ np.asarray(y, float))
 
 
+def _cosine_beyond(value: np.ndarray) -> np.ndarray:
+    """Where a cosine lies outside [-1, 1] by more than rounding."""
+    return np.abs(value) > 1.0 + 1e-12
+
+
+def _cosine_error(value) -> ValueError:
+    return ValueError(f"cosine {value} out of [-1, 1] beyond rounding")
+
+
 def _clamp_cosine(value):
     """Clip cosines (a float or an array) to [-1, 1]; raise beyond rounding."""
     value = np.asarray(value, dtype=float)
-    beyond = np.abs(value) > 1.0 + 1e-12
+    beyond = _cosine_beyond(value)
     if beyond.any():
-        raise ValueError(f"cosine {value[beyond].flat[0]} out of [-1, 1] beyond rounding")
+        raise _cosine_error(value[beyond].flat[0])
     return np.clip(value, -1.0, 1.0)
 
 
@@ -417,7 +431,7 @@ def cos_angle(m: MetricAtPoint, x, y) -> float:
 
 def _q_basis_criterion(xs) -> tuple[np.ndarray, np.ndarray]:
     """`induces_q_basis` over the last axis of xs: (flags, criterion values)."""
-    x1, x2, x3, x4 = np.asarray(xs, dtype=float).T
+    x1, x2, x3, x4 = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
     value = ((x1 - x3) ** 2 + (x2 - x4) ** 2) * ((x1 + x3) ** 2 - (x2 + x4) ** 2)
     norm4 = (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) ** 2
     return np.abs(value) > 1e-12 * norm4, value

@@ -450,16 +450,21 @@ def _fail(
         failures.append((mask, make))
 
 
+def _first_failing(failures: list[_Failure]) -> int | None:
+    """The first point where any failure's mask is set, or None."""
+    return min((int(np.argmax(mask)) for mask, _ in failures if mask.any()), default=None)
+
+
 def _raise_first(failures: list[_Failure]) -> None:
     """Raise what a point-by-point walk over the failures would raise first.
 
     The walk stops at the first point where any mask is set, and there at
-    the first failure (in list order) whose mask is set.
+    the first failure (in list order) whose mask is set.  Masks may be
+    shorter than the walk: a point past a mask's end does not fail it.
     """
-    hits = [f for f in failures if f[0].any()]
-    if hits:
-        i = min(int(np.argmax(mask)) for mask, _ in hits)
-        raise next(make(i) for mask, make in hits if mask[i])
+    i = _first_failing(failures)
+    if i is not None:
+        raise next(make(i) for mask, make in failures if i < len(mask) and mask[i])
 
 
 def _check_finite(jet: FieldJet, node: Node, failures: list[_Failure] | None) -> None:

@@ -14,9 +14,10 @@ Conventions, fixed once for the whole package:
   * Index lowering uses the last slot: R_ijkl = g_al R^a_ijk, which makes
     R_ijkl = g(R(e_i, e_j) e_k, e_l).
 
-The Christoffel and nabla q contractions take any leading axes, so one
-call covers a block of points (`_christoffel_block`); the per-point
-functions are their case without a leading axis.
+The Christoffel, curvature and nabla q contractions take any leading axes,
+so one call covers a block of points (`_christoffel_block`, whose `_Block`
+holds the metric, Gamma and the curvature of every point with a leading
+point axis); the per-point functions are their case without a leading axis.
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    InverseMetricAtPoint,
     ManifoldSpec,
     MetricAtPoint,
     Q,
+    _entry_hessians,
     _entry_partials,
     _inverse_factors,
     _metric_jets,
+    circulant_matrix,
     inner,
     inverse_metric,
     metric_at,
 )
-from .expr import FieldJet, _raise_first
+from .expr import FieldJet, _Failure, _first_failing
 
 __all__ = [
     "ChristoffelAtPoint",
@@ -68,6 +72,31 @@ def _gamma(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...as,...aij->...sij", ginv, _lowered(dg))
 
 
+def _dgamma(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """d_l Gamma^s_ij over any leading axes: (..., l, s, i, j).
+
+    Uses d_l g^{as} = -g^{ab} (d_l g_bc) g^{cs} and the entry Hessians
+    `ddg` (..., l, k, i, j), never differencing.
+    """
+    dginv = -np.einsum("...ab,...lbc,...cs->...las", ginv, dg, ginv)
+    # The axis after the leading ones of ddg is the extra derivative l: dT[l, a, i, j].
+    return 0.5 * (
+        np.einsum("...las,...aij->...lsij", dginv, _lowered(dg))
+        + np.einsum("...as,...laij->...lsij", ginv, _lowered(ddg))
+    )
+
+
+def _riemann(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R^l_ijk (..., l, i, j, k) and R_ijkl = g_al R^a_ijk over any leading axes."""
+    r_mixed = (
+        np.einsum("...iljk->...lijk", dgamma)
+        - np.einsum("...jlik->...lijk", dgamma)
+        + np.einsum("...lia,...ajk->...lijk", gamma, gamma)
+        - np.einsum("...lja,...aik->...lijk", gamma, gamma)
+    )
+    return r_mixed, np.einsum("...al,...aijk->...ijkl", g, r_mixed)
+
+
 @dataclass(frozen=True)
 class ChristoffelAtPoint:
     """Gamma^s_ij (symmetric in i, j) and its analytic derivatives.
@@ -84,13 +113,7 @@ class ChristoffelAtPoint:
     @cached_property
     def dgamma(self) -> np.ndarray:
         m = self.metric
-        ginv = inverse_metric(m).matrix
-        dginv = -np.einsum("ab,lbc,cs->las", ginv, m.d1, ginv)
-        # The leading axis of d2 is the extra derivative l: dT[l, a, i, j].
-        return 0.5 * (
-            np.einsum("las,aij->lsij", dginv, _lowered(m.d1))
-            + np.einsum("as,laij->lsij", ginv, _lowered(m.d2))
-        )
+        return _dgamma(inverse_metric(m).matrix, m.d1, m.d2)
 
     @cached_property
     def max_abs(self) -> float:
@@ -101,18 +124,67 @@ def christoffel_from_metric(m: MetricAtPoint) -> ChristoffelAtPoint:
     return ChristoffelAtPoint(_gamma(inverse_metric(m).matrix, m.d1), m)
 
 
-def _christoffel_block(
-    spec: ManifoldSpec, xs: np.ndarray
-) -> tuple[tuple[FieldJet, FieldJet, FieldJet], np.ndarray]:
-    """Jets of A, B, C and Gamma (n, 4, 4, 4) at every row of xs (n, 4).
+@dataclass(frozen=True)
+class _Block:
+    """The geometry of n points, each array with a leading point axis.
 
-    Raises what `metric_at` and then `christoffel_from_metric` would raise
-    at the first point where either fails.
+    `jets` are those of A, B, C (values (n,), gradients (n, 4)); `ginv`,
+    `dg` and `gamma` are g^-1 (n, 4, 4), d_k g_ij (n, 4, 4, 4) and
+    Gamma^s_ij (n, 4, 4, 4).  Row i holds what `metric_at`,
+    `christoffel_from_metric` and `riemann_from_christoffel` give at the
+    i-th point.  The metric, d Gamma and the curvature are computed on
+    first use, so a caller that needs only Gamma does not pay for them.
     """
+
+    points: np.ndarray
+    jets: tuple[FieldJet, FieldJet, FieldJet]
+    ginv: np.ndarray
+    dg: np.ndarray
+    gamma: np.ndarray
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return circulant_matrix(*(jet.value for jet in self.jets))
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """d_l Gamma^s_ij, (n, l, s, i, j)."""
+        return _dgamma(self.ginv, self.dg, _entry_hessians(*(jet.hess for jet in self.jets)))
+
+    @cached_property
+    def _curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        return _riemann(self.g, self.gamma, self.dgamma)
+
+    @property
+    def r_mixed(self) -> np.ndarray:
+        """R^l_ijk, (n, l, i, j, k)."""
+        return self._curvature[0]
+
+    @property
+    def r_low(self) -> np.ndarray:
+        """R_ijkl, (n, i, j, k, l)."""
+        return self._curvature[1]
+
+    def metric(self, i: int) -> MetricAtPoint:
+        """The metric at the i-th point, as `metric_at` gives it."""
+        ja, jb, jc = (FieldJet(float(j.value[i]), j.grad[i], j.hess_packed[i]) for j in self.jets)
+        return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=self.points[i])
+
+
+def _christoffel_block(spec: ManifoldSpec, xs: np.ndarray) -> tuple[_Block, list[_Failure]]:
+    """The geometry of the rows of xs (n, 4) up to the first one where
+    `metric_at` or then `christoffel_from_metric` would fail, and the
+    failures over all rows, unraised and in that order."""
     jets, failures = _metric_jets(spec, xs)
     inverse, singular = _inverse_factors(*(jet.value for jet in jets))
-    _raise_first([*failures, singular])
-    return jets, _gamma(inverse.matrix, _entry_partials(*(jet.grad for jet in jets)))
+    failures.append(singular)
+    keep = slice(_first_failing(failures))
+    jets = tuple(FieldJet(j.value[keep], j.grad[keep], j.hess_packed[keep]) for j in jets)
+    ginv = InverseMetricAtPoint(
+        *(f[keep] for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
+    ).matrix
+    dg = _entry_partials(*(jet.grad for jet in jets))
+    return _Block(xs[keep], jets, ginv, dg, _gamma(ginv, dg)), failures
 
 
 def christoffel_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
@@ -139,15 +211,7 @@ class RiemannAtPoint:
 
 
 def riemann_from_christoffel(m: MetricAtPoint, ch: ChristoffelAtPoint) -> RiemannAtPoint:
-    gamma, dgamma = ch.gamma, ch.dgamma
-    r_mixed = (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lia,ajk->lijk", gamma, gamma)
-        - np.einsum("lja,aik->lijk", gamma, gamma)
-    )
-    r_low = np.einsum("al,aijk->ijkl", m.matrix, r_mixed)
-    return RiemannAtPoint(r_mixed, r_low, m)
+    return RiemannAtPoint(*_riemann(m.matrix, ch.gamma, ch.dgamma), m)
 
 
 def riemann_at(spec: ManifoldSpec, p) -> RiemannAtPoint:

@@ -18,11 +18,21 @@ Check names (also the names accepted by tolerance overrides):
 
 Checks that presuppose the curvature identity are skipped, not failed, at
 points where the identity itself does not hold.
+
+`run_suite` evaluates its points in blocks of `_BLOCK`: the geometry of a
+block (jets, metric, inverse, Christoffel symbols, curvature) is computed
+once with a leading point axis, and each check is one array pass over the
+block.  Each point keeps its own random streams, seeded [seed, index, k],
+and its own Newton solve for the orthogonal q-basis, so the entries equal
+those of running the points one at a time, and so does the first error
+raised.  The public check_* functions are the one-point case of the same
+helpers.  Reports are written as compact JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +41,15 @@ from .core import (
     BasisAngles,
     ManifoldSpec,
     MetricAtPoint,
-    Q,
-    _clamp_cosine,
+    SolverError,
+    _cosine_beyond,
+    _cosine_error,
     _q_basis_criterion,
     find_orthogonal_q_basis,
     inverse_metric,
     metric_at,
 )
-from .expr import _as_points
+from .expr import _as_points, _Failure, _raise_first
 from .tensor import (
     DegeneratePlaneError,
     RiemannAtPoint,
@@ -217,16 +228,31 @@ class QBasisCoefficients:
         return cls(*_unit_coefficients(rng, 1)[0].tolist())
 
 
-def _coeff_cosines(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(phi) and cos(theta) for each row (alpha, beta, gamma, delta)."""
-    norm2 = np.einsum("ni,ni->n", coeffs, coeffs)
-    off = np.abs(norm2 - 1.0) > 1e-12
-    if off.any():
-        raise ValueError(f"coefficients must be unit norm, got |u|^2 = {norm2[off][0]}")
-    a, b, g, d = coeffs.T
+def _case_failure(bad: np.ndarray, values: np.ndarray, make) -> _Failure:
+    """Fails each point (a row of `bad`, (n, S)) where one of its cases is
+    bad; the error names the first such case's value."""
+    return bad.any(axis=1), lambda i: make(values[i, np.argmax(bad[i])])
+
+
+def _coeff_cosines(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[_Failure]]:
+    """cos(phi) and cos(theta) for each row (alpha, beta, gamma, delta) of
+    coeffs (n, S, 4), clipped to [-1, 1], and the failures per point in the
+    order they are tested: a row off unit norm, then a cosine beyond
+    [-1, 1] by more than rounding."""
+    norm2 = np.einsum("...i,...i->...", coeffs, coeffs)
+    a, b, g, d = np.moveaxis(coeffs, -1, 0)
     cos_phi = a * b + a * d + b * g + d * g
     cos_theta = 2.0 * a * g + 2.0 * b * d
-    return _clamp_cosine(cos_phi), _clamp_cosine(cos_theta)
+    failures = [
+        _case_failure(
+            np.abs(norm2 - 1.0) > 1e-12,
+            norm2,
+            lambda v: ValueError(f"coefficients must be unit norm, got |u|^2 = {v}"),
+        ),
+        _case_failure(_cosine_beyond(cos_phi), cos_phi, _cosine_error),
+        _case_failure(_cosine_beyond(cos_theta), cos_theta, _cosine_error),
+    ]
+    return np.clip(cos_phi, -1.0, 1.0), np.clip(cos_theta, -1.0, 1.0), failures
 
 
 def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
@@ -236,38 +262,70 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
     cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
     cos(theta) = 2 alpha gamma + 2 beta delta.
     """
-    cos_phi, cos_theta = _coeff_cosines(c.as_array()[None])
-    return BasisAngles(float(cos_phi[0]), float(cos_theta[0]))
+    cos_phi, cos_theta, failures = _coeff_cosines(c.as_array()[None, None])
+    _raise_first(failures)
+    return BasisAngles(float(cos_phi[0, 0]), float(cos_theta[0, 0]))
 
 
 # ---------------------------------------------------------------------------
 # Individual checks
+#
+# Each check is one helper over n points, every array with a leading point
+# axis, returning one report (or entries and payload) per point; the public
+# check_* functions are its n = 1 case, and `run_suite` calls it once per
+# block of points.
 # ---------------------------------------------------------------------------
+
+
+def _point_max(a: np.ndarray) -> np.ndarray:
+    """max |a| over every axis but the first, (n,)."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
+
+
+# Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
+_SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
+# The shift on tensor components: q e_k = e_(k-1), so feeding q e_k into a
+# lower slot reads component k - 1 (gather with _DOWN), and applying q to
+# an upper index gives (q v)^s = v^(s+1) (gather with _UP).
+_UP, _DOWN = _SHIFTS[1], _SHIFTS[3]
+
+
+def _isometry_pairs(rng: np.random.Generator, samples: int) -> np.ndarray:
+    """The (x, y) sample pairs of one point, (2, samples, 4): all x, then all y."""
+    return rng.uniform(-1.0, 1.0, size=(2, samples, 4))
+
+
+def _isometry_reports(
+    points: list, g: np.ndarray, pairs: np.ndarray, tolerance: float
+) -> list[CheckReport]:
+    """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 at n points: g (n, 4, 4) and
+    the sample pairs (n, 2, S, 4) of each point."""
+    xs, ys = pairs[:, 0], pairs[:, 1]
+
+    def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # g(x, y) of every pair, (n, S)
+        return np.einsum("nsi,nsi->ns", x @ g, y)
+
+    base = form(xs, ys)
+    scale = np.maximum(1.0, np.abs(base).max(axis=1))
+    resid = np.stack(
+        [np.abs(form(xs[..., shift], ys[..., shift]) - base).max(axis=1) for shift in _SHIFTS[1:]],
+        axis=1,
+    )
+    payload = {"samples": pairs.shape[2]}
+    return [
+        _make_report("isometry", p, {"q1": (r1, s), "q2": (r2, s), "q3": (r3, s)}, tolerance, payload)
+        for p, (r1, r2, r3), s in zip(points, resid.tolist(), scale.tolist())
+    ]
 
 
 def check_isometry(
     m: MetricAtPoint, samples: int = 1000, seed=0, tolerance: float | None = None
 ) -> CheckReport:
     """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 over random vector pairs."""
-    rng = _rng(seed)
-    xs = rng.uniform(-1.0, 1.0, size=(samples, 4))
-    ys = rng.uniform(-1.0, 1.0, size=(samples, 4))
-    g = m.matrix
-    base = np.einsum("ni,ij,nj->n", xs, g, ys)
-    scale = max(1.0, float(np.max(np.abs(base))))
-    entries = {}
-    for k in (1, 2, 3):
-        shifted = np.einsum(
-            "ni,ij,nj->n", np.roll(xs, -k, axis=1), g, np.roll(ys, -k, axis=1)
-        )
-        entries[f"q{k}"] = (float(np.max(np.abs(shifted - base))), scale)
-    return _make_report(
-        "isometry",
-        m.point,
-        entries,
-        DEFAULT_TOLERANCES["isometry"] if tolerance is None else tolerance,
-        {"samples": samples},
-    )
+    tolerance = DEFAULT_TOLERANCES["isometry"] if tolerance is None else tolerance
+    pairs = _isometry_pairs(_rng(seed), samples)
+    (report,) = _isometry_reports([m.point], m.matrix[None], pairs[None], tolerance)
+    return report
 
 
 _PARALLEL_LABELS = (
@@ -305,26 +363,26 @@ def _parallel_residuals(
     return np.abs(values), scale
 
 
-def _point_grads(m: MetricAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gradients of A, B, C at one point, each with a leading axis of 1."""
-    return m.jet_a.grad[None], m.jet_b.grad[None], m.jet_c.grad[None]
-
-
-def _parallel_condition_report(
-    m: MetricAtPoint, values: np.ndarray, scale: float, tolerance: float
-) -> CheckReport:
-    entries = {k: (v, scale) for k, v in zip(_PARALLEL_LABELS, values.tolist())}
-    return _make_report(
-        "parallel-condition",
-        m.point,
-        entries,
-        tolerance,
-        {
-            "grad_A": m.jet_a.grad.tolist(),
-            "grad_B": m.jet_b.grad.tolist(),
-            "grad_C": m.jet_c.grad.tolist(),
-        },
-    )
+def _parallel_condition_reports(
+    points: list,
+    grads: tuple[np.ndarray, np.ndarray, np.ndarray],
+    values: np.ndarray,
+    scale: np.ndarray,
+    tolerance: float,
+) -> list[CheckReport]:
+    """One report per point from the gradients (n, 4) of A, B, C and their
+    `_parallel_residuals`."""
+    ga, gb, gc = (grad.tolist() for grad in grads)
+    return [
+        _make_report(
+            "parallel-condition",
+            p,
+            {k: (v, s) for k, v in zip(_PARALLEL_LABELS, row)},
+            tolerance,
+            {"grad_A": a, "grad_B": b, "grad_C": c},
+        )
+        for p, row, s, a, b, c in zip(points, values.tolist(), scale.tolist(), ga, gb, gc)
+    ]
 
 
 def check_parallel_condition(spec: ManifoldSpec, p, tolerance: float | None = None) -> CheckReport:
@@ -335,8 +393,11 @@ def check_parallel_condition(spec: ManifoldSpec, p, tolerance: float | None = No
     """
     tolerance = DEFAULT_TOLERANCES["parallel-condition"] if tolerance is None else tolerance
     m = metric_at(spec, p)
-    values, scale = _parallel_residuals(*_point_grads(m))
-    return _parallel_condition_report(m, values[0], float(scale[0]), tolerance)
+    grads = (m.jet_a.grad[None], m.jet_b.grad[None], m.jet_c.grad[None])
+    (report,) = _parallel_condition_reports(
+        [m.point], grads, *_parallel_residuals(*grads), tolerance
+    )
+    return report
 
 
 def _equivalence_rows(
@@ -354,8 +415,8 @@ def _equivalence_rows(
     """
     gradient = values.max(axis=1)
     f4_scaled = gradient / np.maximum(1.0, scale)
-    nq = np.abs(_nabla_q(gamma)).max(axis=(1, 2, 3))
-    nq_scaled = nq / np.maximum(1.0, np.abs(gamma).max(axis=(1, 2, 3)))
+    nq = _point_max(_nabla_q(gamma))
+    nq_scaled = nq / np.maximum(1.0, _point_max(gamma))
     columns = {
         "point": points.tolist(),
         "gradient_residual": gradient.tolist(),
@@ -380,10 +441,10 @@ def _equivalence_report(rows: list[dict], f4_tol: float, nq_tol: float) -> Check
     )
 
 
-# Points per array pass of `check_parallel_equivalence`.  On curved-par at
-# grid 8 (4096 points; 2-core 2.0 GHz Xeon VM, numpy 2.4), blocks of 256
-# take 0.046 s with 2.7 MB of transient arrays at peak; the whole grid at
-# once takes 0.035 s but 7.6 MB, and blocks of 64 take 0.063 s.
+# Points per array pass of `check_parallel_equivalence` and `run_suite`.  On
+# curved-par at grid 8 (4096 points; 2-core 2.0 GHz Xeon VM, numpy 2.4),
+# blocks of 256 take 0.046 s with 2.7 MB of transient arrays at peak; the
+# whole grid at once takes 0.035 s but 7.6 MB, and blocks of 64 take 0.063 s.
 _BLOCK = 256
 
 
@@ -406,11 +467,22 @@ def check_parallel_equivalence(
     xs = _as_points(points)
     rows = []
     for start in range(0, len(xs), _BLOCK):
-        block = xs[start : start + _BLOCK]
-        jets, gamma = _christoffel_block(spec, block)
-        values, scale = _parallel_residuals(*(jet.grad for jet in jets))
-        rows += _equivalence_rows(block, values, scale, gamma, f4_tol, nq_tol)
+        geo, failures = _christoffel_block(spec, xs[start : start + _BLOCK])
+        _raise_first(failures)
+        values, scale = _parallel_residuals(*(jet.grad for jet in geo.jets))
+        rows += _equivalence_rows(geo.points, values, scale, geo.gamma, f4_tol, nq_tol)
     return _equivalence_report(rows, f4_tol, nq_tol)
+
+
+def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list[CheckReport]:
+    """R(e_i, e_j, q e_k, q e_l) = R(e_i, e_j, e_k, e_l) at n points, from
+    R_ijkl (n, 4, 4, 4, 4)."""
+    shifted = r_low[..., _DOWN, :][..., _DOWN]
+    resid, norm = _point_max(shifted - r_low).tolist(), _point_max(r_low).tolist()
+    return [
+        _make_report("curvature-identity", p, {"max": (r, s)}, tolerance, {"riemann_norm_inf": s})
+        for p, r, s in zip(points, resid, norm)
+    ]
 
 
 def check_curvature_q_identity(r: RiemannAtPoint, tolerance: float | None = None) -> CheckReport:
@@ -418,16 +490,36 @@ def check_curvature_q_identity(r: RiemannAtPoint, tolerance: float | None = None
 
     Multilinearity makes the coordinate basis sufficient.
     """
-    shifted = np.einsum("ijab,ak,bl->ijkl", r.r_low, Q, Q)
-    resid = float(np.max(np.abs(shifted - r.r_low)))
-    entries = {"max": (resid, r.norm_inf)}
-    return _make_report(
-        "curvature-identity",
-        r.metric.point,
-        entries,
-        DEFAULT_TOLERANCES["curvature-identity"] if tolerance is None else tolerance,
-        {"riemann_norm_inf": r.norm_inf},
+    tolerance = DEFAULT_TOLERANCES["curvature-identity"] if tolerance is None else tolerance
+    (report,) = _identity_reports([r.metric.point], r.r_low[None], tolerance)
+    return report
+
+
+def _integrability_reports(
+    points: list, r_mixed: np.ndarray, r_low: np.ndarray, ginv: np.ndarray, tolerance: float
+) -> list[CheckReport]:
+    """q on the output slot against q on the argument at n points, from
+    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4)."""
+    # q R(x, y) z against R(x, y) q z, on the output slot l and the argument k
+    # of R^l_ijk.
+    lhs, rhs = r_mixed[:, _UP], r_mixed[..., _DOWN]
+    scale = np.maximum(1.0, _point_max(r_mixed))
+    # Alternate raising: classical component order puts the plane slots last,
+    # so lift the first slot of R_(ajkl) = r_low[k, l, a, j].
+    alt = np.einsum("...ab,...klbj->...ajkl", ginv, r_low)
+    lhs_alt, rhs_alt = alt[:, _UP], alt[:, :, _DOWN]
+    columns = zip(
+        points,
+        _point_max(lhs - rhs).tolist(),
+        scale.tolist(),
+        _point_max(lhs_alt - rhs_alt).tolist(),
     )
+    return [
+        _make_report(
+            "integrability", p, {"primary": (r, s)}, tolerance, {"alternate_raising_residual": a}
+        )
+        for p, r, s, a in columns
+    ]
 
 
 def check_integrability(r: RiemannAtPoint, tolerance: float | None = None) -> CheckReport:
@@ -439,69 +531,72 @@ def check_integrability(r: RiemannAtPoint, tolerance: float | None = None) -> Ch
     tensor, plane slots last) is evaluated too and reported in the payload
     rather than silently chosen.
     """
-    rm = r.r_mixed
-    lhs = np.einsum("aijk,sa->sijk", rm, Q)
-    rhs = np.einsum("sija,ak->sijk", rm, Q)
-    scale = max(1.0, float(np.max(np.abs(rm))))
-    resid = float(np.max(np.abs(lhs - rhs)))
-
-    # Alternate raising: classical component order puts the plane slots last,
-    # so lift the first slot of R_(ajkl) = r_low[k, l, a, j].
+    tolerance = DEFAULT_TOLERANCES["integrability"] if tolerance is None else tolerance
     ginv = inverse_metric(r.metric).matrix
-    alt = np.einsum("ab,klbj->ajkl", ginv, r.r_low)
-    lhs_alt = np.einsum("ajkl,sa->sjkl", alt, Q)
-    rhs_alt = np.einsum("sakl,aj->sjkl", alt, Q)
-    resid_alt = float(np.max(np.abs(lhs_alt - rhs_alt)))
-
-    entries = {"primary": (resid, scale)}
-    return _make_report(
-        "integrability",
-        r.metric.point,
-        entries,
-        DEFAULT_TOLERANCES["integrability"] if tolerance is None else tolerance,
-        {"alternate_raising_residual": resid_alt},
+    (report,) = _integrability_reports(
+        [r.metric.point], r.r_mixed[None], r.r_low[None], ginv[None], tolerance
     )
+    return report
 
-
-# Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
-_SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
 
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
 # the four ring planes, then the two diagonal planes.
 _PLANES = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
-def _r_xyxy(r: RiemannAtPoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R(x, y, x, y) over the leading axes of x and y, as one contraction."""
-    w = (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], 16)
-    return np.einsum("...a,ab,...b->...", w, r.r_low.reshape(16, 16), w)
+def _r_xyxy(r_low: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R(x, y, x, y) at n points: R_ijkl (n, 4, 4, 4, 4), x and y (n, ..., 4)."""
+    n, inner = len(r_low), x.shape[1:-1]
+    w = (x[..., :, None] * y[..., None, :]).reshape(n, int(np.prod(inner)), 16)
+    return np.einsum("nma,nma->nm", w @ r_low.reshape(n, 16, 16), w).reshape(n, *inner)
 
 
 def _sectional_entries(
-    m: MetricAtPoint, r: RiemannAtPoint, xs: np.ndarray
-) -> tuple[dict[str, tuple[float, float]], dict]:
-    """Sectional curvatures of the six q-basis planes of each row of xs."""
-    shifts = xs[:, _SHIFTS]  # (n, 4, 4): shifts[v, k] = q^k x_v
-    gram = np.einsum("nki,ij,nlj->nkl", shifts, m.matrix, shifts)
+    g: np.ndarray, r_low: np.ndarray, xs: np.ndarray
+) -> tuple[list[tuple[dict, dict]], _Failure]:
+    """Sectional curvatures of the six q-basis planes of each vector at n
+    points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) and vectors xs (n, V, 4).
+
+    Returns the entries and payload of each point, and the points where a
+    plane is degenerate (the error names the first such plane).
+    """
+    n, v = xs.shape[:2]
+    shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
+    gram = shifts @ g[:, None] @ shifts.swapaxes(-1, -2)
     a, b = _PLANES.T
-    det = gram[:, a, a] * gram[:, b, b] - gram[:, a, b] ** 2
-    euclid = np.einsum("nki,nki->nk", shifts, shifts)
-    degenerate = det <= 1e-12 * euclid[:, a] * euclid[:, b]
-    if degenerate.any():
-        first = det.ravel()[np.argmax(degenerate.ravel())]
-        raise DegeneratePlaneError(
-            f"vectors span no 2-plane (Gram determinant {first:.3e})"
+    det = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+    euclid = np.einsum("...ki,...ki->...k", shifts, shifts)
+    degenerate = det <= 1e-12 * euclid[..., a] * euclid[..., b]
+    flat_det, flat_bad = det.reshape(n, v * 6), degenerate.reshape(n, v * 6)
+    failure = (
+        flat_bad.any(axis=1),
+        lambda i: DegeneratePlaneError(
+            f"vectors span no 2-plane (Gram determinant {flat_det[i, np.argmax(flat_bad[i])]:.3e})"
+        ),
+    )
+    mu = _r_xyxy(r_low, shifts[..., a, :], shifts[..., b, :]) / np.where(degenerate, 1.0, det)
+    ring, diag = mu[..., :4], mu[..., 4:]
+    columns = zip(
+        np.max(ring.max(axis=2) - ring.min(axis=2), axis=1, initial=0.0).tolist(),
+        np.max(np.abs(ring), axis=(1, 2), initial=1.0).tolist(),
+        np.max(np.abs(diag[..., 0]), axis=1, initial=0.0).tolist(),
+        np.max(np.abs(diag[..., 1]), axis=1, initial=0.0).tolist(),
+        _point_max(r_low).tolist(),
+        mu[:, 0].tolist() if v else [None] * n,
+    )
+    found = [
+        (
+            {"ring_spread": (spread, ring_scale), "mu_x_q2x": (d0, norm), "mu_qx_q3x": (d1, norm)},
+            {
+                "vectors": v,
+                "first_vector_values": (
+                    None if first is None else {"ring": first[:4], "diagonal": first[4:]}
+                ),
+            },
         )
-    mu = _r_xyxy(r, shifts[:, a], shifts[:, b]) / det
-    ring, diag = mu[:, :4], mu[:, 4:]
-    ring_spread = float(np.max(ring.max(axis=1) - ring.min(axis=1), initial=0.0))
-    entries = {
-        "ring_spread": (ring_spread, float(np.max(np.abs(ring), initial=1.0))),
-        "mu_x_q2x": (float(np.max(np.abs(diag[:, 0]), initial=0.0)), r.norm_inf),
-        "mu_qx_q3x": (float(np.max(np.abs(diag[:, 1]), initial=0.0)), r.norm_inf),
-    }
-    sample = {"ring": mu[0, :4].tolist(), "diagonal": mu[0, 4:].tolist()} if len(xs) else None
-    return entries, {"vectors": len(xs), "first_vector_values": sample}
+        for spread, ring_scale, d0, d1, norm, first in columns
+    ]
+    return found, failure
 
 
 def check_sectional_relations(
@@ -514,7 +609,10 @@ def check_sectional_relations(
     """
     m = metric_at(spec, p)
     r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    entries, payload = _sectional_entries(m, r, np.asarray(x, float)[None])
+    [(entries, payload)], failure = _sectional_entries(
+        m.matrix[None], r.r_low[None], np.asarray(x, float)[None, None]
+    )
+    _raise_first([failure])
     return _make_report(
         "sectional-relations",
         m.point,
@@ -524,44 +622,76 @@ def check_sectional_relations(
     )
 
 
+def _mu_law_cases(
+    r_low: np.ndarray, basis: np.ndarray, coeffs: np.ndarray
+) -> tuple[list[list[dict]], np.ndarray, list[_Failure]]:
+    """The mu-law cases of n points: R_ijkl (n, 4, 4, 4, 4), the q-basis
+    vector x (n, 4) and the unit coefficient rows (n, S, 4) of each point.
+
+    Returns the case dicts of each point, the largest |direct - expansion|
+    over each point's cases whose u induces a q-basis (n,), 0 where none
+    does, and the failures of `_coeff_cosines`.
+    """
+    shifts = basis[:, _SHIFTS]  # (n, 4, 4): shifts[p, k] = q^k x_p
+    rho = _r_xyxy(r_low, shifts[:, 0], shifts[:, 1])
+    u = coeffs @ shifts
+    direct = _r_xyxy(r_low, u, u[..., _SHIFTS[1]])
+    cos_phi, cos_theta, failures = _coeff_cosines(coeffs)
+    expansion = (1.0 - cos_theta) ** 2 * rho[:, None]
+    q_basis = _q_basis_criterion(u)[0]
+    worst = np.max(np.abs(direct - expansion), axis=1, initial=0.0, where=q_basis)
+    # The angle law predicts plain rho: the curvature of the u-plane
+    # rescaled by its own Gram factor.  The ratio is None where rho = 0.
+    ratio = direct / np.where(rho == 0.0, 1.0, rho)[:, None]
+    cases = []
+    for coef, c_phi, c_theta, direct_, expansion_, angle_law, ratios, flags in zip(
+        coeffs.tolist(),
+        cos_phi.tolist(),
+        cos_theta.tolist(),
+        direct.tolist(),
+        expansion.tolist(),
+        rho.tolist(),
+        ratio.tolist(),
+        q_basis.tolist(),
+    ):
+        if not angle_law:
+            ratios = [None] * len(ratios)
+        cases.append(
+            [
+                {
+                    "coefficients": c,
+                    "cos_phi": cp,
+                    "cos_theta": ct,
+                    "direct": d,
+                    "expansion_prediction": e,
+                    "angle_law_prediction": angle_law,
+                    "ratio_direct_to_angle_law": r,
+                    "q_basis": f,
+                }
+                for c, cp, ct, d, e, r, f in zip(
+                    coef, c_phi, c_theta, direct_, expansion_, ratios, flags
+                )
+            ]
+        )
+    return cases, worst, failures
+
+
 def mu_law_cases(
     r: RiemannAtPoint, basis: np.ndarray, coeffs: np.ndarray
 ) -> tuple[list[dict], float]:
     """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
 
     `basis` is x, spanning an orthonormal q-basis; each row of `coeffs` is a
-    unit (alpha, beta, gamma, delta).  All rows are contracted at once, and
-    R(x, qx, x, qx) once.  Returns one plain-typed case dict per row and the
-    largest |direct - expansion| over the cases whose u induces a q-basis
-    (0 if none does).  The ratio to the angle law is None where
-    R(x, qx, x, qx) = 0.
+    unit (alpha, beta, gamma, delta).  All rows are contracted at once.
+    Returns one plain-typed case dict per row and the largest
+    |direct - expansion| over the cases whose u induces a q-basis (0 if none
+    does).  The ratio to the angle law is None where R(x, qx, x, qx) = 0.
     """
-    coeffs = np.asarray(coeffs, float)
-    shifts = np.asarray(basis, float)[_SHIFTS]
-    # rho is repeated in every case; this scalar contraction keeps it, and the
-    # expansion built on it, bit-identical to the one-case-at-a-time formula.
-    x, qx = shifts[0], shifts[1]
-    rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, x, qx, x, qx))
-    u = coeffs @ shifts
-    direct = _r_xyxy(r, u, u[:, _SHIFTS[1]])
-    cos_phi, cos_theta = _coeff_cosines(coeffs)
-    expansion = (1.0 - cos_theta) ** 2 * rho
-    angle_law = rho  # curvature of the u-plane rescaled by its own Gram factor
-    q_basis = _q_basis_criterion(u)[0]
-    n = len(coeffs)
-    columns = {
-        "coefficients": coeffs.tolist(),
-        "cos_phi": cos_phi.tolist(),
-        "cos_theta": cos_theta.tolist(),
-        "direct": direct.tolist(),
-        "expansion_prediction": expansion.tolist(),
-        "angle_law_prediction": [angle_law] * n,
-        "ratio_direct_to_angle_law": (direct / angle_law).tolist() if angle_law else [None] * n,
-        "q_basis": q_basis.tolist(),
-    }
-    cases = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    worst = float(np.max(np.abs(direct - expansion)[q_basis], initial=0.0))
-    return cases, worst
+    (cases,), worst, failures = _mu_law_cases(
+        r.r_low[None], np.asarray(basis, float)[None], np.asarray(coeffs, float)[None]
+    )
+    _raise_first(failures)
+    return cases, float(worst[0])
 
 
 def check_mu_law(
@@ -592,7 +722,7 @@ def check_mu_law(
         report.status = "skipped"
         report.payload["reason"] = "u does not induce a q-basis"
         return report
-    entries = {"expansion": (resid, r.norm_inf)}
+    entries = {"expansion_max": (resid, r.norm_inf)}
     return _make_report(
         "mu-law", m.point, entries, tolerance, {"case": case, "basis": basis.tolist()}
     )
@@ -614,6 +744,141 @@ def _skipped(name: str, point, tolerance: float, reason: str) -> CheckReport:
     )
 
 
+def _gated(
+    name: str, points: list, holds: np.ndarray, found: list[tuple[dict, dict]], tolerance: float
+) -> list[CheckReport]:
+    """One report per point: the next of `found` where the curvature
+    identity holds, skipped elsewhere."""
+    found = iter(found)
+    reports = []
+    for p, ok in zip(points, holds):
+        if ok:
+            entries, payload = next(found)
+            reports.append(_make_report(name, p, entries, tolerance, payload))
+        else:
+            reason = "curvature identity does not hold at this point"
+            reports.append(_skipped(name, p, tolerance, reason))
+    return reports
+
+
+def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
+    """Failures over the points `sel` (increasing indices into n points) as
+    failures over all n points."""
+    lifted = []
+    for mask, make in failures:
+        full = np.zeros(n, bool)
+        full[sel] = mask
+        lifted.append((full, lambda i, make=make: make(int(np.searchsorted(sel, i)))))
+    return lifted
+
+
+def _suite_block(
+    spec: ManifoldSpec,
+    xs: np.ndarray,
+    start: int,
+    selected: list[str],
+    seed: int,
+    tols: dict[str, float],
+    samples: tuple[int, int, int],
+) -> tuple[list[CheckReport], list[dict]]:
+    """The suite's entries at the points xs (n, 4), numbered from `start`,
+    point by point in canonical order, and their parallel-scan rows.
+
+    The geometry and every check are computed for all points at once; the
+    random streams stay per point.  Raises what running the points one at
+    a time would raise first: at each point a geometry error, then a
+    degenerate sectional plane, then the q-basis solve, then the cosines.
+    """
+    isometry_samples, sectional_samples, mu_samples = samples
+    geo, failures = _christoffel_block(spec, xs)
+    n = len(geo.points)
+    if n == 0:
+        _raise_first(failures)  # the first point fails, before any check
+    points = geo.points.tolist()
+    grads = tuple(jet.grad for jet in geo.jets)
+    values, scale = _parallel_residuals(*grads)
+    rows = _equivalence_rows(
+        geo.points, values, scale, geo.gamma, tols["parallel-condition"], tols["nabla-q"]
+    )
+    identity = _identity_reports(points, geo.r_low, tols["curvature-identity"])
+    holds = np.array([rep.passed for rep in identity])
+    sel = np.flatnonzero(holds)
+
+    columns = []
+    if "isometry" in selected:
+        pairs = np.array(
+            [_isometry_pairs(_rng([seed, start + i, 0]), isometry_samples) for i in range(n)]
+        )
+        columns.append(_isometry_reports(points, geo.g, pairs, tols["isometry"]))
+
+    if "parallel-condition" in selected:
+        columns.append(
+            _parallel_condition_reports(points, grads, values, scale, tols["parallel-condition"])
+        )
+
+    if "curvature-identity" in selected:
+        columns.append(identity)
+
+    if "integrability" in selected:
+        column = _integrability_reports(
+            points, geo.r_mixed, geo.r_low, geo.ginv, tols["integrability"]
+        )
+        for rep, row in zip(column, rows):
+            if not (row["gradient_holds"] and row["parallel_holds"]):
+                rep.payload["reason"] = (
+                    "nabla q does not vanish here; residual recorded without a pass expectation"
+                )
+                rep.status = "skipped"
+        columns.append(column)
+
+    if "sectional-relations" in selected:
+        vectors = np.array(
+            [sample_q_basis_vectors(_rng([seed, start + i, 1]), sectional_samples) for i in sel]
+        ).reshape(len(sel), sectional_samples, 4)
+        found, failure = _sectional_entries(geo.g[sel], geo.r_low[sel], vectors)
+        failures += _lift([failure], sel, n)
+        columns.append(
+            _gated("sectional-relations", points, holds, found, tols["sectional-relations"])
+        )
+
+    if "mu-law" in selected:
+        bases, errors = np.zeros((len(sel), 4)), {}
+        for j, i in enumerate(sel):
+            try:
+                bases[j] = find_orthogonal_q_basis(geo.metric(i), seed=[seed, start + i, 2])
+            except SolverError as exc:
+                errors[j] = exc
+        coeffs = np.array(
+            [_unit_coefficients(_rng([seed, start + i, 3]), mu_samples) for i in sel]
+        ).reshape(len(sel), mu_samples, 4)
+        cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sel], bases, coeffs)
+        solver = (np.isin(np.arange(len(sel)), list(errors)), errors.get)
+        failures += _lift([solver, *cosine_failures], sel, n)
+        norms = _point_max(geo.r_low[sel]).tolist()
+        found = [
+            ({"expansion_max": (w, norm)}, {"basis": basis, "cases": point_cases})
+            for w, norm, basis, point_cases in zip(worst.tolist(), norms, bases.tolist(), cases)
+        ]
+        columns.append(_gated("mu-law", points, holds, found, tols["mu-law"]))
+
+    _raise_first(failures)
+    return [column[i] for i in range(n) for column in columns], rows
+
+
+def _tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
+    """The default tolerances with `overrides` applied, each a known name
+    and a finite value >= 0."""
+    tols = dict(DEFAULT_TOLERANCES)
+    for name, value in (overrides or {}).items():
+        if name not in tols:
+            raise ValueError(f"unknown tolerance name {name!r}")
+        value = float(value)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"tolerance {name}={value!r} must be finite and >= 0")
+        tols[name] = value
+    return tols
+
+
 def run_suite(
     spec: ManifoldSpec,
     points,
@@ -629,110 +894,24 @@ def run_suite(
     The report is a plain dict matching the JSON schema: spec name, the
     convention header, and one entry per (check, point) in canonical order.
     Identical spec, points and seed always produce an identical report.
+    The points are evaluated in blocks of `_BLOCK`; the entries, and any
+    error raised, are those of running the points one at a time.
     """
     selected = list(KNOWN_CHECKS) if checks is None else list(checks)
     for name in selected:
         if name not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-    tols = dict(DEFAULT_TOLERANCES)
-    for name, value in (tolerances or {}).items():
-        if name not in tols:
-            raise ValueError(f"unknown tolerance name {name!r}")
-        tols[name] = float(value)
+    tols = _tolerances(tolerances)
+    samples = (isometry_samples, sectional_samples, mu_samples)
 
+    xs = _as_points(points)
     reports: list[CheckReport] = []
     rows: list[dict] = []
-    for idx, p in enumerate(points):
-        m = metric_at(spec, p)
-        ch = christoffel_from_metric(m)
-        r = riemann_from_christoffel(m, ch)
-        values, scale = _parallel_residuals(*_point_grads(m))
-        (row,) = _equivalence_rows(
-            m.point[None],
-            values,
-            scale,
-            ch.gamma[None],
-            tols["parallel-condition"],
-            tols["nabla-q"],
-        )
-        rows.append(row)
-        parallel_holds = row["gradient_holds"] and row["parallel_holds"]
-
-        if "isometry" in selected:
-            reports.append(
-                check_isometry(
-                    m, samples=isometry_samples, seed=[seed, idx, 0], tolerance=tols["isometry"]
-                )
-            )
-
-        if "parallel-condition" in selected:
-            reports.append(
-                _parallel_condition_report(
-                    m, values[0], float(scale[0]), tols["parallel-condition"]
-                )
-            )
-
-        identity_rep = check_curvature_q_identity(r, tolerance=tols["curvature-identity"])
-        identity_holds = identity_rep.passed
-        if "curvature-identity" in selected:
-            reports.append(identity_rep)
-
-        if "integrability" in selected:
-            rep = check_integrability(r, tolerance=tols["integrability"])
-            if not parallel_holds:
-                rep.payload["reason"] = (
-                    "nabla q does not vanish here; residual recorded without a pass expectation"
-                )
-                rep.status = "skipped"
-            reports.append(rep)
-
-        if "sectional-relations" in selected:
-            if identity_holds:
-                rng = _rng([seed, idx, 1])
-                xs = sample_q_basis_vectors(rng, sectional_samples)
-                entries, payload = _sectional_entries(m, r, xs)
-                reports.append(
-                    _make_report(
-                        "sectional-relations",
-                        m.point,
-                        entries,
-                        tols["sectional-relations"],
-                        payload,
-                    )
-                )
-            else:
-                reports.append(
-                    _skipped(
-                        "sectional-relations",
-                        m.point,
-                        tols["sectional-relations"],
-                        "curvature identity does not hold at this point",
-                    )
-                )
-
-        if "mu-law" in selected:
-            if identity_holds:
-                basis = find_orthogonal_q_basis(m, seed=[seed, idx, 2])
-                coeffs = _unit_coefficients(_rng([seed, idx, 3]), mu_samples)
-                cases, worst = mu_law_cases(r, basis, coeffs)
-                reports.append(
-                    _make_report(
-                        "mu-law",
-                        m.point,
-                        {"expansion_max": (worst, r.norm_inf)},
-                        tols["mu-law"],
-                        {"basis": basis.tolist(), "cases": cases},
-                    )
-                )
-            else:
-                reports.append(
-                    _skipped(
-                        "mu-law",
-                        m.point,
-                        tols["mu-law"],
-                        "curvature identity does not hold at this point",
-                    )
-                )
+    for start in range(0, len(xs), _BLOCK):
+        block = xs[start : start + _BLOCK]
+        block_reports, block_rows = _suite_block(spec, block, start, selected, seed, tols, samples)
+        reports += block_reports
+        rows += block_rows
 
     if "parallel-equivalence" in selected and rows:
         reports.append(
@@ -747,4 +926,6 @@ def run_suite(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report as compact, strict JSON (no NaN or Infinity) with sorted
+    keys, so equal reports give equal bytes."""
+    return json.dumps(report, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"

@@ -180,3 +180,119 @@ def first_error_pointwise(spec, points):
         except ValueError as exc:
             return exc
     return None
+
+
+def run_suite_pointwise(
+    spec,
+    points,
+    checks=None,
+    seed: int = 0,
+    tolerances=None,
+    isometry_samples: int = 1000,
+    sectional_samples: int = 50,
+    mu_samples: int = 100,
+) -> dict:
+    """The check suite run one point at a time through the per-point API:
+    the reference for `run_suite`, which runs blocks of points at once.
+
+    Each point gets its own metric, connection and curvature, the public
+    per-point checks where they fit an entry, and the same per-point random
+    streams [seed, point index, k].  The first error raised is the one the
+    batched suite must raise.  The q-basis solver and the sectional sampler
+    are looked up on `circgeo.verify` at each call, so a test can replace
+    them for both.
+    """
+    import circgeo.verify as v
+    from circgeo.core import metric_at
+    from circgeo.expr import _raise_first
+    from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
+
+    selected = list(v.KNOWN_CHECKS) if checks is None else list(checks)
+    tols = {**v.DEFAULT_TOLERANCES, **(tolerances or {})}
+    gated = "curvature identity does not hold at this point"
+    reports, rows = [], []
+    for idx, p in enumerate(points):
+        m = metric_at(spec, p)
+        r = riemann_from_christoffel(m, christoffel_from_metric(m))
+        row = equivalence_row_pointwise(spec, p, tols["parallel-condition"], tols["nabla-q"])
+        rows.append(row)
+
+        if "isometry" in selected:
+            reports.append(
+                v.check_isometry(m, isometry_samples, [seed, idx, 0], tols["isometry"])
+            )
+        if "parallel-condition" in selected:
+            reports.append(v.check_parallel_condition(spec, p, tols["parallel-condition"]))
+        identity = v.check_curvature_q_identity(r, tols["curvature-identity"])
+        if "curvature-identity" in selected:
+            reports.append(identity)
+        if "integrability" in selected:
+            rep = v.check_integrability(r, tols["integrability"])
+            if not (row["gradient_holds"] and row["parallel_holds"]):
+                rep.payload["reason"] = (
+                    "nabla q does not vanish here; residual recorded without a pass expectation"
+                )
+                rep.status = "skipped"
+            reports.append(rep)
+
+        if "sectional-relations" in selected:
+            tol = tols["sectional-relations"]
+            if identity.passed:
+                xs = v.sample_q_basis_vectors(v._rng([seed, idx, 1]), sectional_samples)
+                [(entries, payload)], failure = v._sectional_entries(
+                    m.matrix[None], r.r_low[None], xs[None]
+                )
+                _raise_first([failure])
+                reports.append(v._make_report("sectional-relations", m.point, entries, tol, payload))
+            else:
+                reports.append(v._skipped("sectional-relations", m.point, tol, gated))
+
+        if "mu-law" in selected:
+            if identity.passed:
+                basis = v.find_orthogonal_q_basis(m, seed=[seed, idx, 2])
+                coeffs = v._unit_coefficients(v._rng([seed, idx, 3]), mu_samples)
+                cases, worst = v.mu_law_cases(r, basis, coeffs)
+                reports.append(
+                    v._make_report(
+                        "mu-law",
+                        m.point,
+                        {"expansion_max": (worst, r.norm_inf)},
+                        tols["mu-law"],
+                        {"basis": basis.tolist(), "cases": cases},
+                    )
+                )
+            else:
+                reports.append(v._skipped("mu-law", m.point, tols["mu-law"], gated))
+
+    if "parallel-equivalence" in selected and rows:
+        reports.append(
+            v._equivalence_report(rows, tols["parallel-condition"], tols["nabla-q"])
+        )
+    return {
+        "spec": spec.name,
+        "convention": v.convention_text(),
+        "checks": [rep.to_dict() for rep in reports],
+    }
+
+
+# Report fields drawn from the random streams; they must match bit for bit.
+SAMPLED_KEYS = frozenset({"basis", "coefficients"})
+
+
+def assert_reports_match(got, want, atol: float = 1e-12, path=()):
+    """Same structure, keys, strings, flags and None; sampled values
+    identical; every other number within atol absolute."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            assert_reports_match(got[key], want[key], atol, path + (key,))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_reports_match(g, w, atol, path + (i,))
+    elif isinstance(want, (bool, str)) or want is None:
+        assert type(got) is type(want) and got == want, (path, got, want)
+    elif SAMPLED_KEYS.intersection(path):
+        assert type(got) is float and got == want, (path, got, want)
+    else:
+        assert type(got) is type(want) and abs(got - want) <= atol, (path, got, want)

@@ -107,6 +107,18 @@ def test_verify_tolerance_override_flips_verdict():
     )
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_non_finite_or_negative_tolerance(tmp_path, capsys, value):
+    # NaN or inf would pass every entry (residual > nan is false), -1 fail every one.
+    out = tmp_path / "err.json"
+    argv = ["verify", NONPAR, "--point", "1,0,0,0", "--tol", f"parallel-condition={value}"]
+    assert main(argv + ["--json", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""  # no check ran
+    assert err.count("\n") == 1 and "must be finite and >= 0" in err
+    assert json.loads(out.read_text())["error"]["type"] == "ValueError"
+
+
 def test_bad_point_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["verify", CURVED, "--point", "1,2,3"])
@@ -185,6 +197,9 @@ def test_verify_byte_identical_reports(tmp_path):
     assert main(argv + ["--json", str(out1)]) == 0
     assert main(argv + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # One compact line: the C encoder writes it.
+    text = out1.read_text()
+    assert text.count("\n") == 1 and '": ' not in text and '", "' not in text
 
 
 def _reject_constant(name):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from circgeo.core import (
     ManifoldSpec,
     MetricAtPoint,
+    SolverError,
     circulant_matrix,
     cos_angle,
     find_orthogonal_q_basis,
@@ -17,6 +18,7 @@ from circgeo.core import (
     metric_at,
     q_apply,
 )
+from circgeo.expr import DomainError
 from circgeo.tensor import DegeneratePlaneError, christoffel_from_metric, riemann_from_christoffel
 from circgeo.verify import (
     DEFAULT_TOLERANCES,
@@ -40,9 +42,11 @@ from circgeo.verify import (
 )
 
 from oracles import (
+    assert_reports_match,
     equivalence_row_pointwise,
     first_error_pointwise,
     mu_law_case_scalar,
+    run_suite_pointwise,
     sectional_planes_loop,
     sequential_rows,
     sequential_unit_coefficients,
@@ -296,6 +300,7 @@ def test_mu_law_identity_coefficients(curved_par):
     rep = check_mu_law(curved_par, ORIGIN, QBasisCoefficients(1, 0, 0, 0), seed=3)
     case = rep.payload["case"]
     assert rep.status == "pass"
+    assert rep.residuals.keys() == {"expansion_max"}  # the suite's residual name
     assert case["direct"] == pytest.approx(case["expansion_prediction"], abs=1e-15)
     assert case["direct"] == pytest.approx(case["angle_law_prediction"], abs=1e-15)
 
@@ -377,21 +382,137 @@ def test_suite_tolerance_override(nonpar):
     assert report["checks"][0]["status"] == "pass"
 
 
-def test_suite_computes_geometry_once_per_point(curved_par, monkeypatch):
+def test_suite_computes_geometry_once_per_block(nonpar, monkeypatch):
+    import circgeo.tensor as tensor
     import circgeo.verify as verify
 
-    calls = {"metric_at": 0, "christoffel_from_metric": 0}
-    for name in calls:
-        original = getattr(verify, name)
+    calls = {"_christoffel_block": 0, "_riemann": 0}
+    for module, name in ((verify, "_christoffel_block"), (tensor, "_riemann")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    for name in ("metric_at", "christoffel_from_metric", "riemann_from_christoffel"):
+        monkeypatch.setattr(verify, name, None)  # the suite makes no per-point call
+    points = nonpar.domain.grid(5)  # 625 points: three blocks
+    run_suite(nonpar, points, seed=3, mu_samples=5, sectional_samples=5, isometry_samples=10)
+    assert calls == {"_christoffel_block": 3, "_riemann": 3}
+
+
+SMALL = dict(seed=1, isometry_samples=20, sectional_samples=4, mu_samples=4)
+# Flat to second order only where x1 = 0 (points 250 to 374 of GRID_5).
+CUBIC = _spec("4 + x1^3")
+# Flat where defined (so every check runs); log fails from x1 = 0.2 on, first
+# at point 375 of GRID_5, in the second block.
+FLAT_UNTIL_X1_02 = _spec("4 + 0*log(0.2 - x1)")
+INADMISSIBLE_FROM_X1_08 = _spec("4 - 2.5*x1")
+
+
+@pytest.mark.parametrize(
+    "name,grid",
+    [
+        ("const_spec", 3),
+        ("flat_par", 3),
+        ("curved_par", 3),
+        ("nonpar", 3),
+        ("nonpar", 5),
+        ("cubic", 5),
+    ],
+)
+def test_suite_matches_pointwise_oracle(name, grid, request):
+    # Grid 5 is 625 points: three blocks, the last one partial.  On `cubic`
+    # the curvature identity holds on part of a block only.
+    spec = CUBIC if name == "cubic" else request.getfixturevalue(name)
+    points = spec.domain.grid(grid)
+    got = run_suite(spec, points, seed=5)
+    want = run_suite_pointwise(spec, points, seed=5)
+    assert len(got["checks"]) == len(want["checks"]) == 6 * len(points) + 1
+    assert_reports_match(got, want)
+
+
+def test_suite_matches_pointwise_oracle_on_selected_checks(curved_par):
     points = curved_par.domain.grid(2)
-    run_suite(curved_par, points, seed=3, mu_samples=5, sectional_samples=5)
-    assert calls == {"metric_at": len(points), "christoffel_from_metric": len(points)}
+    kwargs = dict(checks=["mu-law", "isometry"], seed=2, tolerances={"isometry": 0.5})
+    got = run_suite(curved_par, points, mu_samples=7, isometry_samples=30, **kwargs)
+    want = run_suite_pointwise(curved_par, points, mu_samples=7, isometry_samples=30, **kwargs)
+    assert [c["name"] for c in got["checks"][:2]] == ["isometry", "mu-law"]
+    assert_reports_match(got, want)
+
+
+@pytest.mark.parametrize(
+    "spec,points",
+    [
+        (FLAT_UNTIL_X1_02, GRID_5),
+        (_spec("4 + log(0.2 - x1)"), GRID_5),
+        # The domain check comes before admissibility at a point ...
+        (INADMISSIBLE_FROM_X1_08, [[0, 0, 0, 0], [5, 0, 0, 0], [0.9, 0, 0, 0]]),
+        # ... and between points, order decides.
+        (INADMISSIBLE_FROM_X1_08, [[0, 0, 0, 0], [0.9, 0, 0, 0], [5, 0, 0, 0]]),
+        (INADMISSIBLE_FROM_X1_08, [[5, 0, 0, 0]]),
+    ],
+)
+def test_suite_raises_the_pointwise_first_geometry_error(spec, points):
+    with pytest.raises(ValueError) as want:
+        run_suite_pointwise(spec, points, **SMALL)
+    with pytest.raises(type(want.value)) as got:
+        run_suite(spec, points, **SMALL)
+    assert str(got.value) == str(want.value)
+
+
+def _failing_checks(monkeypatch, solver_at: int | None, degenerate_at: int | None):
+    """Make the q-basis solve fail at one point index and the sectional
+    vectors of another point span no plane (the k-th call samples point k
+    while the curvature identity holds everywhere)."""
+    import circgeo.verify as verify
+
+    solve, sample = verify.find_orthogonal_q_basis, verify.sample_q_basis_vectors
+    calls = []
+
+    def failing_solve(m, seed):
+        if seed[1] == solver_at:
+            raise SolverError(f"no orthogonal q-basis at point {solver_at}", 1.0)
+        return solve(m, seed=seed)
+
+    def degenerate_sample(rng, n):
+        calls.append(None)
+        xs = sample(rng, n)
+        if len(calls) - 1 == degenerate_at:
+            xs[-1] = [1.0, 0.0, 1.0, 0.0]  # x = q^2 x
+        return xs
+
+    monkeypatch.setattr(verify, "find_orthogonal_q_basis", failing_solve)
+    monkeypatch.setattr(verify, "sample_q_basis_vectors", degenerate_sample)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec,solver_at,degenerate_at,expected",
+    [
+        (FLAT_UNTIL_X1_02, 40, None, SolverError),  # before the geometry error at 375
+        (FLAT_UNTIL_X1_02, 300, None, SolverError),  # ... also in the second block
+        (FLAT_UNTIL_X1_02, 400, None, DomainError),  # the geometry error comes first
+        (FLAT_UNTIL_X1_02, 40, 30, DegeneratePlaneError),  # the earlier point
+        (FLAT_UNTIL_X1_02, 30, 30, DegeneratePlaneError),  # sectional before mu-law at a point
+        (FLAT_UNTIL_X1_02, 30, 40, SolverError),
+        # The checks gated on the identity run on a subset of the points.
+        (CUBIC, 260, 5, DegeneratePlaneError),  # the 6th such point is 255
+        (CUBIC, 260, 20, SolverError),  # the 21st is 270
+        (CUBIC, 260, None, SolverError),
+    ],
+)
+def test_suite_raises_the_pointwise_first_check_error(
+    monkeypatch, spec, solver_at, degenerate_at, expected
+):
+    calls = _failing_checks(monkeypatch, solver_at, degenerate_at)
+    with pytest.raises(expected) as want:
+        run_suite_pointwise(spec, GRID_5, **SMALL)
+    calls.clear()
+    with pytest.raises(expected) as got:
+        run_suite(spec, GRID_5, **SMALL)
+    assert str(got.value) == str(want.value)
 
 
 def test_suite_rejects_unknown_names(curved_par):
@@ -457,7 +578,8 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
     for spec, p in oracle_points(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         xs = sample_q_basis_vectors(rng, 50)
-        entries, payload = _sectional_entries(m, r, xs)
+        [(entries, payload)], failure = _sectional_entries(m.matrix[None], r.r_low[None], xs[None])
+        assert not failure[0].any()
         mu = sectional_planes_loop(m, r, xs)
         ring, diag = mu[:, :4], mu[:, 4:]
         spread = np.max(ring.max(axis=1) - ring.min(axis=1))
@@ -480,8 +602,9 @@ def test_sectional_entries_reject_degenerate_plane(curved_par):
     xs = np.array([[0.3, -0.7, 0.2, 0.9], [1.0, 0.0, 1.0, 0.0]])  # x = q^2 x in row 2
     with pytest.raises(DegeneratePlaneError):
         sectional_planes_loop(m, r, xs)
-    with pytest.raises(DegeneratePlaneError):
-        _sectional_entries(m, r, xs)
+    _, (mask, make) = _sectional_entries(m.matrix[None], r.r_low[None], xs[None])
+    assert mask.tolist() == [True]
+    assert isinstance(make(0), DegeneratePlaneError)
 
 
 def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
