@@ -11,9 +11,9 @@ Subcommands:
   scan         one named scan over a grid (currently: parallel)
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parse error, 3 inadmissible metric or domain error.  With --json PATH the
-same report that drives the human-readable output is written as JSON, so
-every printed number is also in the file.
+parse error, 3 inadmissible, singular or ill-conditioned metric, or domain
+error.  With --json PATH the same report that drives the human-readable
+output is written as JSON, so every printed number is also in the file.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
     AdmissibilityError,
     OutsideDomainError,
     SingularMetricError,
-    SolverError,
     admissibility,
     basis_angles,
     find_orthogonal_q_basis,
@@ -381,9 +380,6 @@ def main(argv=None) -> int:
     except (AdmissibilityError, OutsideDomainError, SingularMetricError, DomainError) as exc:
         _report_error(exc, json_path)
         return _EXIT_DOMAIN
-    except SolverError as exc:
-        _report_error(exc, json_path)
-        return _EXIT_CHECK_FAILED
     except ValueError as exc:
         _report_error(exc, json_path)
         return _EXIT_USAGE

@@ -6,11 +6,13 @@ admissible when 0 < B < C < A.  The companion structure q is the constant
 cyclic coordinate shift, which satisfies q^4 = id and is an isometry of every
 metric of this shape.  This module builds metrics from a manifold spec,
 tests admissibility, evaluates the closed-form inverse, measures inner
-products and angles, classifies q-bases and finds orthogonal ones.
+products and angles, classifies q-bases and gives orthonormal ones in
+closed form.
 
 The domain check, the field jets, admissibility and the inverse are
-computed for many points at once (`_metric_jets`, `_inverse_factors`);
-`metric_at` and `inverse_metric` are their one-point case.
+computed for many points at once (`_metric_jets`, `_inverse_factors`,
+`_orthogonal_q_bases`); `metric_at`, `inverse_metric` and
+`find_orthogonal_q_basis` are their one-point case.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "Q",
     "QBasisError",
     "SingularMetricError",
-    "SolverError",
     "ZeroVectorError",
     "admissibility",
     "basis_angles",
@@ -68,7 +69,7 @@ class AdmissibilityError(ValueError):
 
 
 class SingularMetricError(ValueError):
-    """The closed-form inverse is undefined (determinant factor vanishes or overflows)."""
+    """The closed-form inverse is undefined, or the closed-form q-basis inaccurate."""
 
 
 class OutsideDomainError(ValueError):
@@ -83,14 +84,6 @@ class QBasisError(ValueError):
     """Vector does not induce a q-basis."""
 
 
-class SolverError(RuntimeError):
-    """Orthogonal q-basis search exhausted its restarts."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
-
-
 # Entry pattern of the circulant metric: entry (i, j) depends on (j - i) mod 4.
 _SHIFT = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
 MASK_A = (_SHIFT == 0).astype(float)
@@ -102,6 +95,8 @@ for _m in (MASK_A, MASK_B, MASK_C):
 # The cyclic shift: (q x)^s = x^(s+1 mod 4).
 Q = np.roll(np.eye(4), 1, axis=1)
 Q.setflags(write=False)
+# Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
+_SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
 
 
 def circulant_matrix(a, b, c) -> np.ndarray:
@@ -489,75 +484,72 @@ def basis_angles(m: MetricAtPoint, x) -> BasisAngles:
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal q-basis search
+# Orthonormal q-bases
 # ---------------------------------------------------------------------------
 
 
-def find_orthogonal_q_basis(
-    m: MetricAtPoint,
-    seed: int | np.random.Generator = 0,
-    restarts: int = 32,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Find a unit vector x with g(x, qx) = g(x, q^2 x) = 0.
+def _circulant_eigenvalues(a, b, c):
+    """Eigenvalues of the circulant metric (A, B, C): lambda0 = A + 2B + C on
+    f0 = (1, 1, 1, 1)/2, lambda1 = lambda3 = A - C on f1 = (1, 0, -1, 0)/sqrt(2)
+    and f3 = (0, 1, 0, -1)/sqrt(2), and lambda2 = A - 2B + C on
+    f2 = (1, -1, 1, -1)/2.  Floats or arrays, elementwise."""
+    return a + 2.0 * b + c, a - c, a - 2.0 * b + c
 
-    Solves the three equations (unit norm plus the two orthogonality
-    conditions) in four unknowns by damped Newton with least-squares steps,
-    restarting from fresh random iterates up to `restarts` times.  On success
-    all six pairwise inner products of {x, qx, q^2 x, q^3 x} are below `tol`
-    and every shift has unit length.  Raises SolverError with the best
-    residual seen if no restart converges.
+
+def _basis_draws(rng: np.random.Generator) -> np.ndarray:
+    """The angle t, uniform in [0, 2 pi), and the signs s0, s2, each +1 or
+    -1 with equal odds, that pick one orthonormal q-basis: (t, s0, s2)."""
+    u = rng.random(3)
+    return np.array([2.0 * math.pi * u[0], *np.where(u[1:] < 0.5, 1.0, -1.0)])
+
+
+def _orthogonal_q_bases(a, b, c, t, s0, s2) -> tuple[np.ndarray, _Failure]:
+    """From (n,) arrays of A, B, C and of the draws t, s0, s2: the unit
+    vectors x (n, 4) of `find_orthogonal_q_basis`, and the metrics where x
+    fails its acceptance test, unraised.
+
+    With x_k the component of x along f_k, {x, qx, q^2 x, q^3 x} is
+    orthonormal exactly when lambda0 x_0^2 = lambda2 x_2^2 = 1/4 and
+    lambda1 (x_1^2 + x_3^2) = 1/2.  In floats the Gram error grows like
+    lambda_max / lambda1, so x passes only where all products and norms are
+    within 1e-10 of delta_ij and x induces a q-basis.  Each step is
+    elementwise or a sum over one point's axes: a row does not depend on
+    the other rows.
+    """
+    with np.errstate(all="ignore"):
+        lam0, lam1, lam2 = _circulant_eigenvalues(a, b, c)
+        even, odd = s0 / (4.0 * np.sqrt(lam0)), s2 / (4.0 * np.sqrt(lam2))
+        scale = 2.0 * np.sqrt(lam1)
+        u, v = np.cos(t) / scale, np.sin(t) / scale
+        x = np.stack((even + odd + u, even - odd + v, even + odd - u, even - odd - v), axis=-1)
+        shifts = x[:, _SHIFTS]  # shifts[p, k] = q^k x_p
+        g_shifts = (circulant_matrix(a, b, c)[:, None] * shifts[:, :, None]).sum(-1)
+        gram = (shifts[:, :, None] * g_shifts[:, None]).sum(-1)
+        resid = np.abs(gram - np.eye(4)).max(axis=(1, 2))
+    bad = ~((resid <= 1e-10) & _q_basis_criterion(x)[0])
+
+    def make(i: int) -> Exception:
+        return SingularMetricError(
+            f"no orthogonal q-basis accurate to 1e-10 for (A, B, C) = "
+            f"({float(a[i])}, {float(b[i])}, {float(c[i])}): Gram residual {resid[i]:.3e}"
+        )
+
+    return x, (bad, make)
+
+
+def find_orthogonal_q_basis(m: MetricAtPoint, seed: int | np.random.Generator = 0) -> np.ndarray:
+    """A unit vector x with {x, qx, q^2 x, q^3 x} orthonormal under m.
+
+    g and q are both diagonal in the real DFT basis f_k, g with eigenvalues
+    lambda0 = A + 2B + C, lambda1 = lambda3 = A - C and lambda2 = A - 2B + C,
+    so x = s0 f0 / (2 sqrt(lambda0)) + s2 f2 / (2 sqrt(lambda2))
+    + (cos t f1 + sin t f3) / sqrt(2 lambda1), where the seed draws the
+    angle t and the signs s0, s2.  Raises SingularMetricError where the
+    metric is too ill-conditioned for products and norms within 1e-10 (at
+    (1 + eps, 0.5, 1), for some draws from eps = 5e-7 down).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = m.matrix
-    gq = g @ Q
-    gq2 = g @ (Q @ Q)
-    sym0 = 2.0 * g
-    sym1 = gq + gq.T
-    sym2 = gq2 + gq2.T
-
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        return np.array([x @ g @ x - 1.0, x @ gq @ x, x @ gq2 @ x])
-
-    best = math.inf
-    for _ in range(restarts):
-        x = rng.uniform(-1.0, 1.0, size=4)
-        norm2 = x @ g @ x
-        if norm2 <= 0.0:
-            continue
-        x = x / math.sqrt(norm2)
-        for _ in range(80):
-            f = residual_vec(x)
-            fnorm = float(np.linalg.norm(f))
-            if fnorm < 1e-14:
-                break
-            jac = np.vstack((sym0 @ x, sym1 @ x, sym2 @ x))
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            t = 1.0
-            moved = False
-            while t > 1e-6:
-                candidate = x + t * step
-                if np.linalg.norm(residual_vec(candidate)) < fnorm:
-                    x = candidate
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-        norm2 = x @ g @ x
-        if norm2 <= 0.0:
-            continue
-        x = x / math.sqrt(norm2)
-        shifts = [q_apply(x, k) for k in range(4)]
-        products = [
-            abs(inner(m, shifts[i], shifts[j])) for i, j in combinations(range(4), 2)
-        ]
-        norm_err = max(abs(inner(m, s, s) - 1.0) for s in shifts)
-        resid = max(products)
-        best = min(best, resid)
-        if induces_q_basis(x)[0] and resid <= tol and norm_err <= tol:
-            return x
-    raise SolverError(
-        f"no orthogonal q-basis found in {restarts} restarts (best residual {best:.3e})",
-        best,
-    )
+    abc = (np.array([v]) for v in (m.a, m.b, m.c))
+    x, failure = _orthogonal_q_bases(*abc, *_basis_draws(rng)[:, None])
+    _raise_first([failure])
+    return x[0]

@@ -165,11 +165,6 @@ class _Block:
         """R_ijkl, (n, i, j, k, l)."""
         return self._curvature[1]
 
-    def metric(self, i: int) -> MetricAtPoint:
-        """The metric at the i-th point, as `metric_at` gives it."""
-        ja, jb, jc = (FieldJet(float(j.value[i]), j.grad[i], j.hess_packed[i]) for j in self.jets)
-        return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=self.points[i])
-
 
 def _christoffel_block(spec: ManifoldSpec, xs: np.ndarray) -> tuple[_Block, list[_Failure]]:
     """The geometry of the rows of xs (n, 4) up to the first one where

@@ -22,11 +22,11 @@ points where the identity itself does not hold.
 `run_suite` evaluates its points in blocks of `_BLOCK`: the geometry of a
 block (jets, metric, inverse, Christoffel symbols, curvature) is computed
 once with a leading point axis, and each check is one array pass over the
-block.  Each point keeps its own random streams, seeded [seed, index, k],
-and its own Newton solve for the orthogonal q-basis, so the entries equal
-those of running the points one at a time, and so does the first error
-raised.  The public check_* functions are the one-point case of the same
-helpers.  Reports are written as compact JSON.
+block, the closed-form orthonormal q-bases of `mu-law` included.  Each
+point keeps its own random streams, seeded [seed, index, k], so the
+entries equal those of running the points one at a time, and so does the
+first error raised.  The public check_* functions are the one-point case
+of the same helpers.  Reports are written as compact JSON.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ from .core import (
     BasisAngles,
     ManifoldSpec,
     MetricAtPoint,
-    SolverError,
+    _SHIFTS,
+    _basis_draws,
     _cosine_beyond,
     _cosine_error,
+    _orthogonal_q_bases,
     _q_basis_criterion,
     find_orthogonal_q_basis,
     inverse_metric,
@@ -282,8 +284,6 @@ def _point_max(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
-# Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
-_SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
 # The shift on tensor components: q e_k = e_(k-1), so feeding q e_k into a
 # lower slot reads component k - 1 (gather with _DOWN), and applying q to
 # an upper index gives (q v)^s = v^(s+1) (gather with _UP).
@@ -429,14 +429,16 @@ def _equivalence_rows(
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def _equivalence_report(rows: list[dict], f4_tol: float, nq_tol: float) -> CheckReport:
+def _equivalence_report(
+    rows: list[dict], f4_tol: float, nq_tol: float, tolerance: float
+) -> CheckReport:
     disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
     entries = {"disagreements": (float(disagreements), 1.0)}
     return _make_report(
         "parallel-equivalence",
         None,
         entries,
-        DEFAULT_TOLERANCES["parallel-equivalence"],
+        tolerance,
         {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows},
     )
 
@@ -453,17 +455,20 @@ def check_parallel_equivalence(
     points,
     f4_tol: float | None = None,
     nq_tol: float | None = None,
+    tolerance: float | None = None,
 ) -> CheckReport:
     """Per point: the gradient conditions hold iff nabla q vanishes.
 
     Both predicates are evaluated independently at every point; the check
-    fails only if they ever disagree.  Points where both are false are
-    consistent (the equivalence is two-sided).  The points are evaluated
+    fails only if they disagree at more than `tolerance` points (default
+    0).  Points where both are false are consistent (the equivalence is
+    two-sided).  The points are evaluated
     in blocks of `_BLOCK` at a time; an error is the one a point-by-point
     loop would raise first.
     """
     f4_tol = DEFAULT_TOLERANCES["parallel-condition"] if f4_tol is None else f4_tol
     nq_tol = DEFAULT_TOLERANCES["nabla-q"] if nq_tol is None else nq_tol
+    tolerance = DEFAULT_TOLERANCES["parallel-equivalence"] if tolerance is None else tolerance
     xs = _as_points(points)
     rows = []
     for start in range(0, len(xs), _BLOCK):
@@ -471,7 +476,7 @@ def check_parallel_equivalence(
         _raise_first(failures)
         values, scale = _parallel_residuals(*(jet.grad for jet in geo.jets))
         rows += _equivalence_rows(geo.points, values, scale, geo.gamma, f4_tol, nq_tol)
-    return _equivalence_report(rows, f4_tol, nq_tol)
+    return _equivalence_report(rows, f4_tol, nq_tol, tolerance)
 
 
 def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list[CheckReport]:
@@ -787,7 +792,7 @@ def _suite_block(
     The geometry and every check are computed for all points at once; the
     random streams stay per point.  Raises what running the points one at
     a time would raise first: at each point a geometry error, then a
-    degenerate sectional plane, then the q-basis solve, then the cosines.
+    degenerate sectional plane, then an inaccurate q-basis, then the cosines.
     """
     isometry_samples, sectional_samples, mu_samples = samples
     geo, failures = _christoffel_block(spec, xs)
@@ -842,18 +847,14 @@ def _suite_block(
         )
 
     if "mu-law" in selected:
-        bases, errors = np.zeros((len(sel), 4)), {}
-        for j, i in enumerate(sel):
-            try:
-                bases[j] = find_orthogonal_q_basis(geo.metric(i), seed=[seed, start + i, 2])
-            except SolverError as exc:
-                errors[j] = exc
+        draws = np.array([_basis_draws(_rng([seed, start + i, 2])) for i in sel])
+        abc = (jet.value[sel] for jet in geo.jets)
+        bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sel), 3).T)
         coeffs = np.array(
             [_unit_coefficients(_rng([seed, start + i, 3]), mu_samples) for i in sel]
         ).reshape(len(sel), mu_samples, 4)
         cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sel], bases, coeffs)
-        solver = (np.isin(np.arange(len(sel)), list(errors)), errors.get)
-        failures += _lift([solver, *cosine_failures], sel, n)
+        failures += _lift([basis_failure, *cosine_failures], sel, n)
         norms = _point_max(geo.r_low[sel]).tolist()
         found = [
             ({"expansion_max": (w, norm)}, {"basis": basis, "cases": point_cases})
@@ -915,7 +916,9 @@ def run_suite(
 
     if "parallel-equivalence" in selected and rows:
         reports.append(
-            _equivalence_report(rows, tols["parallel-condition"], tols["nabla-q"])
+            _equivalence_report(
+                rows, tols["parallel-condition"], tols["nabla-q"], tols["parallel-equivalence"]
+            )
         )
 
     return {

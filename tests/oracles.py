@@ -198,9 +198,9 @@ def run_suite_pointwise(
     Each point gets its own metric, connection and curvature, the public
     per-point checks where they fit an entry, and the same per-point random
     streams [seed, point index, k].  The first error raised is the one the
-    batched suite must raise.  The q-basis solver and the sectional sampler
-    are looked up on `circgeo.verify` at each call, so a test can replace
-    them for both.
+    batched suite must raise.  The q-basis (`find_orthogonal_q_basis`, the
+    one-point case of the suite's block helper) and the sectional sampler
+    are looked up at each call, so a test can replace them for both.
     """
     import circgeo.verify as v
     from circgeo.core import metric_at
@@ -266,7 +266,9 @@ def run_suite_pointwise(
 
     if "parallel-equivalence" in selected and rows:
         reports.append(
-            v._equivalence_report(rows, tols["parallel-condition"], tols["nabla-q"])
+            v._equivalence_report(
+                rows, tols["parallel-condition"], tols["nabla-q"], tols["parallel-equivalence"]
+            )
         )
     return {
         "spec": spec.name,

@@ -107,6 +107,21 @@ def test_verify_tolerance_override_flips_verdict():
     )
 
 
+def test_verify_parallel_equivalence_tolerance_override(tmp_path):
+    # Loosening the gradient tolerance alone makes the two predicates
+    # disagree at this point (one disagreement against tolerance 0) ...
+    argv = ["verify", NONPAR, "--point", "1,0,0,0", "--checks", "parallel-equivalence"]
+    argv += ["--tol", "parallel-condition=10"]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == 1
+    (entry,) = json.loads(out.read_text())["checks"]
+    assert (entry["tolerance"], entry["residuals"]["disagreements"]) == (0.0, 1.0)
+    # ... which the overridden equivalence tolerance then admits.
+    assert main([*argv, "--tol", "parallel-equivalence=5", "--json", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["checks"]
+    assert (entry["tolerance"], entry["status"]) == (5.0, "pass")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_verify_rejects_non_finite_or_negative_tolerance(tmp_path, capsys, value):
     # NaN or inf would pass every entry (residual > nan is false), -1 fail every one.
@@ -174,6 +189,16 @@ def test_basis_command(tmp_path):
     assert main(["basis", CURVED, "--point", "0,0,0,0", "--seed", "4", "--json", str(out)]) == 0
     report = json.loads(out.read_text())
     assert max(abs(v) for v in report["pairwise_products"].values()) <= 1e-10
+
+
+def test_basis_on_ill_conditioned_metric_exits_3(tmp_path, capsys):
+    # A - C = 1e-9: no q-basis is orthonormal to 1e-10 in floats.
+    spec = _write_spec(tmp_path, "2.000000001")
+    out = tmp_path / "err.json"
+    assert main(["basis", spec, "--point", "0,0,0,0", "--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Gram residual" in err
+    assert json.loads(out.read_text())["error"]["type"] == "SingularMetricError"
 
 
 def test_scan_parallel(tmp_path):

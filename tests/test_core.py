@@ -1,4 +1,6 @@
-"""Circulant metric construction, inverse, q action, angles and basis search."""
+"""Circulant metric construction, inverse, q action, angles and orthonormal q-bases."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from circgeo.core import (
     QBasisError,
     SingularMetricError,
     ZeroVectorError,
+    _basis_draws,
+    _circulant_eigenvalues,
+    _orthogonal_q_bases,
     admissibility,
     basis_angles,
     circulant_matrix,
@@ -311,8 +316,86 @@ def test_six_angle_equalities_hold():
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal basis search
+# Orthonormal q-bases
 # ---------------------------------------------------------------------------
+
+# The real DFT basis f0, f1, f2, f3, one vector per row.
+DFT = np.array(
+    [
+        [0.5, 0.5, 0.5, 0.5],
+        [0.5**0.5, 0.0, -(0.5**0.5), 0.0],
+        [0.5, -0.5, 0.5, -0.5],
+        [0.0, 0.5**0.5, 0.0, -(0.5**0.5)],
+    ]
+)
+# The ranges of `random_ordered_triple`: B, then the gaps C - B and A - C.
+ordered_triples = st.tuples(*[st.floats(0.1, 2.0) for _ in range(3)]).map(
+    lambda d: (d[0] + d[1] + d[2], d[0], d[0] + d[1])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_triples, st.integers(0, 2**32 - 1))
+def test_closed_form_basis_is_orthonormal(triple, seed):
+    m = MetricAtPoint.from_constants(*triple)
+    x = find_orthogonal_q_basis(m, seed=seed)
+    shifts = [q_apply(x, k) for k in range(4)]
+    errors = [abs(inner(m, shifts[i], shifts[j]) - (i == j)) for i in range(4) for j in range(i, 4)]
+    assert len(errors) == 10 and all(e <= 1e-10 for e in errors)  # criterion 09's bound
+    assert max(errors) <= 1e-11
+    assert induces_q_basis(x)[0]
+
+
+def test_circulant_eigenvalues_match_numpy():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a, b, c = random_ordered_triple(rng)
+        lam0, lam1, lam2 = _circulant_eigenvalues(a, b, c)
+        g = circulant_matrix(a, b, c)
+        numeric = np.linalg.eigvalsh(g)
+        assert np.allclose(sorted([lam0, lam1, lam1, lam2]), numeric, rtol=1e-12, atol=0)
+        # ... each on its own DFT vector.
+        assert np.allclose(g @ DFT.T, DFT.T * [lam0, lam1, lam2, lam1], rtol=0, atol=1e-12 * lam0)
+
+
+def test_block_rows_equal_one_point_calls():
+    rng = np.random.default_rng(41)
+    triples = np.array([random_ordered_triple(rng) for _ in range(64)])
+    draws = np.array([_basis_draws(np.random.default_rng([7, i])) for i in range(64)])
+    xs, (bad, _) = _orthogonal_q_bases(*triples.T, *draws.T)
+    assert not bad.any()
+    for i, (a, b, c) in enumerate(triples):
+        one = find_orthogonal_q_basis(MetricAtPoint.from_constants(a, b, c), seed=[7, i])
+        assert np.array_equal(xs[i], one)
+
+
+def test_seed_picks_the_angle_and_signs():
+    # The seed draws t, s0 and s2; x has exactly the closed-form Fourier
+    # components, so different seeds give different members of the family.
+    m = MetricAtPoint.from_constants(4, 1, 2)
+    lam0, lam1, lam2 = _circulant_eigenvalues(4.0, 1.0, 2.0)
+    angles, signs = set(), set()
+    for seed in range(20):
+        t, s0, s2 = _basis_draws(np.random.default_rng(seed))
+        expected = [
+            s0 / (2 * math.sqrt(lam0)),
+            math.cos(t) / math.sqrt(2 * lam1),
+            s2 / (2 * math.sqrt(lam2)),
+            math.sin(t) / math.sqrt(2 * lam1),
+        ]
+        x = find_orthogonal_q_basis(m, seed=seed)
+        assert np.allclose(DFT @ x, expected, rtol=0, atol=1e-15)
+        angles.add(t)
+        signs.add((s0, s2))
+    assert len(angles) == 20 and min(angles) >= 0.0 and max(angles) < 2 * math.pi
+    assert signs == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
+
+
+def test_ill_conditioned_metric_raises():
+    # A - C = 1e-9: the Gram error of the closed form is about 4e-8.
+    m = MetricAtPoint.from_constants(1 + 1e-9, 0.5, 1)
+    with pytest.raises(SingularMetricError, match="Gram residual"):
+        find_orthogonal_q_basis(m, seed=0)
 
 
 def test_solver_finds_orthogonal_basis_412():
