@@ -51,13 +51,6 @@ from .tensor import (
 from .verify import (
     CheckReport,
     QBasisCoefficients,
-    check_curvature_q_identity,
-    check_integrability,
-    check_isometry,
-    check_mu_law,
-    check_parallel_condition,
-    check_parallel_equivalence,
-    check_sectional_relations,
     coeff_angles,
     run_suite,
 )

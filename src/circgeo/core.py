@@ -279,7 +279,7 @@ class MetricAtPoint:
     @cached_property
     def _inverse(self) -> "InverseMetricAtPoint":
         inverse, singular = _inverse_factors(*(np.array([v]) for v in (self.a, self.b, self.c)))
-        _raise_first([singular])
+        _raise_first([_naming_points(singular, self.point)])
         return InverseMetricAtPoint(
             *(float(f[0]) for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
         )
@@ -379,6 +379,23 @@ def _inverse_factors(
         )
 
     return inverse, ((d == 0.0) | ~finite, make)
+
+
+def _naming_points(failure: _Failure, points: np.ndarray | None) -> _Failure:
+    """`failure` with each error ending in its point, as "... at point
+    [x1, x2, x3, x4]": row i of `points`, (n, 4), or the one point (4,).
+    Unchanged where `points` is None (a metric built from constants has no
+    point)."""
+    if points is None:
+        return failure
+    mask, make = failure
+    xs = np.reshape(points, (-1, 4))
+
+    def make_named(i: int) -> Exception:
+        exc = make(i)
+        return type(exc)(f"{exc} at point {xs[i].tolist()}")
+
+    return mask, make_named
 
 
 def inverse_metric(m: MetricAtPoint) -> InverseMetricAtPoint:
@@ -551,5 +568,5 @@ def find_orthogonal_q_basis(m: MetricAtPoint, seed: int | np.random.Generator = 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     abc = (np.array([v]) for v in (m.a, m.b, m.c))
     x, failure = _orthogonal_q_bases(*abc, *_basis_draws(rng)[:, None])
-    _raise_first([failure])
+    _raise_first([_naming_points(failure, m.point)])
     return x[0]

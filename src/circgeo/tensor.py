@@ -36,6 +36,7 @@ from .core import (
     _entry_partials,
     _inverse_factors,
     _metric_jets,
+    _naming_points,
     circulant_matrix,
     inner,
     inverse_metric,
@@ -172,7 +173,7 @@ def _christoffel_block(spec: ManifoldSpec, xs: np.ndarray) -> tuple[_Block, list
     failures over all rows, unraised and in that order."""
     jets, failures = _metric_jets(spec, xs)
     inverse, singular = _inverse_factors(*(jet.value for jet in jets))
-    failures.append(singular)
+    failures.append(_naming_points(singular, xs))
     keep = slice(_first_failing(failures))
     jets = tuple(FieldJet(j.value[keep], j.grad[keep], j.hess_packed[keep]) for j in jets)
     ginv = InverseMetricAtPoint(

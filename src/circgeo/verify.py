@@ -19,14 +19,15 @@ Check names (also the names accepted by tolerance overrides):
 Checks that presuppose the curvature identity are skipped, not failed, at
 points where the identity itself does not hold.
 
-`run_suite` evaluates its points in blocks of `_BLOCK`: the geometry of a
-block (jets, metric, inverse, Christoffel symbols, curvature) is computed
+`run_suite` is the one way a check runs; one check at one point is
+`run_suite(spec, [p], checks=[name])`.  It evaluates its points in blocks
+of `_BLOCK`: the geometry of a block (jets, metric, inverse, Christoffel
+symbols, and the curvature where a selected check needs it) is computed
 once with a leading point axis, and each check is one array pass over the
 block, the closed-form orthonormal q-bases of `mu-law` included.  Each
 point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
-first error raised.  The public check_* functions are the one-point case
-of the same helpers.  Reports are written as compact JSON.
+first error raised.  Reports are written as compact JSON.
 """
 
 from __future__ import annotations
@@ -40,39 +41,22 @@ import numpy as np
 from .core import (
     BasisAngles,
     ManifoldSpec,
-    MetricAtPoint,
     _SHIFTS,
     _basis_draws,
     _cosine_beyond,
     _cosine_error,
+    _naming_points,
     _orthogonal_q_bases,
     _q_basis_criterion,
-    find_orthogonal_q_basis,
-    inverse_metric,
-    metric_at,
 )
 from .expr import _as_points, _Failure, _raise_first
-from .tensor import (
-    DegeneratePlaneError,
-    RiemannAtPoint,
-    _christoffel_block,
-    _nabla_q,
-    christoffel_from_metric,
-    riemann_from_christoffel,
-)
+from .tensor import DegeneratePlaneError, RiemannAtPoint, _christoffel_block, _nabla_q
 
 __all__ = [
     "CheckReport",
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
     "QBasisCoefficients",
-    "check_curvature_q_identity",
-    "check_integrability",
-    "check_isometry",
-    "check_mu_law",
-    "check_parallel_condition",
-    "check_parallel_equivalence",
-    "check_sectional_relations",
     "coeff_angles",
     "convention_text",
     "mu_law_cases",
@@ -172,12 +156,6 @@ def _make_report(
 # ---------------------------------------------------------------------------
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _draw_rows(rng: np.random.Generator, n: int, accept) -> np.ndarray:
     """n rows uniform in [-1, 1]^4 that pass `accept`, in draw order.
 
@@ -273,9 +251,8 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
 # Individual checks
 #
 # Each check is one helper over n points, every array with a leading point
-# axis, returning one report (or entries and payload) per point; the public
-# check_* functions are its n = 1 case, and `run_suite` calls it once per
-# block of points.
+# axis, returning one report (or entries and payload) per point; `run_suite`
+# calls it once per block of points.
 # ---------------------------------------------------------------------------
 
 
@@ -318,16 +295,6 @@ def _isometry_reports(
     ]
 
 
-def check_isometry(
-    m: MetricAtPoint, samples: int = 1000, seed=0, tolerance: float | None = None
-) -> CheckReport:
-    """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 over random vector pairs."""
-    tolerance = DEFAULT_TOLERANCES["isometry"] if tolerance is None else tolerance
-    pairs = _isometry_pairs(_rng(seed), samples)
-    (report,) = _isometry_reports([m.point], m.matrix[None], pairs[None], tolerance)
-    return report
-
-
 _PARALLEL_LABELS = (
     "A1-C3",
     "A2-C4",
@@ -345,7 +312,12 @@ def _parallel_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|residual| of each gradient condition, (n, 8) in `_PARALLEL_LABELS`
     order, and the scale max(1, max |grad A|, |grad B|, |grad C|), (n,),
-    from gradients of shape (n, 4)."""
+    from gradients of shape (n, 4).
+
+    The conditions tie grad A and grad B to shifted grad C, componentwise
+    A_i = C_(i-2), B_1 = B_3, B_2 = B_4 and 2 B_i = C_(i-1) + C_(i+1),
+    indices cyclic.
+    """
     values = np.stack(
         (
             ga[:, 0] - gc[:, 2],
@@ -385,21 +357,6 @@ def _parallel_condition_reports(
     ]
 
 
-def check_parallel_condition(spec: ManifoldSpec, p, tolerance: float | None = None) -> CheckReport:
-    """Gradient conditions tying grad A and grad B to shifted grad C.
-
-    Componentwise: A_i = C_(i-2), B_1 = B_3, B_2 = B_4 and
-    2 B_i = C_(i-1) + C_(i+1), indices cyclic.
-    """
-    tolerance = DEFAULT_TOLERANCES["parallel-condition"] if tolerance is None else tolerance
-    m = metric_at(spec, p)
-    grads = (m.jet_a.grad[None], m.jet_b.grad[None], m.jet_c.grad[None])
-    (report,) = _parallel_condition_reports(
-        [m.point], grads, *_parallel_residuals(*grads), tolerance
-    )
-    return report
-
-
 def _equivalence_rows(
     points: np.ndarray,
     values: np.ndarray,
@@ -432,6 +389,12 @@ def _equivalence_rows(
 def _equivalence_report(
     rows: list[dict], f4_tol: float, nq_tol: float, tolerance: float
 ) -> CheckReport:
+    """Over all points: the gradient conditions hold iff nabla q vanishes.
+
+    The check fails only if the two predicates of the rows disagree at more
+    than `tolerance` points.  Points where both are false are consistent
+    (the equivalence is two-sided).
+    """
     disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
     entries = {"disagreements": (float(disagreements), 1.0)}
     return _make_report(
@@ -443,45 +406,17 @@ def _equivalence_report(
     )
 
 
-# Points per array pass of `check_parallel_equivalence` and `run_suite`.  On
+# Points per array pass of `run_suite`.  For the parallel scan on
 # curved-par at grid 8 (4096 points; 2-core 2.0 GHz Xeon VM, numpy 2.4),
 # blocks of 256 take 0.046 s with 2.7 MB of transient arrays at peak; the
 # whole grid at once takes 0.035 s but 7.6 MB, and blocks of 64 take 0.063 s.
 _BLOCK = 256
 
 
-def check_parallel_equivalence(
-    spec: ManifoldSpec,
-    points,
-    f4_tol: float | None = None,
-    nq_tol: float | None = None,
-    tolerance: float | None = None,
-) -> CheckReport:
-    """Per point: the gradient conditions hold iff nabla q vanishes.
-
-    Both predicates are evaluated independently at every point; the check
-    fails only if they disagree at more than `tolerance` points (default
-    0).  Points where both are false are consistent (the equivalence is
-    two-sided).  The points are evaluated
-    in blocks of `_BLOCK` at a time; an error is the one a point-by-point
-    loop would raise first.
-    """
-    f4_tol = DEFAULT_TOLERANCES["parallel-condition"] if f4_tol is None else f4_tol
-    nq_tol = DEFAULT_TOLERANCES["nabla-q"] if nq_tol is None else nq_tol
-    tolerance = DEFAULT_TOLERANCES["parallel-equivalence"] if tolerance is None else tolerance
-    xs = _as_points(points)
-    rows = []
-    for start in range(0, len(xs), _BLOCK):
-        geo, failures = _christoffel_block(spec, xs[start : start + _BLOCK])
-        _raise_first(failures)
-        values, scale = _parallel_residuals(*(jet.grad for jet in geo.jets))
-        rows += _equivalence_rows(geo.points, values, scale, geo.gamma, f4_tol, nq_tol)
-    return _equivalence_report(rows, f4_tol, nq_tol, tolerance)
-
-
 def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list[CheckReport]:
     """R(e_i, e_j, q e_k, q e_l) = R(e_i, e_j, e_k, e_l) at n points, from
-    R_ijkl (n, 4, 4, 4, 4)."""
+    R_ijkl (n, 4, 4, 4, 4): all 256 combinations, which multilinearity makes
+    sufficient."""
     shifted = r_low[..., _DOWN, :][..., _DOWN]
     resid, norm = _point_max(shifted - r_low).tolist(), _point_max(r_low).tolist()
     return [
@@ -490,21 +425,18 @@ def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list
     ]
 
 
-def check_curvature_q_identity(r: RiemannAtPoint, tolerance: float | None = None) -> CheckReport:
-    """R(e_i, e_j, q e_k, q e_l) = R(e_i, e_j, e_k, e_l), all 256 combinations.
-
-    Multilinearity makes the coordinate basis sufficient.
-    """
-    tolerance = DEFAULT_TOLERANCES["curvature-identity"] if tolerance is None else tolerance
-    (report,) = _identity_reports([r.metric.point], r.r_low[None], tolerance)
-    return report
-
-
 def _integrability_reports(
     points: list, r_mixed: np.ndarray, r_low: np.ndarray, ginv: np.ndarray, tolerance: float
 ) -> list[CheckReport]:
     """q on the output slot against q on the argument at n points, from
-    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4)."""
+    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4).
+
+    The primary residual uses this package's (1,3) tensor, R^l_ijk with the
+    plane slots first.  Because the raised-slot placement is ambiguous in
+    classical component notation, the alternate raising (first slot of the
+    covariant tensor, plane slots last) is evaluated too and reported in
+    the payload rather than silently chosen.
+    """
     # q R(x, y) z against R(x, y) q z, on the output slot l and the argument k
     # of R^l_ijk.
     lhs, rhs = r_mixed[:, _UP], r_mixed[..., _DOWN]
@@ -527,23 +459,6 @@ def _integrability_reports(
     ]
 
 
-def check_integrability(r: RiemannAtPoint, tolerance: float | None = None) -> CheckReport:
-    """Shift/curvature commutation: q on the output slot equals q on the argument.
-
-    Primary residual uses this package's (1,3) tensor, R^l_ijk with plane
-    slots first.  Because the raised-slot placement is ambiguous in classical
-    component notation, the alternate raising (first slot of the covariant
-    tensor, plane slots last) is evaluated too and reported in the payload
-    rather than silently chosen.
-    """
-    tolerance = DEFAULT_TOLERANCES["integrability"] if tolerance is None else tolerance
-    ginv = inverse_metric(r.metric).matrix
-    (report,) = _integrability_reports(
-        [r.metric.point], r.r_mixed[None], r.r_low[None], ginv[None], tolerance
-    )
-    return report
-
-
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
 # the four ring planes, then the two diagonal planes.
 _PLANES = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
@@ -562,8 +477,11 @@ def _sectional_entries(
     """Sectional curvatures of the six q-basis planes of each vector at n
     points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) and vectors xs (n, V, 4).
 
-    Returns the entries and payload of each point, and the points where a
-    plane is degenerate (the error names the first such plane).
+    Ring planes share one curvature and diagonal planes are flat where the
+    curvature identity holds (the suite gates on it) and each vector
+    induces a q-basis.  Returns the entries and payload of each point, and
+    the points where a plane is degenerate (the error names the first such
+    plane).
     """
     n, v = xs.shape[:2]
     shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
@@ -602,29 +520,6 @@ def _sectional_entries(
         for spread, ring_scale, d0, d1, norm, first in columns
     ]
     return found, failure
-
-
-def check_sectional_relations(
-    spec: ManifoldSpec, p, x, tolerance: float | None = None
-) -> CheckReport:
-    """Ring planes share one curvature; diagonal planes are flat.
-
-    Presupposes the curvature identity at p (callers gate on it) and that x
-    induces a q-basis.
-    """
-    m = metric_at(spec, p)
-    r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    [(entries, payload)], failure = _sectional_entries(
-        m.matrix[None], r.r_low[None], np.asarray(x, float)[None, None]
-    )
-    _raise_first([failure])
-    return _make_report(
-        "sectional-relations",
-        m.point,
-        entries,
-        DEFAULT_TOLERANCES["sectional-relations"] if tolerance is None else tolerance,
-        payload,
-    )
 
 
 def _mu_law_cases(
@@ -688,6 +583,15 @@ def mu_law_cases(
 
     `basis` is x, spanning an orthonormal q-basis; each row of `coeffs` is a
     unit (alpha, beta, gamma, delta).  All rows are contracted at once.
+    Each case compares R(u, qu, u, qu) against two closed-form predictions:
+    (i) the direct tensor contraction is ground truth; (ii) the coefficient
+    expansion predicts (1 - cos theta)^2 R(x, qx, x, qx); (iii) the angle law
+    mu(phi) = mu(pi/2) / (1 - cos^2 phi) predicts plain R(x, qx, x, qx) for
+    the same contraction.  The suite's verdict compares (i) with (ii) only;
+    (iii) and the measured ratio are recorded as data because the two
+    printed forms disagree whenever cos theta is nonzero, and the
+    contraction adjudicates.
+
     Returns one plain-typed case dict per row and the largest
     |direct - expansion| over the cases whose u induces a q-basis (0 if none
     does).  The ratio to the angle law is None where R(x, qx, x, qx) = 0.
@@ -697,40 +601,6 @@ def mu_law_cases(
     )
     _raise_first(failures)
     return cases, float(worst[0])
-
-
-def check_mu_law(
-    spec: ManifoldSpec,
-    p,
-    c: QBasisCoefficients,
-    basis: np.ndarray | None = None,
-    seed=0,
-    tolerance: float | None = None,
-) -> CheckReport:
-    """Compare R(u, qu, u, qu) against its two closed-form predictions.
-
-    (i) the direct tensor contraction is ground truth; (ii) the coefficient
-    expansion predicts (1 - cos theta)^2 R(x, qx, x, qx); (iii) the angle law
-    mu(phi) = mu(pi/2) / (1 - cos^2 phi) predicts plain R(x, qx, x, qx) for
-    the same contraction.  Pass/fail compares (i) with (ii) only; (iii) and
-    the measured ratio are recorded as data because the two printed forms
-    disagree whenever cos theta is nonzero, and the contraction adjudicates.
-    """
-    tolerance = DEFAULT_TOLERANCES["mu-law"] if tolerance is None else tolerance
-    m = metric_at(spec, p)
-    r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    if basis is None:
-        basis = find_orthogonal_q_basis(m, seed=seed)
-    (case,), resid = mu_law_cases(r, basis, c.as_array()[None])
-    if not case["q_basis"]:
-        report = _make_report("mu-law", m.point, {}, tolerance, {"case": case})
-        report.status = "skipped"
-        report.payload["reason"] = "u does not induce a q-basis"
-        return report
-    entries = {"expansion_max": (resid, r.norm_inf)}
-    return _make_report(
-        "mu-law", m.point, entries, tolerance, {"case": case, "basis": basis.tolist()}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +647,10 @@ def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
     return lifted
 
 
+# The checks that read the curvature identity: itself, and the two it gates.
+_NEEDS_IDENTITY = frozenset({"curvature-identity", "sectional-relations", "mu-law"})
+
+
 def _suite_block(
     spec: ManifoldSpec,
     xs: np.ndarray,
@@ -795,6 +669,10 @@ def _suite_block(
     degenerate sectional plane, then an inaccurate q-basis, then the cosines.
     """
     isometry_samples, sectional_samples, mu_samples = samples
+
+    def stream(index: int, k: int) -> np.random.Generator:
+        return np.random.default_rng([seed, index, k])
+
     geo, failures = _christoffel_block(spec, xs)
     n = len(geo.points)
     if n == 0:
@@ -805,14 +683,17 @@ def _suite_block(
     rows = _equivalence_rows(
         geo.points, values, scale, geo.gamma, tols["parallel-condition"], tols["nabla-q"]
     )
-    identity = _identity_reports(points, geo.r_low, tols["curvature-identity"])
-    holds = np.array([rep.passed for rep in identity])
-    sel = np.flatnonzero(holds)
+    if _NEEDS_IDENTITY.intersection(selected):
+        # `geo.r_low` builds the curvature on first use; a selection without
+        # these checks or integrability never builds it.
+        identity = _identity_reports(points, geo.r_low, tols["curvature-identity"])
+        holds = np.array([rep.passed for rep in identity])
+        sel = np.flatnonzero(holds)
 
     columns = []
     if "isometry" in selected:
         pairs = np.array(
-            [_isometry_pairs(_rng([seed, start + i, 0]), isometry_samples) for i in range(n)]
+            [_isometry_pairs(stream(start + i, 0), isometry_samples) for i in range(n)]
         )
         columns.append(_isometry_reports(points, geo.g, pairs, tols["isometry"]))
 
@@ -838,7 +719,7 @@ def _suite_block(
 
     if "sectional-relations" in selected:
         vectors = np.array(
-            [sample_q_basis_vectors(_rng([seed, start + i, 1]), sectional_samples) for i in sel]
+            [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sel]
         ).reshape(len(sel), sectional_samples, 4)
         found, failure = _sectional_entries(geo.g[sel], geo.r_low[sel], vectors)
         failures += _lift([failure], sel, n)
@@ -847,11 +728,12 @@ def _suite_block(
         )
 
     if "mu-law" in selected:
-        draws = np.array([_basis_draws(_rng([seed, start + i, 2])) for i in sel])
+        draws = np.array([_basis_draws(stream(start + i, 2)) for i in sel])
         abc = (jet.value[sel] for jet in geo.jets)
         bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sel), 3).T)
+        basis_failure = _naming_points(basis_failure, geo.points[sel])
         coeffs = np.array(
-            [_unit_coefficients(_rng([seed, start + i, 3]), mu_samples) for i in sel]
+            [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sel]
         ).reshape(len(sel), mu_samples, 4)
         cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sel], bases, coeffs)
         failures += _lift([basis_failure, *cosine_failures], sel, n)
@@ -896,7 +778,9 @@ def run_suite(
     convention header, and one entry per (check, point) in canonical order.
     Identical spec, points and seed always produce an identical report.
     The points are evaluated in blocks of `_BLOCK`; the entries, and any
-    error raised, are those of running the points one at a time.
+    error raised, are those of running the points one at a time.  One check
+    at one point is `run_suite(spec, [p], checks=[name])`; the parallel scan
+    is the `parallel-equivalence` entry of `checks=["parallel-equivalence"]`.
     """
     selected = list(KNOWN_CHECKS) if checks is None else list(checks)
     for name in selected:

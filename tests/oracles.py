@@ -141,20 +141,27 @@ def sequential_unit_coefficients(rng, n: int) -> np.ndarray:
     return np.array([v / float(np.linalg.norm(v)) for v in rows]).reshape(n, 4)
 
 
+def gradient_conditions(ga, gb, gc) -> dict:
+    """The gradient conditions by label, restated: A_i = C_(i+2),
+    B_1 = B_3, B_2 = B_4 and 2 B_i = C_(i-1) + C_(i+1) for i = 1, 2
+    (indices cyclic); each value is |left - right|."""
+    out = {f"A{i + 1}-C{(i + 2) % 4 + 1}": ga[i] - gc[(i + 2) % 4] for i in range(4)}
+    out["B1-B3"], out["B2-B4"] = gb[0] - gb[2], gb[1] - gb[3]
+    out["2B1-C2-C4"] = 2.0 * gb[0] - gc[3] - gc[1]
+    out["2B2-C1-C3"] = 2.0 * gb[1] - gc[0] - gc[2]
+    return {k: abs(float(v)) for k, v in out.items()}
+
+
 def equivalence_row_pointwise(spec, p, f4_tol: float, nq_tol: float) -> dict:
     """One parallel-scan row from the per-point API, with the gradient
-    conditions restated: A_i = C_(i+2), B_1 = B_3, B_2 = B_4 and
-    2 B_i = C_(i-1) + C_(i+1) for i = 1, 2 (indices cyclic)."""
+    conditions restated (`gradient_conditions`)."""
     from circgeo.core import metric_at
     from circgeo.tensor import christoffel_from_metric, nabla_q
 
     m = metric_at(spec, p)
     ch = christoffel_from_metric(m)
     ga, gb, gc = m.jet_a.grad, m.jet_b.grad, m.jet_c.grad
-    conditions = [ga[i] - gc[(i + 2) % 4] for i in range(4)]
-    conditions += [gb[0] - gb[2], gb[1] - gb[3]]
-    conditions += [2.0 * gb[i] - gc[(i - 1) % 4] - gc[(i + 1) % 4] for i in (0, 1)]
-    gradient = max(abs(float(v)) for v in conditions)
+    gradient = max(gradient_conditions(ga, gb, gc).values())
     scale = max(1.0, *(float(abs(v)) for v in np.concatenate((ga, gb, gc))))
     nq = nabla_q(ch).max_abs
     return {
@@ -182,6 +189,81 @@ def first_error_pointwise(spec, points):
     return None
 
 
+def _entry(name, point, entries, tolerance, payload) -> dict:
+    """A report entry restated: each residual with its scale, failing where
+    residual / max(1, scale) exceeds the tolerance."""
+    failed = any(r / max(1.0, s) > tolerance for r, s in entries.values())
+    return {
+        "name": name,
+        "point": None if point is None else [float(v) for v in point],
+        "residuals": {k: float(r) for k, (r, _) in entries.items()},
+        "tolerance": float(tolerance),
+        "status": "fail" if failed else "pass",
+        "payload": {**payload, "scales": {k: float(s) for k, (_, s) in entries.items()}},
+    }
+
+
+def _skipped(name, point, tolerance, reason) -> dict:
+    return {
+        "name": name,
+        "point": [float(v) for v in point],
+        "residuals": {},
+        "tolerance": float(tolerance),
+        "status": "skipped",
+        "payload": {"reason": reason},
+    }
+
+
+def isometry_entry(m, pairs, tolerance) -> dict:
+    """g(q^k x, q^k y) = g(x, y), k = 1, 2, 3, over the pairs (2, S, 4)."""
+    g = m.matrix
+    xs, ys = pairs
+    base = np.einsum("ni,ij,nj->n", xs, g, ys)
+    scale = max(1.0, float(np.max(np.abs(base))))
+    entries = {}
+    for k in (1, 2, 3):
+        shifted = np.einsum("ni,ij,nj->n", np.roll(xs, -k, axis=1), g, np.roll(ys, -k, axis=1))
+        entries[f"q{k}"] = (float(np.max(np.abs(shifted - base))), scale)
+    return _entry("isometry", m.point, entries, tolerance, {"samples": xs.shape[0]})
+
+
+def parallel_condition_entry(m, tolerance) -> dict:
+    ga, gb, gc = m.jet_a.grad, m.jet_b.grad, m.jet_c.grad
+    scale = max(1.0, float(np.max(np.abs(np.concatenate((ga, gb, gc))))))
+    entries = {k: (v, scale) for k, v in gradient_conditions(ga, gb, gc).items()}
+    payload = {"grad_A": ga.tolist(), "grad_B": gb.tolist(), "grad_C": gc.tolist()}
+    return _entry("parallel-condition", m.point, entries, tolerance, payload)
+
+
+def curvature_identity_entry(m, r, tolerance) -> dict:
+    """R(e_i, e_j, q e_k, q e_l) = R_ijkl, with q e_k = e_(k-1)."""
+    shifted = np.roll(r.r_low, 1, axis=(2, 3))
+    norm = float(np.max(np.abs(r.r_low)))
+    entries = {"max": (float(np.max(np.abs(shifted - r.r_low))), norm)}
+    return _entry("curvature-identity", m.point, entries, tolerance, {"riemann_norm_inf": norm})
+
+
+def integrability_entry(m, r, tolerance) -> dict:
+    """q R(x, y) z = R(x, y) q z on R^l_ijk ((q v)^s = v^(s+1) on the output
+    slot l, q e_k = e_(k-1) on the argument k), and the same on the first
+    slot of R_(ajkl) = g^ab R_klbj, raised with numpy's generic inverse."""
+    mixed = r.r_mixed
+    primary = float(np.max(np.abs(np.roll(mixed, -1, axis=0) - np.roll(mixed, 1, axis=3))))
+    alt = np.einsum("ab,klbj->ajkl", np.linalg.inv(m.matrix), r.r_low)
+    alternate = float(np.max(np.abs(np.roll(alt, -1, axis=0) - np.roll(alt, 1, axis=1))))
+    entries = {"primary": (primary, max(1.0, float(np.max(np.abs(mixed)))))}
+    return _entry(
+        "integrability", m.point, entries, tolerance, {"alternate_raising_residual": alternate}
+    )
+
+
+def equivalence_entry(rows, f4_tol, nq_tol, tolerance) -> dict:
+    disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
+    payload = {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows}
+    entries = {"disagreements": (float(disagreements), 1.0)}
+    return _entry("parallel-equivalence", None, entries, tolerance, payload)
+
+
 def run_suite_pointwise(
     spec,
     points,
@@ -195,15 +277,18 @@ def run_suite_pointwise(
     """The check suite run one point at a time through the per-point API:
     the reference for `run_suite`, which runs blocks of points at once.
 
-    Each point gets its own metric, connection and curvature, the public
-    per-point checks where they fit an entry, and the same per-point random
-    streams [seed, point index, k].  The first error raised is the one the
-    batched suite must raise.  The q-basis (`find_orthogonal_q_basis`, the
-    one-point case of the suite's block helper) and the sectional sampler
-    are looked up at each call, so a test can replace them for both.
+    Each point gets its own metric, connection and curvature and the same
+    per-point random streams [seed, point index, k].  Isometry, the
+    parallel condition, the curvature identity, integrability and the
+    parallel equivalence are restated above with numpy; sectional-relations
+    and mu-law use the package's one-point contractions.  The first error
+    raised is the one the batched suite must raise.  The q-basis
+    (`core.find_orthogonal_q_basis`, the one-point case of the suite's block
+    helper) and the sectional sampler are looked up at each call, so a test
+    can replace them for both.
     """
+    import circgeo.core as core
     import circgeo.verify as v
-    from circgeo.core import metric_at
     from circgeo.expr import _raise_first
     from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
 
@@ -212,48 +297,49 @@ def run_suite_pointwise(
     gated = "curvature identity does not hold at this point"
     reports, rows = [], []
     for idx, p in enumerate(points):
-        m = metric_at(spec, p)
+        streams = [np.random.default_rng([seed, idx, k]) for k in range(4)]
+        m = core.metric_at(spec, p)
         r = riemann_from_christoffel(m, christoffel_from_metric(m))
         row = equivalence_row_pointwise(spec, p, tols["parallel-condition"], tols["nabla-q"])
         rows.append(row)
 
         if "isometry" in selected:
-            reports.append(
-                v.check_isometry(m, isometry_samples, [seed, idx, 0], tols["isometry"])
-            )
+            pairs = streams[0].uniform(-1.0, 1.0, (2, isometry_samples, 4))
+            reports.append(isometry_entry(m, pairs, tols["isometry"]))
         if "parallel-condition" in selected:
-            reports.append(v.check_parallel_condition(spec, p, tols["parallel-condition"]))
-        identity = v.check_curvature_q_identity(r, tols["curvature-identity"])
+            reports.append(parallel_condition_entry(m, tols["parallel-condition"]))
+        identity = curvature_identity_entry(m, r, tols["curvature-identity"])
         if "curvature-identity" in selected:
             reports.append(identity)
         if "integrability" in selected:
-            rep = v.check_integrability(r, tols["integrability"])
+            entry = integrability_entry(m, r, tols["integrability"])
             if not (row["gradient_holds"] and row["parallel_holds"]):
-                rep.payload["reason"] = (
+                entry["payload"]["reason"] = (
                     "nabla q does not vanish here; residual recorded without a pass expectation"
                 )
-                rep.status = "skipped"
-            reports.append(rep)
+                entry["status"] = "skipped"
+            reports.append(entry)
 
+        holds = identity["status"] == "pass"
         if "sectional-relations" in selected:
             tol = tols["sectional-relations"]
-            if identity.passed:
-                xs = v.sample_q_basis_vectors(v._rng([seed, idx, 1]), sectional_samples)
+            if holds:
+                xs = v.sample_q_basis_vectors(streams[1], sectional_samples)
                 [(entries, payload)], failure = v._sectional_entries(
                     m.matrix[None], r.r_low[None], xs[None]
                 )
                 _raise_first([failure])
-                reports.append(v._make_report("sectional-relations", m.point, entries, tol, payload))
+                reports.append(_entry("sectional-relations", m.point, entries, tol, payload))
             else:
-                reports.append(v._skipped("sectional-relations", m.point, tol, gated))
+                reports.append(_skipped("sectional-relations", m.point, tol, gated))
 
         if "mu-law" in selected:
-            if identity.passed:
-                basis = v.find_orthogonal_q_basis(m, seed=[seed, idx, 2])
-                coeffs = v._unit_coefficients(v._rng([seed, idx, 3]), mu_samples)
+            if holds:
+                basis = core.find_orthogonal_q_basis(m, seed=streams[2])
+                coeffs = v._unit_coefficients(streams[3], mu_samples)
                 cases, worst = v.mu_law_cases(r, basis, coeffs)
                 reports.append(
-                    v._make_report(
+                    _entry(
                         "mu-law",
                         m.point,
                         {"expansion_max": (worst, r.norm_inf)},
@@ -262,19 +348,15 @@ def run_suite_pointwise(
                     )
                 )
             else:
-                reports.append(v._skipped("mu-law", m.point, tols["mu-law"], gated))
+                reports.append(_skipped("mu-law", m.point, tols["mu-law"], gated))
 
     if "parallel-equivalence" in selected and rows:
         reports.append(
-            v._equivalence_report(
+            equivalence_entry(
                 rows, tols["parallel-condition"], tols["nabla-q"], tols["parallel-equivalence"]
             )
         )
-    return {
-        "spec": spec.name,
-        "convention": v.convention_text(),
-        "checks": [rep.to_dict() for rep in reports],
-    }
+    return {"spec": spec.name, "convention": v.convention_text(), "checks": reports}
 
 
 # Report fields drawn from the random streams; they must match bit for bit.

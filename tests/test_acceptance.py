@@ -26,14 +26,7 @@ from circgeo.tensor import (
     metric_compatibility_residual,
     riemann_from_christoffel,
 )
-from circgeo.verify import (
-    QBasisCoefficients,
-    check_curvature_q_identity,
-    check_parallel_condition,
-    check_parallel_equivalence,
-    coeff_angles,
-    sample_q_basis_vectors,
-)
+from circgeo.verify import QBasisCoefficients, coeff_angles, run_suite, sample_q_basis_vectors
 
 from conftest import fixture_path, interior_points
 
@@ -50,6 +43,12 @@ def criterion(number: int, description: str):
         raise
     finally:
         print(f"\nACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {description}")
+
+
+def single_entry(spec, points, name) -> dict:
+    """The one report entry of check `name` over the points."""
+    (entry,) = run_suite(spec, points, checks=[name])["checks"]
+    return entry
 
 
 def random_ordered_triples(rng, n):
@@ -160,27 +159,26 @@ def test_criterion_06_curvature_sanity(all_fixture_specs, const_spec, flat_par, 
 def test_criterion_07_parallel_equivalence(curved_par, flat_par, nonpar):
     with criterion(7, "gradient conditions and nabla q agree on 3^4 grids; nonpar fails off the x1 = 0 plane"):
         for spec in (curved_par, flat_par):
-            rep = check_parallel_equivalence(spec, spec.domain.grid(3))
-            assert rep.status == "pass"
-            for row in rep.payload["points"]:
+            rep = single_entry(spec, spec.domain.grid(3), "parallel-equivalence")
+            assert rep["status"] == "pass"
+            for row in rep["payload"]["points"]:
                 assert row["gradient_holds"] and row["parallel_holds"]
                 assert row["gradient_residual_scaled"] <= 1e-9
                 assert row["nabla_q_residual_scaled"] <= 1e-9
-        rep = check_parallel_equivalence(nonpar, nonpar.domain.grid(3))
-        assert rep.status == "pass"
-        for row in rep.payload["points"]:
+        rep = single_entry(nonpar, nonpar.domain.grid(3), "parallel-equivalence")
+        assert rep["status"] == "pass"
+        for row in rep["payload"]["points"]:
             if abs(row["point"][0]) > 0:
                 assert not row["gradient_holds"] and not row["parallel_holds"]
-        pinned = check_parallel_condition(nonpar, [1, 0, 0, 0])
-        assert abs(pinned.residuals["A1-C3"] - 2.0) <= 1e-12
+        pinned = single_entry(nonpar, [[1, 0, 0, 0]], "parallel-condition")
+        assert abs(pinned["residuals"]["A1-C3"] - 2.0) <= 1e-12
 
 
 def test_criterion_08_subclass_chain(curved_par):
     with criterion(8, "curved-par: curvature identity, equal ring curvatures, flat diagonal planes to 1e-9"):
         m = metric_at(curved_par, ORIGIN)
         r = riemann_from_christoffel(m, christoffel_from_metric(m))
-        rep = check_curvature_q_identity(r)
-        assert rep.status == "pass"
+        assert single_entry(curved_par, [ORIGIN], "curvature-identity")["status"] == "pass"
         rng = np.random.default_rng(108)
         for x in sample_q_basis_vectors(rng, 50):
             shifts = [q_apply(x, k) for k in range(4)]

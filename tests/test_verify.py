@@ -1,7 +1,5 @@
 """Residual checks: positive cases, negative controls, gating and determinism."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,15 +23,9 @@ from circgeo.verify import (
     KNOWN_CHECKS,
     QBasisCoefficients,
     _draw_rows,
+    _isometry_reports,
     _sectional_entries,
     _unit_coefficients,
-    check_curvature_q_identity,
-    check_integrability,
-    check_isometry,
-    check_mu_law,
-    check_parallel_condition,
-    check_parallel_equivalence,
-    check_sectional_relations,
     coeff_angles,
     mu_law_cases,
     report_to_json,
@@ -60,6 +52,19 @@ def riemann_of(spec, p):
     return m, riemann_from_christoffel(m, christoffel_from_metric(m))
 
 
+def single_entry(spec, points, name, **kwargs) -> dict:
+    """The one report entry of check `name`: at one point, or the
+    parallel-equivalence entry over many."""
+    (entry,) = run_suite(spec, points, checks=[name], **kwargs)["checks"]
+    return entry
+
+
+def _passes(entries, name) -> bool:
+    """The suite's verdict on (residual, scale) entries at the default tolerance."""
+    tolerance = DEFAULT_TOLERANCES[name]
+    return all(r / max(1.0, s) <= tolerance for r, s in entries.values())
+
+
 # ---------------------------------------------------------------------------
 # Isometry
 # ---------------------------------------------------------------------------
@@ -71,18 +76,20 @@ def test_isometry_passes_on_circulant_metrics():
         b = rng.uniform(0.1, 2)
         c = b + rng.uniform(0.1, 2)
         a = c + rng.uniform(0.1, 2)
-        rep = check_isometry(MetricAtPoint.from_constants(a, b, c), samples=1000, seed=1)
-        assert rep.status == "pass"
+        spec = _spec(repr(a), repr(b), repr(c))
+        rep = single_entry(spec, [ORIGIN], "isometry", seed=1, isometry_samples=1000)
+        assert rep["status"] == "pass"
 
 
 def test_isometry_negative_control():
     bad = circulant_matrix(4.0, 1.0, 2.0)
     bad[0, 1] = 3.0  # break the circulant pattern
     bad[1, 0] = 3.0
-    fake = SimpleNamespace(matrix=bad, point=None)
-    rep = check_isometry(fake, samples=200, seed=0)
+    pairs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, 2, 200, 4))
+    tolerance = DEFAULT_TOLERANCES["isometry"]
+    (rep,) = _isometry_reports([None], bad[None], pairs, tolerance)
     assert rep.status == "fail"
-    loose = check_isometry(fake, samples=200, seed=0, tolerance=10.0)
+    (loose,) = _isometry_reports([None], bad[None], pairs, 10.0)
     assert (loose.status, loose.tolerance, loose.residuals) == ("pass", 10.0, rep.residuals)
 
 
@@ -92,21 +99,21 @@ def test_isometry_negative_control():
 
 
 def test_parallel_condition_curved_par(curved_par):
-    rep = check_parallel_condition(curved_par, [0.3, -0.2, 0.1, 0.4])
-    assert rep.status == "pass"
-    assert max(rep.residuals.values()) <= 1e-15
+    rep = single_entry(curved_par, [[0.3, -0.2, 0.1, 0.4]], "parallel-condition")
+    assert rep["status"] == "pass"
+    assert max(rep["residuals"].values()) <= 1e-15
 
 
 def test_parallel_condition_constants(const_spec):
-    rep = check_parallel_condition(const_spec, ORIGIN)
-    assert rep.status == "pass"
-    assert all(v == 0.0 for v in rep.residuals.values())
+    rep = single_entry(const_spec, [ORIGIN], "parallel-condition")
+    assert rep["status"] == "pass"
+    assert all(v == 0.0 for v in rep["residuals"].values())
 
 
 def test_parallel_condition_nonpar_residual(nonpar):
-    rep = check_parallel_condition(nonpar, [1, 0, 0, 0])
-    assert rep.status == "fail"
-    assert abs(rep.residuals["A1-C3"] - 2.0) <= 1e-12
+    rep = single_entry(nonpar, [[1, 0, 0, 0]], "parallel-condition")
+    assert rep["status"] == "fail"
+    assert abs(rep["residuals"]["A1-C3"] - 2.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def test_equivalence_blocks_match_pointwise_rows(name, request):
     spec = request.getfixturevalue(name)
     points = spec.domain.grid(5)
     f4_tol, nq_tol = DEFAULT_TOLERANCES["parallel-condition"], DEFAULT_TOLERANCES["nabla-q"]
-    rows = check_parallel_equivalence(spec, points).payload["points"]
+    rows = single_entry(spec, points, "parallel-equivalence")["payload"]["points"]
     assert len(rows) == len(points)
     for row, p in zip(rows, points):
         expected = equivalence_row_pointwise(spec, p, f4_tol, nq_tol)
@@ -166,31 +173,31 @@ def test_equivalence_raises_the_pointwise_first_error(spec, points):
     expected = first_error_pointwise(spec, points)
     assert expected is not None
     with pytest.raises(type(expected)) as err:
-        check_parallel_equivalence(spec, points)
+        run_suite(spec, points, checks=["parallel-equivalence"])
     assert str(err.value) == str(expected)
 
 
 def test_equivalence_curved_par_grid(curved_par):
-    rep = check_parallel_equivalence(curved_par, curved_par.domain.grid(3))
-    assert rep.status == "pass"
-    rows = rep.payload["points"]
+    rep = single_entry(curved_par, curved_par.domain.grid(3), "parallel-equivalence")
+    assert rep["status"] == "pass"
+    rows = rep["payload"]["points"]
     assert all(r["gradient_holds"] and r["parallel_holds"] for r in rows)
     assert max(r["nabla_q_residual"] for r in rows) <= 1e-9
 
 
 def test_equivalence_flat_par_grid(flat_par):
-    rep = check_parallel_equivalence(flat_par, flat_par.domain.grid(3))
-    assert rep.status == "pass"
+    rep = single_entry(flat_par, flat_par.domain.grid(3), "parallel-equivalence")
+    assert rep["status"] == "pass"
     assert all(
-        r["gradient_holds"] and r["parallel_holds"] for r in rep.payload["points"]
+        r["gradient_holds"] and r["parallel_holds"] for r in rep["payload"]["points"]
     )
 
 
 def test_equivalence_nonpar_grid(nonpar):
-    rep = check_parallel_equivalence(nonpar, nonpar.domain.grid(3))
+    rep = single_entry(nonpar, nonpar.domain.grid(3), "parallel-equivalence")
     # Both predicates are false wherever x1 != 0, so they never disagree.
-    assert rep.status == "pass"
-    for row in rep.payload["points"]:
+    assert rep["status"] == "pass"
+    for row in rep["payload"]["points"]:
         if abs(row["point"][0]) > 0:
             assert not row["gradient_holds"] and not row["parallel_holds"]
         else:
@@ -203,34 +210,30 @@ def test_equivalence_nonpar_grid(nonpar):
 
 
 def test_curvature_identity_flat(const_spec):
-    _, r = riemann_of(const_spec, ORIGIN)
-    rep = check_curvature_q_identity(r)
-    assert rep.status == "pass" and rep.residuals["max"] == 0.0
+    rep = single_entry(const_spec, [ORIGIN], "curvature-identity")
+    assert rep["status"] == "pass" and rep["residuals"]["max"] == 0.0
 
 
 def test_curvature_identity_curved_par(curved_par):
-    _, r = riemann_of(curved_par, ORIGIN)
-    assert check_curvature_q_identity(r).status == "pass"
+    assert single_entry(curved_par, [ORIGIN], "curvature-identity")["status"] == "pass"
 
 
 def test_curvature_identity_fails_on_nonpar(nonpar):
-    _, r = riemann_of(nonpar, [1, 0, 0, 0])
-    rep = check_curvature_q_identity(r)
-    assert rep.status == "fail"
-    assert rep.residuals["max"] > 1e-3
+    rep = single_entry(nonpar, [[1, 0, 0, 0]], "curvature-identity")
+    assert rep["status"] == "fail"
+    assert rep["residuals"]["max"] > 1e-3
 
 
 def test_integrability_curved_par(curved_par):
-    _, r = riemann_of(curved_par, ORIGIN)
-    rep = check_integrability(r)
-    assert rep.status == "pass"
-    assert rep.payload["alternate_raising_residual"] <= 1e-9
+    rep = single_entry(curved_par, [ORIGIN], "integrability")
+    assert rep["status"] == "pass"
+    assert rep["payload"]["alternate_raising_residual"] <= 1e-9
 
 
 def test_integrability_residual_reported_on_nonpar(nonpar):
-    _, r = riemann_of(nonpar, [1, 0, 0, 0])
-    rep = check_integrability(r)
-    assert "primary" in rep.residuals  # recorded either way
+    rep = single_entry(nonpar, [[1, 0, 0, 0]], "integrability")
+    assert rep["status"] == "skipped"  # nabla q does not vanish there
+    assert "primary" in rep["residuals"]  # recorded either way
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +241,23 @@ def test_integrability_residual_reported_on_nonpar(nonpar):
 # ---------------------------------------------------------------------------
 
 
+def sectional_passes(spec, p, x) -> bool:
+    m, r = riemann_of(spec, p)
+    [(entries, _)], (bad, _) = _sectional_entries(
+        m.matrix[None], r.r_low[None], np.asarray(x, float)[None, None]
+    )
+    assert not bad.any()
+    return _passes(entries, "sectional-relations")
+
+
 def test_sectional_relations_curved_par(curved_par):
     rng = np.random.default_rng(12)
     for x in sample_q_basis_vectors(rng, 10):
-        rep = check_sectional_relations(curved_par, ORIGIN, x)
-        assert rep.status == "pass"
+        assert sectional_passes(curved_par, ORIGIN, x)
 
 
 def test_sectional_relations_flat(flat_par):
-    rep = check_sectional_relations(flat_par, [0.1, 0.1, 0.1, 0.1], [1, 2, 3, 4])
-    assert rep.status == "pass"
+    assert sectional_passes(flat_par, [0.1, 0.1, 0.1, 0.1], [1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +306,27 @@ def test_expansion_bracket_equals_angle_factor(raw):
     assert abs(bracket - (1 - cos_theta) ** 2) <= 1e-12
 
 
+def pinned_mu_case(spec, p, c: QBasisCoefficients) -> dict:
+    """The mu-law case of the pinned coefficients c in the q-basis of seed
+    3; asserts that it passes as the suite would judge it."""
+    m, r = riemann_of(spec, p)
+    (case,), worst = mu_law_cases(r, find_orthogonal_q_basis(m, seed=3), c.as_array()[None])
+    assert case["q_basis"]
+    assert _passes({"expansion_max": (worst, r.norm_inf)}, "mu-law")
+    return case
+
+
 def test_mu_law_identity_coefficients(curved_par):
-    rep = check_mu_law(curved_par, ORIGIN, QBasisCoefficients(1, 0, 0, 0), seed=3)
-    case = rep.payload["case"]
-    assert rep.status == "pass"
-    assert rep.residuals.keys() == {"expansion_max"}  # the suite's residual name
+    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(1, 0, 0, 0))
+    rep = single_entry(curved_par, [ORIGIN], "mu-law", mu_samples=5)
+    assert rep["status"] == "pass"
+    assert rep["residuals"].keys() == {"expansion_max"}  # the suite's residual name
     assert case["direct"] == pytest.approx(case["expansion_prediction"], abs=1e-15)
     assert case["direct"] == pytest.approx(case["angle_law_prediction"], abs=1e-15)
 
 
 def test_mu_law_cos_theta_zero(curved_par):
-    rep = check_mu_law(curved_par, ORIGIN, QBasisCoefficients(0.8, 0.6, 0, 0), seed=3)
-    case = rep.payload["case"]
-    assert rep.status == "pass"
+    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(0.8, 0.6, 0, 0))
     # cos theta = 0: the expansion predicts exactly the base plane value.
     assert case["cos_theta"] == 0.0
     assert case["expansion_prediction"] == pytest.approx(case["angle_law_prediction"], rel=1e-12)
@@ -317,9 +335,7 @@ def test_mu_law_cos_theta_zero(curved_par):
 def test_mu_law_adjudication_case(curved_par):
     # cos theta = 0.96 separates the two predictions by (1 - cos theta)^2;
     # the direct contraction sides with the coefficient expansion.
-    rep = check_mu_law(curved_par, ORIGIN, QBasisCoefficients(0.8, 0, 0.6, 0), seed=3)
-    case = rep.payload["case"]
-    assert rep.status == "pass"
+    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(0.8, 0, 0.6, 0))
     assert abs(case["cos_theta"] - 0.96) <= 1e-12
     assert case["expansion_prediction"] == pytest.approx(
         0.0016 * case["angle_law_prediction"], rel=1e-9
@@ -396,7 +412,7 @@ def test_suite_computes_geometry_once_per_block(nonpar, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     for name in ("metric_at", "christoffel_from_metric", "riemann_from_christoffel"):
-        monkeypatch.setattr(verify, name, None)  # the suite makes no per-point call
+        assert not hasattr(verify, name)  # the suite makes no per-point call
     points = nonpar.domain.grid(5)  # 625 points: three blocks
     run_suite(nonpar, points, seed=3, mu_samples=5, sectional_samples=5, isometry_samples=10)
     assert calls == {"_christoffel_block": 3, "_riemann": 3}
@@ -535,6 +551,49 @@ def test_suite_raises_the_pointwise_first_check_error(
     with pytest.raises(expected) as got:
         run_suite(spec, GRID_5, **SMALL)
     assert str(got.value) == str(want.value)
+
+
+def test_singular_metric_errors_name_the_point():
+    # Grid index 250 is the first point where x1 = 0.
+    where = f"at point {GRID_5[250].tolist()}"
+    with pytest.raises(SingularMetricError, match="Gram residual") as suite:
+        run_suite(NEAR_EQUAL_A_C, GRID_5, **SMALL)
+    assert str(suite.value).endswith(where)
+    # The one-point API names the point of a metric that has one ...
+    with pytest.raises(SingularMetricError) as one:
+        find_orthogonal_q_basis(metric_at(NEAR_EQUAL_A_C, GRID_5[250]), seed=[1, 250, 2])
+    assert str(one.value) == str(suite.value)
+    # ... and the inverse names it too, in the scan and at one point.
+    vanishing = _spec("1e-200*(4 + log(x1 + 1.5))", B="1e-200", C="2e-200")
+    with pytest.raises(SingularMetricError, match="determinant factor is zero") as scan:
+        run_suite(vanishing, GRID_5, checks=["parallel-equivalence"])
+    assert str(scan.value).endswith(f"at point {GRID_5[0].tolist()}")
+    with pytest.raises(SingularMetricError) as one:
+        christoffel_from_metric(metric_at(vanishing, GRID_5[0]))
+    assert str(one.value) == str(scan.value)
+    # A metric built from constants has no point to name.
+    with pytest.raises(SingularMetricError) as constant:
+        find_orthogonal_q_basis(MetricAtPoint.from_constants(2.000000001, 1.0, 2.0))
+    assert "at point" not in str(constant.value)
+
+
+def test_curvature_is_computed_only_for_checks_that_need_it(curved_par, monkeypatch):
+    import circgeo.tensor as tensor
+
+    calls = []
+    original = tensor._riemann
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(tensor, "_riemann", counted)
+    points = curved_par.domain.grid(8)  # 4096 points: 16 blocks
+    for name in ("parallel-equivalence", "parallel-condition", "isometry"):
+        run_suite(curved_par, points, checks=[name], isometry_samples=2)
+        assert not calls, name
+    run_suite(curved_par, points, isometry_samples=2, sectional_samples=1, mu_samples=1)
+    assert len(calls) == 16
 
 
 def test_suite_rejects_unknown_names(curved_par):
