@@ -12,8 +12,10 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parse error, 3 inadmissible, singular or ill-conditioned metric, or domain
-error.  With --json PATH the same report that drives the human-readable
-output is written as JSON, so every printed number is also in the file.
+error.  Every error is one line on stderr, and with --json PATH it is also
+written to PATH as {"error": {"type", "message"}}.  Otherwise --json PATH
+writes the same report that drives the human-readable output, so every
+printed number is also in the file.
 """
 
 from __future__ import annotations
@@ -45,6 +47,17 @@ from .verify import convention_text, report_to_json, run_suite
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE, _EXIT_DOMAIN = 0, 1, 2, 3
 
 
+class UsageError(Exception):
+    """A command line that does not parse (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `UsageError` where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_point(text: str) -> np.ndarray:
     try:
         values = [float(part) for part in text.split(",")]
@@ -53,6 +66,13 @@ def _parse_point(text: str) -> np.ndarray:
     if len(values) != 4:
         raise argparse.ArgumentTypeError(f"a point needs 4 comma-separated values, got {text!r}")
     return np.array(values)
+
+
+def _parse_checks(text: str) -> list[str]:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"--checks names no check: {text!r}")
+    return names
 
 
 def _parse_tol(text: str) -> tuple[str, float]:
@@ -66,7 +86,7 @@ def _parse_tol(text: str) -> tuple[str, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circgeo",
         description="Circulant 4D metrics: curvature computation and identity checks.",
     )
@@ -95,7 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", type=_parse_point, metavar="X1,X2,X3,X4")
     group.add_argument("--grid", type=int, metavar="N")
-    p.add_argument("--checks", metavar="LIST", help="comma-separated check names")
+    p.add_argument(
+        "--checks", type=_parse_checks, metavar="LIST", help="comma-separated check names"
+    )
     p.add_argument(
         "--tol",
         action="append",
@@ -296,11 +318,8 @@ def _cmd_basis(args) -> int:
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     points = _grid_or_point(args, spec)
-    checks = None
-    if args.checks:
-        checks = [name.strip() for name in args.checks.split(",") if name.strip()]
     # run_suite rejects an unknown check or tolerance name with a ValueError (exit 2).
-    report = run_suite(spec, points, checks=checks, seed=args.seed, tolerances=dict(args.tol))
+    report = run_suite(spec, points, checks=args.checks, seed=args.seed, tolerances=dict(args.tol))
     _emit(report, args.json_path, _render_verify)
     failed = any(check["status"] == "fail" for check in report["checks"])
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
@@ -320,16 +339,17 @@ def _cmd_scan(args) -> int:
 
     def render(out):
         inner_rep = out["report"]
-        print(
-            f"spec: {out['spec']}  scan={out['check']} grid={out['grid']} "
-            f"-> {inner_rep['status']} (disagreements: {inner_rep['residuals']['disagreements']!r})"
+        header = (
+            f"spec: {out['spec']}  scan={out['check']} grid={out['grid']} -> "
+            f"{inner_rep['status']} (disagreements: {inner_rep['residuals']['disagreements']!r})\n"
         )
-        for row in inner_rep["payload"]["points"]:
-            print(
-                f"  {row['point']!r} gradient={row['gradient_residual']!r} "
-                f"nabla_q={row['nabla_q_residual']!r} "
-                f"holds=({row['gradient_holds']}, {row['parallel_holds']})"
-            )
+        # One line per point, `  [x1, x2, x3, x4] gradient=... nabla_q=... holds=(..., ...)`,
+        # all written at once.
+        rows = inner_rep["payload"]["points"].text(
+            ["  [", "point", "] gradient=", "gradient_residual", " nabla_q=", "nabla_q_residual",
+             " holds=(", "gradient_holds", ", ", "parallel_holds", ")\n"]
+        )
+        sys.stdout.write(header + rows)
 
     _emit(report, args.json_path, render)
     return _EXIT_OK if entry["status"] == "pass" else _EXIT_CHECK_FAILED
@@ -346,9 +366,23 @@ _COMMANDS = {
 }
 
 
+def _json_path_of(argv) -> str | None:
+    """The --json PATH of a command line that does not parse, if it names one."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--json", dest="json_path")
+    try:
+        return parser.parse_known_args(argv)[0].json_path
+    except UsageError:
+        return None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        _report_error(exc, _json_path_of(argv))
+        return _EXIT_USAGE
     json_path = getattr(args, "json_path", None)
     try:
         return _COMMANDS[args.command](args)

@@ -27,13 +27,17 @@ once with a leading point axis, and each check is one array pass over the
 block, the closed-form orthonormal q-bases of `mu-law` included.  Each
 point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
-first error raised.  Reports are written as compact JSON.
+first error raised.  The two large per-point payloads, the parallel-scan
+rows and each point's mu-law cases, are held as column `Table`s and
+written straight from their columns; reports are compact JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +61,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
     "QBasisCoefficients",
+    "Table",
     "coeff_angles",
     "convention_text",
     "mu_law_cases",
@@ -95,12 +100,95 @@ def convention_text() -> str:
     )
 
 
+def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """repr of each float in each column, as object arrays of their shapes.
+
+    Each distinct bit pattern is formatted once, so -0.0 stays -0.0.  NaN
+    and +-inf raise a ValueError, as in json.dumps(allow_nan=False).
+    """
+    flat = np.concatenate([np.empty(0), *(c.ravel() for c in columns)])
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        bad = distinct[~np.isfinite(distinct)][0]
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)[inverse]
+    parts = np.split(text, np.cumsum([c.size for c in columns])[:-1])
+    return [part.reshape(c.shape) for part, c in zip(parts, columns)]
+
+
+class Table(Sequence):
+    """Rows held as columns: to Python, a read-only sequence of row dicts.
+
+    `columns` maps each key, in sorted order, to an array whose first axis
+    runs over the rows: float64 (n,) for a number per row, float64 (n, k)
+    for a list of k numbers, bool (n,) for a flag, or None for null in
+    every row.  Row dicts are built on demand; `text` and `to_json` write
+    all rows at once from the columns.
+    """
+
+    def __init__(self, columns: dict, length: int | None = None):
+        self.columns = {key: columns[key] for key in sorted(columns)}
+        for key, column in self.columns.items():
+            if column is not None and column.dtype not in (np.float64, np.bool_):
+                raise TypeError(f"column {key!r} is {column.dtype}, not float64 or bool")
+        if length is None:
+            length = next(len(c) for c in self.columns.values() if c is not None)
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index) -> dict:
+        i = range(self._length)[operator.index(index)]
+        return {k: None if c is None else c[i].tolist() for k, c in self.columns.items()}
+
+    def __iter__(self):
+        values = [[None] * self._length if c is None else c.tolist() for c in self.columns.values()]
+        return (dict(zip(self.columns, row)) for row in zip(*values))
+
+    def text(self, layout, words=("True", "False", "None"), comma=", ", row_sep="") -> str:
+        """All rows written by `layout`, [text, key, text, ..., key, text]:
+        floats by repr, flags and nulls as `words`, the values of a list
+        column joined by `comma`; rows joined by `row_sep`."""
+        columns = [self.columns[key] for key in layout[1::2]]
+        numbers = iter(_float_cells([c for c in columns if c is not None and c.dtype != np.bool_]))
+        pieces = np.empty((self._length, len(layout)), dtype=object)
+        pieces[:, 0::2] = np.array(layout[0::2], dtype=object)
+        for j, column in enumerate(columns):
+            if column is None:
+                cells = words[2]
+            elif column.dtype == np.bool_:
+                cells = np.array(words[:2], dtype=object)[np.where(column, 0, 1)]
+            else:
+                cells = next(numbers)
+                if cells.ndim == 2:
+                    cells = list(map(comma.join, cells.tolist()))
+            pieces[:, 2 * j + 1] = cells
+        pieces[:-1, -1] = layout[-1] + row_sep
+        return "".join(pieces.ravel().tolist())
+
+    def to_json(self) -> str:
+        """The rows as a JSON array of objects, byte-identical to
+        json.dumps(list(self), sort_keys=True, separators=(",", ":"),
+        allow_nan=False)."""
+        layout = [""]
+        for key, column in self.columns.items():
+            wide = column is not None and column.ndim == 2
+            layout[-1] += f",{json.dumps(key)}:" + "[" * wide
+            layout += [key, "]" * wide]
+        layout[0], layout[-1] = "{" + layout[0][1:], layout[-1] + "}"
+        return "[" + self.text(layout, ("true", "false", "null"), ",", ",") + "]"
+
+
 @dataclass
 class CheckReport:
     """One named check: absolute residuals, scales, tolerance and verdict.
 
-    The payload holds plain JSON types only (dict, list, str, float, int,
-    bool, None), so `to_dict` passes it through unconverted.
+    The payload holds plain JSON types (dict, list, str, float, int, bool,
+    None) and, for the parallel-scan rows and the mu-law cases, `Table`s,
+    which read as lists of row dicts; `to_dict` passes it through
+    unconverted and `report_to_json` writes both.
     """
 
     name: str
@@ -364,38 +452,36 @@ def _equivalence_rows(
     gamma: np.ndarray,
     f4_tol: float,
     nq_tol: float,
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Both parallelism predicates at each of n points, evaluated independently.
 
     `values` and `scale` come from `_parallel_residuals`; `gamma` is
-    Gamma (n, 4, 4, 4).  One plain-typed row dict per point.
+    Gamma (n, 4, 4, 4).  Returns the columns of the points' scan rows.
     """
     gradient = values.max(axis=1)
     f4_scaled = gradient / np.maximum(1.0, scale)
     nq = _point_max(_nabla_q(gamma))
     nq_scaled = nq / np.maximum(1.0, _point_max(gamma))
-    columns = {
-        "point": points.tolist(),
-        "gradient_residual": gradient.tolist(),
-        "gradient_residual_scaled": f4_scaled.tolist(),
-        "nabla_q_residual": nq.tolist(),
-        "nabla_q_residual_scaled": nq_scaled.tolist(),
-        "gradient_holds": (f4_scaled <= f4_tol).tolist(),
-        "parallel_holds": (nq_scaled <= nq_tol).tolist(),
+    return {
+        "point": points,
+        "gradient_residual": gradient,
+        "gradient_residual_scaled": f4_scaled,
+        "nabla_q_residual": nq,
+        "nabla_q_residual_scaled": nq_scaled,
+        "gradient_holds": f4_scaled <= f4_tol,
+        "parallel_holds": nq_scaled <= nq_tol,
     }
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def _equivalence_report(
-    rows: list[dict], f4_tol: float, nq_tol: float, tolerance: float
-) -> CheckReport:
+def _equivalence_report(rows: Table, f4_tol: float, nq_tol: float, tolerance: float) -> CheckReport:
     """Over all points: the gradient conditions hold iff nabla q vanishes.
 
     The check fails only if the two predicates of the rows disagree at more
     than `tolerance` points.  Points where both are false are consistent
     (the equivalence is two-sided).
     """
-    disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
+    holds = rows.columns
+    disagreements = np.count_nonzero(holds["gradient_holds"] != holds["parallel_holds"])
     entries = {"disagreements": (float(disagreements), 1.0)}
     return _make_report(
         "parallel-equivalence",
@@ -524,11 +610,11 @@ def _sectional_entries(
 
 def _mu_law_cases(
     r_low: np.ndarray, basis: np.ndarray, coeffs: np.ndarray
-) -> tuple[list[list[dict]], np.ndarray, list[_Failure]]:
+) -> tuple[list[Table], np.ndarray, list[_Failure]]:
     """The mu-law cases of n points: R_ijkl (n, 4, 4, 4, 4), the q-basis
     vector x (n, 4) and the unit coefficient rows (n, S, 4) of each point.
 
-    Returns the case dicts of each point, the largest |direct - expansion|
+    Returns the case table of each point, the largest |direct - expansion|
     over each point's cases whose u induces a q-basis (n,), 0 where none
     does, and the failures of `_coeff_cosines`.
     """
@@ -543,42 +629,28 @@ def _mu_law_cases(
     # The angle law predicts plain rho: the curvature of the u-plane
     # rescaled by its own Gram factor.  The ratio is None where rho = 0.
     ratio = direct / np.where(rho == 0.0, 1.0, rho)[:, None]
-    cases = []
-    for coef, c_phi, c_theta, direct_, expansion_, angle_law, ratios, flags in zip(
-        coeffs.tolist(),
-        cos_phi.tolist(),
-        cos_theta.tolist(),
-        direct.tolist(),
-        expansion.tolist(),
-        rho.tolist(),
-        ratio.tolist(),
-        q_basis.tolist(),
-    ):
-        if not angle_law:
-            ratios = [None] * len(ratios)
-        cases.append(
-            [
-                {
-                    "coefficients": c,
-                    "cos_phi": cp,
-                    "cos_theta": ct,
-                    "direct": d,
-                    "expansion_prediction": e,
-                    "angle_law_prediction": angle_law,
-                    "ratio_direct_to_angle_law": r,
-                    "q_basis": f,
-                }
-                for c, cp, ct, d, e, r, f in zip(
-                    coef, c_phi, c_theta, direct_, expansion_, ratios, flags
-                )
-            ]
+    angle_law = np.broadcast_to(rho[:, None], direct.shape)
+    cases = [
+        Table(
+            {
+                "coefficients": coeffs[i],
+                "cos_phi": cos_phi[i],
+                "cos_theta": cos_theta[i],
+                "direct": direct[i],
+                "expansion_prediction": expansion[i],
+                "angle_law_prediction": angle_law[i],
+                "ratio_direct_to_angle_law": ratio[i] if rho[i] else None,
+                "q_basis": q_basis[i],
+            }
         )
+        for i in range(len(rho))
+    ]
     return cases, worst, failures
 
 
 def mu_law_cases(
     r: RiemannAtPoint, basis: np.ndarray, coeffs: np.ndarray
-) -> tuple[list[dict], float]:
+) -> tuple[Table, float]:
     """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
 
     `basis` is x, spanning an orthonormal q-basis; each row of `coeffs` is a
@@ -592,9 +664,12 @@ def mu_law_cases(
     printed forms disagree whenever cos theta is nonzero, and the
     contraction adjudicates.
 
-    Returns one plain-typed case dict per row and the largest
-    |direct - expansion| over the cases whose u induces a q-basis (0 if none
-    does).  The ratio to the angle law is None where R(x, qx, x, qx) = 0.
+    Returns the cases as a `Table` with one row per coefficient row (keys
+    coefficients, cos_phi, cos_theta, direct, expansion_prediction,
+    angle_law_prediction, ratio_direct_to_angle_law and q_basis) and the
+    largest |direct - expansion| over the cases whose u induces a q-basis
+    (0 if none does).  The ratio to the angle law is None in every row where
+    R(x, qx, x, qx) = 0.
     """
     (cases,), worst, failures = _mu_law_cases(
         r.r_low[None], np.asarray(basis, float)[None], np.asarray(coeffs, float)[None]
@@ -659,9 +734,10 @@ def _suite_block(
     seed: int,
     tols: dict[str, float],
     samples: tuple[int, int, int],
-) -> tuple[list[CheckReport], list[dict]]:
+) -> tuple[list[CheckReport], dict[str, np.ndarray]]:
     """The suite's entries at the points xs (n, 4), numbered from `start`,
-    point by point in canonical order, and their parallel-scan rows.
+    point by point in canonical order, and the columns of their
+    parallel-scan rows.
 
     The geometry and every check are computed for all points at once; the
     random streams stay per point.  Raises what running the points one at
@@ -709,8 +785,9 @@ def _suite_block(
         column = _integrability_reports(
             points, geo.r_mixed, geo.r_low, geo.ginv, tols["integrability"]
         )
-        for rep, row in zip(column, rows):
-            if not (row["gradient_holds"] and row["parallel_holds"]):
+        parallel = rows["gradient_holds"] & rows["parallel_holds"]
+        for rep, is_parallel in zip(column, parallel.tolist()):
+            if not is_parallel:
                 rep.payload["reason"] = (
                     "nabla q does not vanish here; residual recorded without a pass expectation"
                 )
@@ -791,14 +868,15 @@ def run_suite(
 
     xs = _as_points(points)
     reports: list[CheckReport] = []
-    rows: list[dict] = []
+    blocks: list[dict[str, np.ndarray]] = []
     for start in range(0, len(xs), _BLOCK):
         block = xs[start : start + _BLOCK]
         block_reports, block_rows = _suite_block(spec, block, start, selected, seed, tols, samples)
         reports += block_reports
-        rows += block_rows
+        blocks.append(block_rows)
 
-    if "parallel-equivalence" in selected and rows:
+    if "parallel-equivalence" in selected and blocks:
+        rows = Table({key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]})
         reports.append(
             _equivalence_report(
                 rows, tols["parallel-condition"], tols["nabla-q"], tols["parallel-equivalence"]
@@ -812,7 +890,50 @@ def run_suite(
     }
 
 
+class _HoldsTable(Exception):
+    """Raised by the C encoder's fallback: the value it was writing holds a `Table`."""
+
+
+def _table_found(value):
+    if isinstance(value, Table):
+        raise _HoldsTable
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(
+    sort_keys=True, allow_nan=False, separators=(",", ":"), default=_table_found
+).encode
+
+
+def _json_chunks(value):
+    """The JSON text of `value` in chunks: the C encoder writes every dict
+    and list that holds no `Table`, and the tables write themselves."""
+    if isinstance(value, Table):
+        yield value.to_json()
+        return
+    try:
+        yield _encode(value)
+        return
+    except _HoldsTable:
+        pass
+    if isinstance(value, dict):  # string keys, as in every report
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _encode(key) + ":"
+            yield from _json_chunks(value[key])
+        yield "}"
+    else:
+        for i, item in enumerate(value):
+            yield "," if i else "["
+            yield from _json_chunks(item)
+        yield "]"
+
+
 def report_to_json(report: dict) -> str:
     """The report as compact, strict JSON (no NaN or Infinity) with sorted
-    keys, so equal reports give equal bytes."""
-    return json.dumps(report, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
+    keys, so equal reports give equal bytes.
+
+    The text equals json.dumps(report, sort_keys=True, allow_nan=False,
+    separators=(",", ":")) with every `Table` read as its list of rows,
+    and is joined once from `_json_chunks`.
+    """
+    return "".join([*_json_chunks(report), "\n"])

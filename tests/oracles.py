@@ -7,9 +7,12 @@ linear algebra facts come from numpy's generic routines.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from circgeo.core import MASK_A, MASK_B, MASK_C
+from circgeo.verify import Table
 
 
 def fd_jet(f, p, h_grad: float = 1e-5, h_hess: float = 1e-5):
@@ -365,7 +368,9 @@ SAMPLED_KEYS = frozenset({"basis", "coefficients"})
 
 def assert_reports_match(got, want, atol: float = 1e-12, path=()):
     """Same structure, keys, strings, flags and None; sampled values
-    identical; every other number within atol absolute."""
+    identical; every other number within atol absolute.  A `Table` on
+    either side is compared as its list of rows, row by row."""
+    got, want = (list(v) if isinstance(v, Table) else v for v in (got, want))
     if isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), path
         for key in want:
@@ -380,3 +385,41 @@ def assert_reports_match(got, want, atol: float = 1e-12, path=()):
         assert type(got) is float and got == want, (path, got, want)
     else:
         assert type(got) is type(want) and abs(got - want) <= atol, (path, got, want)
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: the report serialiser and scan printer that wrote one
+# Python dict per row, before the rows were held as columns
+# ---------------------------------------------------------------------------
+
+
+def plain_report(value):
+    """The report with every `Table` replaced by its list of row dicts."""
+    if isinstance(value, Table):
+        return list(value)
+    if isinstance(value, dict):
+        return {k: plain_report(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain_report(v) for v in value]
+    return value
+
+
+def report_to_json_reference(report) -> str:
+    text = json.dumps(plain_report(report), sort_keys=True, allow_nan=False, separators=(",", ":"))
+    return text + "\n"
+
+
+def scan_stdout_reference(report) -> str:
+    """What `circgeo scan` printed, one print per row."""
+    inner = report["report"]
+    lines = [
+        f"spec: {report['spec']}  scan={report['check']} grid={report['grid']} "
+        f"-> {inner['status']} (disagreements: {inner['residuals']['disagreements']!r})"
+    ]
+    for row in plain_report(inner["payload"]["points"]):
+        lines.append(
+            f"  {row['point']!r} gradient={row['gradient_residual']!r} "
+            f"nabla_q={row['nabla_q_residual']!r} "
+            f"holds=({row['gradient_holds']}, {row['parallel_holds']})"
+        )
+    return "".join(line + "\n" for line in lines)

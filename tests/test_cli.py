@@ -4,11 +4,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from circgeo.cli import main
+from circgeo.core import load_spec
+from circgeo.verify import run_suite
 
 from conftest import fixture_path
+from oracles import report_to_json_reference, scan_stdout_reference
 
 CURVED = str(fixture_path("curved-par"))
 NONPAR = str(fixture_path("nonpar"))
@@ -134,10 +138,53 @@ def test_verify_rejects_non_finite_or_negative_tolerance(tmp_path, capsys, value
     assert json.loads(out.read_text())["error"]["type"] == "ValueError"
 
 
-def test_bad_point_exits_2():
+def test_bad_point_exits_2(capsys):
+    assert main(["verify", CURVED, "--point", "1,2,3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --point: a point needs 4 comma-separated values, got '1,2,3'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--point", "0,0,0"],  # three coordinates
+        ["--point", "0,0,0,0", "--tol", "mu-law"],  # no =VALUE
+        ["--point", "0,0,0,0", "--tol", "mu-law=abc"],
+        ["--point", "0,0,0,0", "--seed", "x"],
+        ["--point", "0,0,0,0", "--grid", "2"],  # mutually exclusive
+        ["--point", "0,0,0,0", "--checks", ",,"],  # an empty selection
+        ["--point", "0,0,0,0", "--checks", ""],
+        ["--point", "0,0,0,0", "--bogus"],
+        [],  # neither --point nor --grid
+    ],
+)
+def test_usage_errors_are_one_line_and_replace_the_report(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    out.write_text('{"stale": true}')
+    assert main(["verify", CURVED, *args, "--json", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.count("\n") == 1 and err.startswith("error: ")
+    error = json.loads(out.read_text())["error"]
+    assert error == {"type": "UsageError", "message": err[len("error: ") : -1]}
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["scan", CURVED, "--grid", "2", "--check", "x"]])
+def test_usage_errors_without_json_path(capsys, argv):
+    assert main(argv) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["verify", CURVED, "--point", "1,2,3"])
-    assert err.value.code == 2
+        main(["verify", "--help"])
+    assert err.value.code == 0
+    assert "--checks" in capsys.readouterr().out
+
+
+def test_empty_check_selection_is_a_usage_error(capsys):
+    assert main(["verify", CURVED, "--point", "0,0,0,0", "--checks", ",,"]) == 2
+    assert "--checks names no check" in capsys.readouterr().err
 
 
 def test_zero_grid_exits_2(capsys):
@@ -225,6 +272,34 @@ def test_verify_byte_identical_reports(tmp_path):
     # One compact line: the C encoder writes it.
     text = out1.read_text()
     assert text.count("\n") == 1 and '": ' not in text and '", "' not in text
+
+
+GOLDEN = [CONST, FLAT, CURVED, NONPAR]
+
+
+@pytest.mark.parametrize("spec", GOLDEN)
+@pytest.mark.parametrize("where", [["--grid", "2"], ["--point=-0.0,0,0,0"]])
+def test_verify_report_is_byte_identical_to_reference_writer(tmp_path, spec, where):
+    # The reference writes every scan row and mu-law case as a dict through json.dumps.
+    out = tmp_path / "report.json"
+    main(["verify", spec, *where, "--seed", "4", "--json", str(out)])
+    loaded = load_spec(spec)
+    points = loaded.domain.grid(2) if where[0] == "--grid" else [np.array([-0.0, 0.0, 0.0, 0.0])]
+    text = out.read_text()
+    assert text == report_to_json_reference(run_suite(loaded, points, seed=4))
+    if where[0] != "--grid":
+        assert '"point":[-0.0,0.0,0.0,0.0]' in text
+
+
+@pytest.mark.parametrize("spec", GOLDEN)
+def test_scan_output_is_byte_identical_to_reference_writers(tmp_path, capsys, spec):
+    out = tmp_path / "scan.json"
+    main(["scan", spec, "--grid", "2", "--check", "parallel", "--json", str(out)])
+    loaded = load_spec(spec)
+    (entry,) = run_suite(loaded, loaded.domain.grid(2), checks=["parallel-equivalence"])["checks"]
+    report = {"command": "scan", "spec": loaded.name, "check": "parallel", "grid": 2, "report": entry}
+    assert out.read_text() == report_to_json_reference(report)
+    assert capsys.readouterr().out == scan_stdout_reference(report)
 
 
 def _reject_constant(name):

@@ -388,6 +388,11 @@ def test_suite_deterministic(curved_par):
     assert a == b
 
 
+def test_empty_check_selection_runs_nothing(curved_par):
+    # The benchmark's check-cost baseline: the block geometry and no check.
+    assert run_suite(curved_par, curved_par.domain.grid(2), checks=[])["checks"] == []
+
+
 def test_suite_tolerance_override(nonpar):
     report = run_suite(
         nonpar,
