@@ -100,21 +100,14 @@ def convention_text() -> str:
     )
 
 
-def _float_cells(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """repr of each float in each column, as object arrays of their shapes.
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """repr of each float of `column`, as an object array of its shape.
 
-    Each distinct bit pattern is formatted once, so -0.0 stays -0.0.  NaN
-    and +-inf raise a ValueError, as in json.dumps(allow_nan=False).
+    Each distinct bit pattern is formatted once, so -0.0 stays -0.0.
     """
-    flat = np.concatenate([np.empty(0), *(c.ravel() for c in columns)])
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if not np.isfinite(distinct).all():
-        bad = distinct[~np.isfinite(distinct)][0]
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    text = np.array(list(map(repr, distinct.tolist())), dtype=object)[inverse]
-    parts = np.split(text, np.cumsum([c.size for c in columns])[:-1])
-    return [part.reshape(c.shape) for part, c in zip(parts, columns)]
+    bits, inverse = np.unique(column.ravel().view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].reshape(column.shape)
 
 
 class Table(Sequence):
@@ -123,23 +116,25 @@ class Table(Sequence):
     `columns` maps each key, in sorted order, to an array whose first axis
     runs over the rows: float64 (n,) for a number per row, float64 (n, k)
     for a list of k numbers, bool (n,) for a flag, or None for null in
-    every row.  Row dicts are built on demand; `text` and `to_json` write
-    all rows at once from the columns.
+    every row; at least one column is an array.  Row dicts are built on
+    demand, a slice is a `Table`, and a table equals any sequence of the
+    same rows.  `text` and `to_json` write all rows at once from the
+    columns.
     """
 
-    def __init__(self, columns: dict, length: int | None = None):
+    def __init__(self, columns: dict):
         self.columns = {key: columns[key] for key in sorted(columns)}
         for key, column in self.columns.items():
             if column is not None and column.dtype not in (np.float64, np.bool_):
                 raise TypeError(f"column {key!r} is {column.dtype}, not float64 or bool")
-        if length is None:
-            length = next(len(c) for c in self.columns.values() if c is not None)
-        self._length = length
+        self._length = next(len(c) for c in self.columns.values() if c is not None)
 
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index) -> dict:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Table({k: None if c is None else c[index] for k, c in self.columns.items()})
         i = range(self._length)[operator.index(index)]
         return {k: None if c is None else c[i].tolist() for k, c in self.columns.items()}
 
@@ -147,21 +142,27 @@ class Table(Sequence):
         values = [[None] * self._length if c is None else c.tolist() for c in self.columns.values()]
         return (dict(zip(self.columns, row)) for row in zip(*values))
 
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
     def text(self, layout, words=("True", "False", "None"), comma=", ", row_sep="") -> str:
         """All rows written by `layout`, [text, key, text, ..., key, text]:
         floats by repr, flags and nulls as `words`, the values of a list
         column joined by `comma`; rows joined by `row_sep`."""
-        columns = [self.columns[key] for key in layout[1::2]]
-        numbers = iter(_float_cells([c for c in columns if c is not None and c.dtype != np.bool_]))
         pieces = np.empty((self._length, len(layout)), dtype=object)
         pieces[:, 0::2] = np.array(layout[0::2], dtype=object)
-        for j, column in enumerate(columns):
+        for j, key in enumerate(layout[1::2]):
+            column = self.columns[key]
             if column is None:
                 cells = words[2]
             elif column.dtype == np.bool_:
                 cells = np.array(words[:2], dtype=object)[np.where(column, 0, 1)]
             else:
-                cells = next(numbers)
+                cells = _reprs(column)
                 if cells.ndim == 2:
                     cells = list(map(comma.join, cells.tolist()))
             pieces[:, 2 * j + 1] = cells
@@ -171,7 +172,11 @@ class Table(Sequence):
     def to_json(self) -> str:
         """The rows as a JSON array of objects, byte-identical to
         json.dumps(list(self), sort_keys=True, separators=(",", ":"),
-        allow_nan=False)."""
+        allow_nan=False), which also raises the same ValueError on NaN
+        or +-inf."""
+        floats = [c for c in self.columns.values() if c is not None and c.dtype == np.float64]
+        if not all(np.isfinite(c).all() for c in floats):
+            _encode(list(self))  # raises the encoder's ValueError
         layout = [""]
         for key, column in self.columns.items():
             wide = column is not None and column.ndim == 2

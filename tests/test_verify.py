@@ -388,6 +388,14 @@ def test_suite_deterministic(curved_par):
     assert a == b
 
 
+def test_equal_reports_compare_equal(curved_par):
+    # The scan rows and the mu-law cases are Tables; equal tables compare equal.
+    kwargs = dict(seed=11, mu_samples=10, sectional_samples=5)
+    a = run_suite(curved_par, [ORIGIN, [0.1, 0.0, 0.0, 0.1]], **kwargs)
+    assert a == run_suite(curved_par, [ORIGIN, [0.1, 0.0, 0.0, 0.1]], **kwargs)
+    assert a != run_suite(curved_par, [ORIGIN, [0.1, 0.0, 0.0, 0.1]], **{**kwargs, "seed": 12})
+
+
 def test_empty_check_selection_runs_nothing(curved_par):
     # The benchmark's check-cost baseline: the block geometry and no check.
     assert run_suite(curved_par, curved_par.domain.grid(2), checks=[])["checks"] == []
