@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -52,7 +53,17 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises `UsageError` where argparse would print usage and exit."""
+    """Raises `UsageError` where argparse would print usage and exit.
+
+    A word that starts with '-' is a value, not an option, when it is a
+    negative number or holds a comma, so `--point -1,0,0,0` works as
+    `--point=-1,0,0,0` does; argparse alone takes only plain negative
+    numbers for values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-[^-].*,")
 
     def error(self, message):
         raise UsageError(message)

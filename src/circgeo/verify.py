@@ -29,19 +29,21 @@ point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
 first error raised.  The two large per-point payloads, the parallel-scan
 rows and each point's mu-law cases, are held as column `Table`s and
-written straight from their columns; reports are compact JSON.
+written straight from their columns as byte matrices; the floats of all
+the tables of a report are written in one pass of the exact array kernel
+`_floattext.float_text`, each distinct value once, byte for byte as
+`repr` writes them.  Reports are compact JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import Table, _tables_json
 from .core import (
     BasisAngles,
     ManifoldSpec,
@@ -98,92 +100,6 @@ def convention_text() -> str:
         "R(x,y,z,u) = g(R(x,y)z, u); lowering into the last slot: "
         "R_ijkl = g_al R^a_ijk; scaled residual = abs residual / max(1, scale)"
     )
-
-
-def _reprs(column: np.ndarray) -> np.ndarray:
-    """repr of each float of `column`, as an object array of its shape.
-
-    Each distinct bit pattern is formatted once, so -0.0 stays -0.0.
-    """
-    bits, inverse = np.unique(column.ravel().view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].reshape(column.shape)
-
-
-class Table(Sequence):
-    """Rows held as columns: to Python, a read-only sequence of row dicts.
-
-    `columns` maps each key, in sorted order, to an array whose first axis
-    runs over the rows: float64 (n,) for a number per row, float64 (n, k)
-    for a list of k numbers, bool (n,) for a flag, or None for null in
-    every row; at least one column is an array.  Row dicts are built on
-    demand, a slice is a `Table`, and a table equals any sequence of the
-    same rows.  `text` and `to_json` write all rows at once from the
-    columns.
-    """
-
-    def __init__(self, columns: dict):
-        self.columns = {key: columns[key] for key in sorted(columns)}
-        for key, column in self.columns.items():
-            if column is not None and column.dtype not in (np.float64, np.bool_):
-                raise TypeError(f"column {key!r} is {column.dtype}, not float64 or bool")
-        self._length = next(len(c) for c in self.columns.values() if c is not None)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Table({k: None if c is None else c[index] for k, c in self.columns.items()})
-        i = range(self._length)[operator.index(index)]
-        return {k: None if c is None else c[i].tolist() for k, c in self.columns.items()}
-
-    def __iter__(self):
-        values = [[None] * self._length if c is None else c.tolist() for c in self.columns.values()]
-        return (dict(zip(self.columns, row)) for row in zip(*values))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def text(self, layout, words=("True", "False", "None"), comma=", ", row_sep="") -> str:
-        """All rows written by `layout`, [text, key, text, ..., key, text]:
-        floats by repr, flags and nulls as `words`, the values of a list
-        column joined by `comma`; rows joined by `row_sep`."""
-        pieces = np.empty((self._length, len(layout)), dtype=object)
-        pieces[:, 0::2] = np.array(layout[0::2], dtype=object)
-        for j, key in enumerate(layout[1::2]):
-            column = self.columns[key]
-            if column is None:
-                cells = words[2]
-            elif column.dtype == np.bool_:
-                cells = np.array(words[:2], dtype=object)[np.where(column, 0, 1)]
-            else:
-                cells = _reprs(column)
-                if cells.ndim == 2:
-                    cells = list(map(comma.join, cells.tolist()))
-            pieces[:, 2 * j + 1] = cells
-        pieces[:-1, -1] = layout[-1] + row_sep
-        return "".join(pieces.ravel().tolist())
-
-    def to_json(self) -> str:
-        """The rows as a JSON array of objects, byte-identical to
-        json.dumps(list(self), sort_keys=True, separators=(",", ":"),
-        allow_nan=False), which also raises the same ValueError on NaN
-        or +-inf."""
-        floats = [c for c in self.columns.values() if c is not None and c.dtype == np.float64]
-        if not all(np.isfinite(c).all() for c in floats):
-            _encode(list(self))  # raises the encoder's ValueError
-        layout = [""]
-        for key, column in self.columns.items():
-            wide = column is not None and column.ndim == 2
-            layout[-1] += f",{json.dumps(key)}:" + "[" * wide
-            layout += [key, "]" * wide]
-        layout[0], layout[-1] = "{" + layout[0][1:], layout[-1] + "}"
-        return "[" + self.text(layout, ("true", "false", "null"), ",", ",") + "]"
 
 
 @dataclass
@@ -912,9 +828,11 @@ _encode = json.JSONEncoder(
 
 def _json_chunks(value):
     """The JSON text of `value` in chunks: the C encoder writes every dict
-    and list that holds no `Table`, and the tables write themselves."""
+    and list that holds no `Table`, and each table is yielded as itself
+    once its floats are known to be finite."""
     if isinstance(value, Table):
-        yield value.to_json()
+        value._check_finite()
+        yield value
         return
     try:
         yield _encode(value)
@@ -939,6 +857,14 @@ def report_to_json(report: dict) -> str:
 
     The text equals json.dumps(report, sort_keys=True, allow_nan=False,
     separators=(",", ":")) with every `Table` read as its list of rows,
-    and is joined once from `_json_chunks`.
+    and is joined once from `_json_chunks`; the floats of all the tables
+    are formatted in one pass, and the tables let go of their float texts
+    once written.
     """
-    return "".join([*_json_chunks(report), "\n"])
+    chunks = list(_json_chunks(report))
+    tables = [c for c in chunks if isinstance(c, Table)]
+    written = iter(_tables_json(tables))
+    pieces = [p for c in chunks for p in (next(written) if isinstance(c, Table) else [c])]
+    for table in tables:  # written: let go of their float texts before the join
+        table._cells = None
+    return "".join(pieces + ["\n"])

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from circgeo import _floattext
 from circgeo.cli import main
 from circgeo.core import load_spec
 from circgeo.verify import run_suite
@@ -142,6 +143,24 @@ def test_bad_point_exits_2(capsys):
     assert main(["verify", CURVED, "--point", "1,2,3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: argument --point: a point needs 4 comma-separated values, got '1,2,3'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "metric", "christoffel", "curvature", "basis"])
+@pytest.mark.parametrize("point", ["-0.5,0,0,0", "-0.0,0.25,-1,0.5", "-2,0,0,0"])
+def test_negative_point_reads_the_same_with_or_without_equals(tmp_path, capsys, command, point):
+    # -2,0,0,0 lies outside the domain: exit 3 either way.
+    runs = []
+    for argv in (["--point", point], [f"--point={point}"]):
+        out = tmp_path / f"{len(runs)}.json"
+        code = main([command, CURVED, *argv, "--seed", "2", "--json", str(out)])
+        runs.append((code, *capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3 if point.startswith("-2") else 0)
+
+
+def test_an_option_after_point_is_still_a_missing_value(capsys):
+    assert main(["verify", CURVED, "--point", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: argument --point: expected one argument\n"
 
 
 @pytest.mark.parametrize(
@@ -297,6 +316,37 @@ def test_scan_output_is_byte_identical_to_reference_writers(tmp_path, capsys, sp
     report = {"command": "scan", "spec": loaded.name, "check": "parallel", "grid": 2, "report": entry}
     assert out.read_text() == report_to_json_reference(report)
     assert capsys.readouterr().out == scan_stdout_reference(report)
+
+
+def test_benchmark_verify_report_is_byte_identical_to_reference_writer(tmp_path):
+    # The benchmark's verify command: 81 points, 8100 mu-law cases.
+    out = tmp_path / "report.json"
+    main(["verify", CURVED, "--grid", "3", "--seed", "3", "--json", str(out)])
+    loaded = load_spec(CURVED)
+    assert out.read_text() == report_to_json_reference(run_suite(loaded, loaded.domain.grid(3), seed=3))
+
+
+def test_benchmark_scan_output_is_byte_identical_to_reference_writers(tmp_path, capsys):
+    # The benchmark's scan command: 4096 rows.
+    out = tmp_path / "scan.json"
+    main(["scan", CURVED, "--grid", "8", "--check", "parallel", "--json", str(out)])
+    loaded = load_spec(CURVED)
+    (entry,) = run_suite(loaded, loaded.domain.grid(8), checks=["parallel-equivalence"])["checks"]
+    report = {"command": "scan", "spec": loaded.name, "check": "parallel", "grid": 8, "report": entry}
+    assert out.read_text() == report_to_json_reference(report)
+    assert capsys.readouterr().out == scan_stdout_reference(report)
+
+
+def test_scan_formats_its_floats_once_for_stdout_and_json(tmp_path, capsys, monkeypatch):
+    calls = []
+    kernel = _floattext._kernel
+    monkeypatch.setattr(_floattext, "_kernel", lambda v: calls.append(len(v)) or kernel(v))
+    assert main(["scan", CURVED, "--grid", "5", "--check", "parallel", "--json", str(tmp_path / "s")]) == 0
+    loaded = load_spec(CURVED)
+    (entry,) = run_suite(loaded, loaded.domain.grid(5), checks=["parallel-equivalence"])["checks"]
+    floats = [c for c in entry["payload"]["points"].columns.values() if c is not None and c.dtype == float]
+    distinct = np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64))
+    assert calls == [len(distinct)]  # one kernel call for stdout and JSON, each distinct value once
 
 
 def _reject_constant(name):

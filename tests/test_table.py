@@ -12,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circgeo.verify import Table, report_to_json
+from circgeo import _floattext, _table
+from circgeo.core import load_spec
+from circgeo.verify import Table, report_to_json, run_suite
+
+from conftest import fixture_path
 
 from oracles import report_to_json_reference
 
@@ -151,3 +155,39 @@ def test_unserialisable_values_raise_type_error_like_json_dumps():
         json.dumps({"a": {1, 2}})
     with pytest.raises(TypeError):
         report_to_json({"a": [Table({"b": np.ones(1)}), {1, 2}]})
+
+
+def test_report_formats_the_floats_of_all_its_tables_in_one_pass(monkeypatch):
+    spec = load_spec(fixture_path("curved-par"))
+    report = run_suite(spec, spec.domain.grid(3), seed=3)
+    tables = [c["payload"][k] for c in report["checks"] for k in ("cases", "points") if k in c["payload"]]
+    assert len(tables) == 82  # 81 points' mu-law cases and the parallel-scan rows
+    floats = [c for t in tables for c in t.columns.values() if c is not None and c.dtype == float]
+    distinct = len(np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64)))
+    calls = []
+    kernel = _floattext._kernel
+    monkeypatch.setattr(_floattext, "_kernel", lambda v: calls.append(len(v)) or kernel(v))
+    text = report_to_json(report)
+    assert len(calls) == -(-distinct // _floattext.CHUNK) and sum(calls) == distinct
+    # The tables let go of their texts once written; a second write formats again.
+    assert report_to_json(report) == text and sum(calls) == 2 * distinct
+
+
+def test_text_rejects_nul_in_its_layout():
+    with pytest.raises(ValueError):
+        Table({"a": np.ones(2)}).text(["\0", "a", ""])
+
+
+@pytest.mark.parametrize("step_bytes", [1, 200, 1 << 17])
+def test_tables_with_the_same_columns_are_written_in_one_pass(monkeypatch, step_bytes):
+    # Steps of one row, of a few rows across table bounds, and of whole tables.
+    monkeypatch.setattr(_table, "_ROWS_BYTES", step_bytes)
+    rng = np.random.default_rng(8)
+
+    def table(n):
+        columns = {"x": rng.standard_normal(n), "v": rng.standard_normal((n, 2)) * 1e20}
+        return Table({**columns, "ok": rng.random(n) < 0.5, "none": None})
+
+    report = {"a": [table(n) for n in (3, 0, 40, 1, 0, 7)], "b": table(5), "c": table(0)}
+    assert report_to_json(report) == report_to_json_reference(report)
+    assert [t.to_json() for t in report["a"]] == [reference(list(t)) for t in report["a"]]
