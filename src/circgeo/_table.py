@@ -15,8 +15,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._floattext import float_text
-
 __all__ = ["Table"]
 
 
@@ -31,11 +29,10 @@ class Table(Sequence):
     `Table`, and a table equals any sequence of the same rows.
 
     `text` and `to_json` write all rows from the columns as byte matrices,
-    the floats as `repr` writes them, by `_floattext.float_text`.  Each
-    distinct bit pattern is formatted once (so -0.0 stays -0.0), and a
-    table keeps its float texts until `verify.report_to_json` writes it,
-    so `text` followed by the report formats them once; the report
-    formats those of all its tables in one pass.
+    the floats as `repr` writes them, by `_floattext.float_text`, each
+    distinct bit pattern once (so -0.0 stays -0.0); `verify.report_to_json`
+    formats the floats of all the tables of a report in one pass.  A table
+    keeps no text: each write formats its floats anew.
     """
 
     def __init__(self, columns: dict):
@@ -44,7 +41,6 @@ class Table(Sequence):
             if column is not None and column.dtype not in (np.float64, np.bool_):
                 raise TypeError(f"column {key!r} is {column.dtype}, not float64 or bool")
         self._length = next(len(c) for c in self.columns.values() if c is not None)
-        self._cells = None  # (texts, their lengths, {key: text rows}), see `_format_floats`
 
     def __len__(self) -> int:
         return self._length
@@ -71,7 +67,7 @@ class Table(Sequence):
         floats by repr, flags and nulls as `words`, the values of a list
         column joined by `comma`; rows joined by `row_sep`.  No text may
         hold a NUL character."""
-        return "".join(_tables_text([self], layout, words, comma, row_sep)[0])
+        return "".join(_tables_text([self], _format_floats([self]), layout, words, comma, row_sep)[0])
 
     def _check_finite(self) -> None:
         """Raise the C encoder's ValueError if a float is NaN or +-inf."""
@@ -88,18 +84,16 @@ class Table(Sequence):
         return "".join(_tables_json([self])[0])
 
 
-def _format_floats(tables: list[Table]) -> None:
-    """Format the float columns of every table in `tables` that is not yet
-    formatted: one sort-based unique over all their bit patterns and one
-    `float_text` pass over the distinct ones.  Each such table then holds
-    the shared texts (distinct, WIDTH) uint8, NUL-padded, their lengths,
-    and per float column the row of each value's text, in the column's
-    shape."""
-    todo = list({id(t): t for t in tables if t._cells is None}.values())
-    if not todo:
-        return
+def _format_floats(tables: list[Table]) -> tuple:
+    """The float texts of `tables`: one sort-based unique over all their bit
+    patterns and one `float_text` pass over the distinct ones.  Returns the
+    texts (distinct, WIDTH) uint8, NUL-padded, their lengths, and per table
+    a dict giving, per float column, the row of each value's text in the
+    column's shape."""
+    from ._floattext import float_text  # compiled only where a table is written
+
     columns = [
-        (t, key, c) for t in todo for key, c in t.columns.items()
+        (i, key, c) for i, t in enumerate(tables) for key, c in t.columns.items()
         if c is not None and c.dtype == np.float64
     ]
     bits = np.concatenate([np.zeros(0)] + [c.ravel() for _, _, c in columns]).view(np.uint64)
@@ -107,13 +101,12 @@ def _format_floats(tables: list[Table]) -> None:
     texts = float_text(distinct.view(np.float64))
     lengths = np.count_nonzero(texts, axis=1).astype(np.uint8)
     inverse = inverse.astype(np.int32)  # 2^31 distinct floats would be 16 GB of input
-    cells: dict[int, dict] = {id(t): {} for t in todo}
+    index: list[dict] = [{} for _ in tables]
     end = 0
-    for t, key, c in columns:
+    for i, key, c in columns:
         end += c.size
-        cells[id(t)][key] = inverse[end - c.size : end].reshape(c.shape)
-    for t in todo:  # each table's texts appear whole, in one assignment
-        t._cells = texts, lengths, cells[id(t)]
+        index[i][key] = inverse[end - c.size : end].reshape(c.shape)
+    return texts, lengths, index
 
 
 # Bytes of row matrix per step of `_tables_text`: the matrix and its
@@ -134,10 +127,10 @@ def _steps(bounds: list[int], size: int) -> list[int]:
     return cuts + [bounds[-1]] * (cuts[-1] < bounds[-1])
 
 
-def _tables_text(tables: list[Table], layout, words, comma, row_sep) -> list[list[str]]:
+def _tables_text(tables: list[Table], cells, layout, words, comma, row_sep) -> list[list[str]]:
     """`Table.text` of each of `tables`, as pieces to join, written in one
-    pass; the tables have the same columns and, once formatted, the same
-    float texts.
+    pass; the tables have the same columns, and `cells` are their float
+    texts from `_format_floats`.
 
     Every row is a row of a byte matrix, filled slot by slot: the texts of
     `layout`, each float's text cut to the widest in its column, the flags
@@ -147,8 +140,7 @@ def _tables_text(tables: list[Table], layout, words, comma, row_sep) -> list[lis
     """
     if any("\0" in t for t in [*layout[0::2], *words, comma, row_sep]):
         raise ValueError("table text may not hold a NUL character")
-    _format_floats(tables)
-    texts, lengths, _ = tables[0]._cells
+    texts, lengths, index = cells
     bounds = list(itertools.accumulate([len(t) for t in tables], initial=0))
 
     def joined(arrays):
@@ -172,10 +164,10 @@ def _tables_text(tables: list[Table], layout, words, comma, row_sep) -> list[lis
             fill = lambda rows, c=choice, p=packed: p.take(c[rows], axis=0)  # noqa: E731
             slots.append((packed.shape[1], fill, np.array([len(w) for w in words[:2]]).take(choice)))
         else:
-            index = joined([t._cells[2][key] for t in tables])
-            w = int(lengths.take(index).max(initial=0))  # the widest text in the column
+            text_rows = joined([table_index[key] for table_index in index])
+            w = int(lengths.take(text_rows).max(initial=0))  # the widest text in the column
             for m in range(1 if column.ndim == 1 else column.shape[1]):
-                cell = index if column.ndim == 1 else index[:, m]
+                cell = text_rows if column.ndim == 1 else text_rows[:, m]
                 fill = lambda rows, i=cell, w=w: texts.take(i[rows], axis=0)[:, :w]  # noqa: E731
                 slots += [literal(comma)] * bool(m) + [(w, fill, lengths.take(cell))]
     slots.append(literal(layout[-1] + row_sep))
@@ -230,15 +222,16 @@ def _tables_json(tables: list[Table]) -> list[list[str]]:
     """The JSON arrays of `tables` (floats known to be finite), as pieces to
     join, formatted in one pass; the tables with the same columns are
     written in one pass."""
-    _format_floats(tables)
+    texts, lengths, index = _format_floats(tables)
     groups: dict[tuple, list[int]] = {}
     for i, t in enumerate(tables):
         shape = [(k, None if c is None else (c.dtype, c.shape[1:])) for k, c in t.columns.items()]
-        groups.setdefault((tuple(shape), id(t._cells[0])), []).append(i)
+        groups.setdefault(tuple(shape), []).append(i)
     out: list[list[str]] = [[] for _ in tables]
     for members in groups.values():
         group = [tables[i] for i in members]
-        rows = _tables_text(group, _json_layout(group[0]), ("true", "false", "null"), ",", ",")
+        cells = texts, lengths, [index[i] for i in members]
+        rows = _tables_text(group, cells, _json_layout(group[0]), ("true", "false", "null"), ",", ",")
         for i, pieces in zip(members, rows):
             out[i] = ["[", *pieces, "]"]
     return out

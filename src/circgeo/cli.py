@@ -58,7 +58,11 @@ class _Parser(argparse.ArgumentParser):
     A word that starts with '-' is a value, not an option, when it is a
     negative number or holds a comma, so `--point -1,0,0,0` works as
     `--point=-1,0,0,0` does; argparse alone takes only plain negative
-    numbers for values.
+    numbers for values.  This replaces argparse's private
+    `_negative_number_matcher`, the pattern its `_parse_optional` and
+    `add_argument` match words against: checked with the argparse of
+    Python 3.11 only, and other versions may use it otherwise.
+    `test_negative_point_reads_the_same_with_or_without_equals` guards it.
     """
 
     def __init__(self, *args, **kwargs):

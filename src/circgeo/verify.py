@@ -858,13 +858,10 @@ def report_to_json(report: dict) -> str:
     The text equals json.dumps(report, sort_keys=True, allow_nan=False,
     separators=(",", ":")) with every `Table` read as its list of rows,
     and is joined once from `_json_chunks`; the floats of all the tables
-    are formatted in one pass, and the tables let go of their float texts
-    once written.
+    are formatted in one pass.
     """
     chunks = list(_json_chunks(report))
     tables = [c for c in chunks if isinstance(c, Table)]
     written = iter(_tables_json(tables))
     pieces = [p for c in chunks for p in (next(written) if isinstance(c, Table) else [c])]
-    for table in tables:  # written: let go of their float texts before the join
-        table._cells = None
     return "".join(pieces + ["\n"])

@@ -337,7 +337,7 @@ def test_benchmark_scan_output_is_byte_identical_to_reference_writers(tmp_path, 
     assert capsys.readouterr().out == scan_stdout_reference(report)
 
 
-def test_scan_formats_its_floats_once_for_stdout_and_json(tmp_path, capsys, monkeypatch):
+def test_scan_formats_each_distinct_float_once_per_writer(tmp_path, capsys, monkeypatch):
     calls = []
     kernel = _floattext._kernel
     monkeypatch.setattr(_floattext, "_kernel", lambda v: calls.append(len(v)) or kernel(v))
@@ -346,7 +346,8 @@ def test_scan_formats_its_floats_once_for_stdout_and_json(tmp_path, capsys, monk
     (entry,) = run_suite(loaded, loaded.domain.grid(5), checks=["parallel-equivalence"])["checks"]
     floats = [c for c in entry["payload"]["points"].columns.values() if c is not None and c.dtype == float]
     distinct = np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64))
-    assert calls == [len(distinct)]  # one kernel call for stdout and JSON, each distinct value once
+    # One kernel call for the printed rows and one for the JSON; a table keeps no texts.
+    assert calls == [len(distinct)] * 2
 
 
 def _reject_constant(name):

@@ -169,7 +169,7 @@ def test_report_formats_the_floats_of_all_its_tables_in_one_pass(monkeypatch):
     monkeypatch.setattr(_floattext, "_kernel", lambda v: calls.append(len(v)) or kernel(v))
     text = report_to_json(report)
     assert len(calls) == -(-distinct // _floattext.CHUNK) and sum(calls) == distinct
-    # The tables let go of their texts once written; a second write formats again.
+    # A table keeps no texts: a second write formats again.
     assert report_to_json(report) == text and sum(calls) == 2 * distinct
 
 
