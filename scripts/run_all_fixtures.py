@@ -18,7 +18,7 @@ from circgeo.core import (
     load_spec,
 )
 from circgeo.expr import DomainError
-from circgeo.verify import report_to_json, run_suite
+from circgeo.verify import run_suite, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ["const", "flat-par", "curved-par", "nonpar"]
@@ -38,7 +38,7 @@ def main() -> None:
             print(f"{name:12s} {type(exc).__name__}: {exc}")
             continue
         path = out_dir / f"{name}.json"
-        path.write_text(report_to_json(report))
+        write_report(report, path)
         counts = Counter(check["status"] for check in report["checks"])
         print(
             f"{name:12s} checks={len(report['checks']):4d} "

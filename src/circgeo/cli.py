@@ -24,7 +24,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .core import (
 )
 from .expr import DomainError, ParseError
 from .tensor import christoffel_from_metric, nabla_q, riemann_from_christoffel
-from .verify import convention_text, report_to_json, run_suite
+from .verify import convention_text, run_suite, write_report
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE, _EXIT_DOMAIN = 0, 1, 2, 3
 
@@ -152,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(report: dict, json_path: str | None, render) -> None:
     render(report)
     if json_path:
-        Path(json_path).write_text(report_to_json(report))
+        write_report(report, json_path)
 
 
 def _render_matrix(name: str, matrix) -> None:
@@ -416,7 +415,7 @@ def _report_error(exc: Exception, json_path: str | None) -> None:
     print(f"error: {exc}", file=sys.stderr)
     if json_path:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        Path(json_path).write_text(report_to_json(payload))
+        write_report(payload, json_path)
 
 
 def app() -> None:

@@ -24,21 +24,25 @@ points where the identity itself does not hold.
 of `_BLOCK`: the geometry of a block (jets, metric, inverse, Christoffel
 symbols, and the curvature where a selected check needs it) is computed
 once with a leading point axis, and each check is one array pass over the
-block, the closed-form orthonormal q-bases of `mu-law` included.  Each
-point keeps its own random streams, seeded [seed, index, k], so the
+block, the closed-form orthonormal q-bases of `mu-law` included; the three
+sampled checks draw and contract their samples over runs of a few points
+(`_SAMPLE_BYTES`), so their transient arrays do not grow with the block.
+Each point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
 first error raised.  The two large per-point payloads, the parallel-scan
 rows and each point's mu-law cases, are held as column `Table`s and
 written straight from their columns as byte matrices; the floats of all
 the tables of a report are written in one pass of the exact array kernel
 `_floattext.float_text`, each distinct value once, byte for byte as
-`repr` writes them.  Reports are compact JSON.
+`repr` writes them.  Reports are compact JSON, written to a file piece by
+piece (`write_report`) without ever holding the whole text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +74,7 @@ __all__ = [
     "report_to_json",
     "run_suite",
     "sample_q_basis_vectors",
+    "write_report",
 ]
 
 KNOWN_CHECKS = (
@@ -413,11 +418,35 @@ def _equivalence_report(rows: Table, f4_tol: float, nq_tol: float, tolerance: fl
     )
 
 
-# Points per array pass of `run_suite`.  For the parallel scan on
+# Points per geometry pass of `run_suite`.  For the parallel scan on
 # curved-par at grid 8 (4096 points; 2-core 2.0 GHz Xeon VM, numpy 2.4),
-# blocks of 256 take 0.046 s with 2.7 MB of transient arrays at peak; the
-# whole grid at once takes 0.035 s but 7.6 MB, and blocks of 64 take 0.063 s.
+# blocks of 256 take 18 ms with 1.0 MB traced at peak; the whole grid at
+# once takes 15.5 ms but 11 MB, and blocks of 64 take 31 ms.  For the full
+# suite at grid 5 (625 points) the peak is 1.3 MB over the 10.5 MB report
+# with blocks of 256, and 6 MB over it with one block.
 _BLOCK = 256
+
+# Bytes of the widest array a sampled check builds in one pass: isometry,
+# sectional-relations and mu-law draw and contract their samples over runs
+# of points of a block sized to this budget, so their transient arrays stay
+# near it whatever the block.  That is 4 points of 1000 isometry pairs,
+# 6 points of 50 sectional vectors (300 planes) and 20 points of 100 mu-law
+# cases; larger runs save little Python overhead per point.
+_SAMPLE_BYTES = 1 << 18
+
+
+def _sub_blocks(sel: np.ndarray, floats_per_point: int) -> list[np.ndarray]:
+    """The point indices `sel` in runs of equal length, give or take one,
+    whose widest array, `floats_per_point` float64s a point, takes about
+    `_SAMPLE_BYTES` (at most twice that).
+
+    A run holds one point only where `sel` does: numpy sums the products
+    of a lone point's contractions in another order than those of a stack
+    of points, so a lone point cut from a stack would change in its last
+    bits.  Any two or more points give the bits of the whole stack.
+    """
+    size = max(2, _SAMPLE_BYTES // (8 * max(1, floats_per_point)))
+    return np.array_split(sel, max(1, len(sel) // size))
 
 
 def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list[CheckReport]:
@@ -637,6 +666,8 @@ def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
     failures over all n points."""
     lifted = []
     for mask, make in failures:
+        if not mask.any():
+            continue  # nothing to raise, and its arrays need not stay alive
         full = np.zeros(n, bool)
         full[sel] = mask
         lifted.append((full, lambda i, make=make: make(int(np.searchsorted(sel, i)))))
@@ -660,10 +691,12 @@ def _suite_block(
     point by point in canonical order, and the columns of their
     parallel-scan rows.
 
-    The geometry and every check are computed for all points at once; the
-    random streams stay per point.  Raises what running the points one at
-    a time would raise first: at each point a geometry error, then a
-    degenerate sectional plane, then an inaccurate q-basis, then the cosines.
+    The geometry and every check are computed for all points at once, the
+    sampled checks over runs of a few points (`_sub_blocks`, each with the
+    size of its widest array a point); the random streams stay per point.
+    Raises what running the points one at a time would raise first: at
+    each point a geometry error, then a degenerate sectional plane, then an
+    inaccurate q-basis, then the cosines.
     """
     isometry_samples, sectional_samples, mu_samples = samples
 
@@ -689,10 +722,12 @@ def _suite_block(
 
     columns = []
     if "isometry" in selected:
-        pairs = np.array(
-            [_isometry_pairs(stream(start + i, 0), isometry_samples) for i in range(n)]
-        )
-        columns.append(_isometry_reports(points, geo.g, pairs, tols["isometry"]))
+        column = []
+        for sub in _sub_blocks(np.arange(n), 8 * isometry_samples):  # pairs (2, S, 4)
+            pairs = np.array([_isometry_pairs(stream(start + i, 0), isometry_samples) for i in sub])
+            sub_points = [points[i] for i in sub]
+            column += _isometry_reports(sub_points, geo.g[sub], pairs, tols["isometry"])
+        columns.append(column)
 
     if "parallel-condition" in selected:
         columns.append(
@@ -716,30 +751,35 @@ def _suite_block(
         columns.append(column)
 
     if "sectional-relations" in selected:
-        vectors = np.array(
-            [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sel]
-        ).reshape(len(sel), sectional_samples, 4)
-        found, failure = _sectional_entries(geo.g[sel], geo.r_low[sel], vectors)
-        failures += _lift([failure], sel, n)
+        found = []
+        for sub in _sub_blocks(sel, 96 * sectional_samples):  # plane products (6 V, 16)
+            vectors = np.array(
+                [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sub]
+            ).reshape(len(sub), sectional_samples, 4)
+            sub_found, failure = _sectional_entries(geo.g[sub], geo.r_low[sub], vectors)
+            found += sub_found
+            failures += _lift([failure], sub, n)
         columns.append(
             _gated("sectional-relations", points, holds, found, tols["sectional-relations"])
         )
 
     if "mu-law" in selected:
-        draws = np.array([_basis_draws(stream(start + i, 2)) for i in sel])
-        abc = (jet.value[sel] for jet in geo.jets)
-        bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sel), 3).T)
-        basis_failure = _naming_points(basis_failure, geo.points[sel])
-        coeffs = np.array(
-            [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sel]
-        ).reshape(len(sel), mu_samples, 4)
-        cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sel], bases, coeffs)
-        failures += _lift([basis_failure, *cosine_failures], sel, n)
-        norms = _point_max(geo.r_low[sel]).tolist()
-        found = [
-            ({"expansion_max": (w, norm)}, {"basis": basis, "cases": point_cases})
-            for w, norm, basis, point_cases in zip(worst.tolist(), norms, bases.tolist(), cases)
-        ]
+        found = []
+        for sub in _sub_blocks(sel, 16 * mu_samples):  # case products (S, 16)
+            draws = np.array([_basis_draws(stream(start + i, 2)) for i in sub])
+            abc = (jet.value[sub] for jet in geo.jets)
+            bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sub), 3).T)
+            basis_failure = _naming_points(basis_failure, geo.points[sub])
+            coeffs = np.array(
+                [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sub]
+            ).reshape(len(sub), mu_samples, 4)
+            cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sub], bases, coeffs)
+            failures += _lift([basis_failure, *cosine_failures], sub, n)
+            norms = _point_max(geo.r_low[sub]).tolist()
+            found += [
+                ({"expansion_max": (w, norm)}, {"basis": basis, "cases": point_cases})
+                for w, norm, basis, point_cases in zip(worst.tolist(), norms, bases.tolist(), cases)
+            ]
         columns.append(_gated("mu-law", points, holds, found, tols["mu-law"]))
 
     _raise_first(failures)
@@ -811,44 +851,48 @@ def run_suite(
     }
 
 
-class _HoldsTable(Exception):
-    """Raised by the C encoder's fallback: the value it was writing holds a `Table`."""
+def _report_pieces(report: dict) -> Iterator[str]:
+    """The text of `report_to_json(report)` as pieces, in document order.
+
+    Every error the text would raise (NaN or +-inf, a value JSON cannot
+    write) is raised by this call, in document order: the C encoder writes
+    everything but the tables at once, each table as a placeholder string
+    once its floats are known to be finite.  The pieces are made as they
+    are taken: the encoded text between the tables, and the tables' rows a
+    step at a time.  A report string equal to the placeholder is told apart
+    by count and a longer placeholder taken.
+    """
+    mark = "\0"
+    while True:
+        tables: list[Table] = []
+
+        def placeholder(value):
+            if isinstance(value, Table):
+                value._check_finite()
+                tables.append(value)
+                return mark
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+        text = json.JSONEncoder(
+            sort_keys=True, allow_nan=False, separators=(",", ":"), default=placeholder
+        ).encode(report)
+        token = json.dumps(mark)
+        if text.count(token) == len(tables):
+            return _spliced(text, token, tables)
+        mark += "\0"
 
 
-def _table_found(value):
-    if isinstance(value, Table):
-        raise _HoldsTable
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_encode = json.JSONEncoder(
-    sort_keys=True, allow_nan=False, separators=(",", ":"), default=_table_found
-).encode
-
-
-def _json_chunks(value):
-    """The JSON text of `value` in chunks: the C encoder writes every dict
-    and list that holds no `Table`, and each table is yielded as itself
-    once its floats are known to be finite."""
-    if isinstance(value, Table):
-        value._check_finite()
-        yield value
-        return
-    try:
-        yield _encode(value)
-        return
-    except _HoldsTable:
-        pass
-    if isinstance(value, dict):  # string keys, as in every report
-        for i, key in enumerate(sorted(value)):
-            yield ("," if i else "{") + _encode(key) + ":"
-            yield from _json_chunks(value[key])
-        yield "}"
-    else:
-        for i, item in enumerate(value):
-            yield "," if i else "["
-            yield from _json_chunks(item)
-        yield "]"
+def _spliced(text: str, token: str, tables: list[Table]) -> Iterator[str]:
+    """`text` with each `token` in turn replaced by the JSON of the next of
+    `tables`, as pieces, and a newline."""
+    at, current = 0, -1
+    for i, piece in _tables_json(tables):
+        if i != current:
+            end = text.index(token, at)
+            yield text[at:end]
+            at, current = end + len(token), i
+        yield piece
+    yield text[at:] + "\n"
 
 
 def report_to_json(report: dict) -> str:
@@ -856,12 +900,17 @@ def report_to_json(report: dict) -> str:
     keys, so equal reports give equal bytes.
 
     The text equals json.dumps(report, sort_keys=True, allow_nan=False,
-    separators=(",", ":")) with every `Table` read as its list of rows,
-    and is joined once from `_json_chunks`; the floats of all the tables
-    are formatted in one pass.
+    separators=(",", ":")) with every `Table` read as its list of rows, and
+    a newline; the floats of all the tables are formatted in one pass.
     """
-    chunks = list(_json_chunks(report))
-    tables = [c for c in chunks if isinstance(c, Table)]
-    written = iter(_tables_json(tables))
-    pieces = [p for c in chunks for p in (next(written) if isinstance(c, Table) else [c])]
-    return "".join(pieces + ["\n"])
+    return "".join(_report_pieces(report))
+
+
+def write_report(report: dict, path) -> None:
+    """Write `report_to_json(report)` to the file at `path` piece by piece,
+    never holding the whole text.  Every error of the text is raised before
+    the file is opened, so a report that cannot be written leaves no
+    truncated file."""
+    pieces = _report_pieces(report)
+    with open(path, "w") as out:
+        out.writelines(pieces)

@@ -415,3 +415,42 @@ def test_very_deep_field_exits_2(tmp_path, capsys, A):
     assert main(["validate", _write_spec(tmp_path, A)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "deeper than" in err
+
+
+def test_a_spec_name_like_the_table_placeholder_reaches_the_report(tmp_path):
+    spec = tmp_path / "spec.json"
+    with open(CURVED) as f:
+        spec.write_text(json.dumps({**json.load(f), "name": "\0"}))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--point", "0,0,0,0", "--json", str(out)]) == 0
+    report = run_suite(load_spec(spec), [np.zeros(4)])
+    assert out.read_text() == report_to_json_reference(report)
+    assert json.loads(out.read_text())["spec"] == "\0"
+
+
+def test_a_write_that_fails_midway_leaves_the_error_report(tmp_path, capsys, monkeypatch):
+    import circgeo.verify as verify
+
+    pieces = verify._report_pieces
+    written = []
+
+    def failing(report):
+        if "error" in report:
+            return pieces(report)
+
+        def partway():
+            for piece in pieces(report):
+                if len(written) == 3:
+                    raise OSError(28, "No space left on device")
+                written.append(piece)
+                yield piece
+
+        return partway()
+
+    monkeypatch.setattr(verify, "_report_pieces", failing)
+    out = tmp_path / "report.json"
+    assert main(["verify", CURVED, "--grid", "2", "--json", str(out)]) == 2
+    assert len(written) == 3
+    message = "[Errno 28] No space left on device"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": "OSError", "message": message}}

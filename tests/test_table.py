@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from circgeo import _floattext, _table
 from circgeo.core import load_spec
-from circgeo.verify import Table, report_to_json, run_suite
+from circgeo.verify import Table, report_to_json, run_suite, write_report
 
 from conftest import fixture_path
 
@@ -191,3 +191,40 @@ def test_tables_with_the_same_columns_are_written_in_one_pass(monkeypatch, step_
     report = {"a": [table(n) for n in (3, 0, 40, 1, 0, 7)], "b": table(5), "c": table(0)}
     assert report_to_json(report) == report_to_json_reference(report)
     assert [t.to_json() for t in report["a"]] == [reference(list(t)) for t in report["a"]]
+
+
+@pytest.mark.parametrize("name", ["\0", "\0\0", '"\0', "\0\\"])
+def test_report_strings_like_the_table_placeholder_are_written_as_themselves(name):
+    # The tables are spliced in where the C encoder wrote a placeholder
+    # string; a report string that encodes like it must stay itself.
+    table = Table({"x": np.array([0.5, -0.0])})
+    report = {"name": name, "t": table, "u": [name, table, {name: name}]}
+    assert report_to_json(report) == report_to_json_reference(report)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"a": Table({"x": np.array([1.0, math.inf])}), "b": {1, 2}},  # the table first
+        {"a": {1, 2}, "b": Table({"x": np.array([math.nan])})},  # the set first
+        {"a": [math.nan], "b": Table({"x": np.array([-math.inf])})},
+        {"a": Table({"x": np.array([2.0])}), "b": [-math.inf]},
+    ],
+)
+def test_errors_are_raised_in_document_order_before_the_file_is_opened(tmp_path, report):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        report_to_json_reference(report)
+    out = tmp_path / "report.json"
+    out.write_text("stale")
+    for write in (lambda: report_to_json(report), lambda: write_report(report, out)):
+        with pytest.raises(type(expected.value)) as raised:
+            write()
+        assert str(raised.value) == str(expected.value)
+    assert out.read_text() == "stale"  # not opened, so not truncated
+
+
+def test_write_report_writes_the_text_of_report_to_json(tmp_path):
+    spec = load_spec(fixture_path("curved-par"))
+    report = run_suite(spec, spec.domain.grid(2), seed=9)
+    write_report(report, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == report_to_json(report)

@@ -38,6 +38,7 @@ from oracles import (
     equivalence_row_pointwise,
     first_error_pointwise,
     mu_law_case_scalar,
+    report_to_json_reference,
     run_suite_pointwise,
     sectional_planes_loop,
     sequential_rows,
@@ -491,15 +492,20 @@ def test_suite_raises_the_pointwise_first_geometry_error(spec, points):
     assert str(got.value) == str(want.value)
 
 
-def _failing_checks(monkeypatch, basis_at: int | None, degenerate_at: int | None):
-    """Make the q-basis of one point index fail its acceptance test and the
-    sectional vectors of another point span no plane (the k-th call samples
-    point k while the curvature identity holds everywhere).  The failing
-    q-basis is told by its angle, the one point `basis_at`'s stream draws."""
+def _failing_checks(
+    monkeypatch, basis_at: int | None, degenerate_at: int | None, unit_at: int | None = None
+):
+    """Make the q-basis of one point index fail its acceptance test, the
+    sectional vectors of another point span no plane and the mu-law
+    coefficients of a third fail the unit-norm test of the cosines (the
+    k-th call samples point k while the curvature identity holds
+    everywhere).  The failing q-basis is told by its angle, the one point
+    `basis_at`'s stream draws."""
     import circgeo.core as core
     import circgeo.verify as verify
 
     bases, sample = core._orthogonal_q_bases, verify.sample_q_basis_vectors
+    unit = verify._unit_coefficients
     target = None
     if basis_at is not None:
         target = core._basis_draws(np.random.default_rng([SMALL["seed"], basis_at, 2]))[0]
@@ -517,17 +523,25 @@ def _failing_checks(monkeypatch, basis_at: int | None, degenerate_at: int | None
         return x, (bad | hit, make_failing)
 
     def degenerate_sample(rng, n):
-        calls.append(None)
+        calls.append("sectional")
         xs = sample(rng, n)
-        if len(calls) - 1 == degenerate_at:
+        if calls.count("sectional") - 1 == degenerate_at:
             xs[-1] = [1.0, 0.0, 1.0, 0.0]  # x = q^2 x
         return xs
+
+    def off_unit_coefficients(rng, n):
+        calls.append("mu-law")
+        rows = unit(rng, n)
+        if calls.count("mu-law") - 1 == unit_at:
+            rows[-1] *= 2.0  # |u|^2 = 4
+        return rows
 
     # The suite calls the block helper; the pointwise oracle reaches it
     # through `find_orthogonal_q_basis`.
     monkeypatch.setattr(core, "_orthogonal_q_bases", failing_bases)
     monkeypatch.setattr(verify, "_orthogonal_q_bases", failing_bases)
     monkeypatch.setattr(verify, "sample_q_basis_vectors", degenerate_sample)
+    monkeypatch.setattr(verify, "_unit_coefficients", off_unit_coefficients)
     return calls
 
 
@@ -564,6 +578,59 @@ def test_suite_raises_the_pointwise_first_check_error(
     with pytest.raises(expected) as got:
         run_suite(spec, GRID_5, **SMALL)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "spec,basis_at,degenerate_at,unit_at,expected",
+    [
+        # Runs of about 3 isometry points, 2 sectional points and 8 mu-law
+        # points: the first failing point lies past the first run of its check.
+        (FLAT_UNTIL_X1_02, None, 31, None, DegeneratePlaneError),
+        (FLAT_UNTIL_X1_02, None, None, 41, ValueError),  # coefficients off unit norm
+        (FLAT_UNTIL_X1_02, None, 41, 31, ValueError),  # the earlier point, another run
+        (FLAT_UNTIL_X1_02, None, 31, 41, DegeneratePlaneError),
+        (FLAT_UNTIL_X1_02, None, 41, 41, DegeneratePlaneError),  # sectional first at a point
+        (FLAT_UNTIL_X1_02, 41, None, 41, SingularMetricError),  # the q-basis, then cosines
+        (FLAT_UNTIL_X1_02, None, None, 300, ValueError),  # in the second block
+        (FLAT_UNTIL_X1_02, None, None, 400, DomainError),  # the geometry error comes first
+        (CUBIC, None, 21, None, DegeneratePlaneError),  # the 22nd point of the identity: 271
+        (CUBIC, 300, None, 21, ValueError),
+        (CUBIC, 262, None, 21, SingularMetricError),  # 262 is the 13th point of the identity
+    ],
+)
+def test_suite_raises_the_pointwise_first_error_across_sample_runs(
+    monkeypatch, spec, basis_at, degenerate_at, unit_at, expected
+):
+    import circgeo.verify as verify
+
+    calls = _failing_checks(monkeypatch, basis_at, degenerate_at, unit_at)
+    with pytest.raises(expected) as want:
+        run_suite_pointwise(spec, GRID_5, **SMALL)
+    monkeypatch.setattr(verify, "_SAMPLE_BYTES", 1 << 12)
+    # Floats a point of each check's widest array at SMALL: isometry pairs
+    # 8 x 20, sectional planes 96 x 4, mu-law cases 16 x 4.
+    assert [len(verify._sub_blocks(np.arange(10), k)) for k in (160, 384, 64)] == [3, 5, 1]
+    calls.clear()
+    with pytest.raises(expected) as got:
+        run_suite(spec, GRID_5, **SMALL)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 81])
+def test_reports_do_not_depend_on_how_the_sampled_checks_cut_a_block(
+    monkeypatch, curved_par, count
+):
+    # Runs of 2 (and 3), 3 to 20 points (the default), and one run a block.
+    import circgeo.verify as verify
+
+    points = curved_par.domain.grid(3)[:count]
+    texts = []
+    for budget in (1, 1 << 12, verify._SAMPLE_BYTES, 1 << 40):
+        monkeypatch.setattr(verify, "_SAMPLE_BYTES", budget)
+        report = run_suite(curved_par, points, seed=5)
+        texts.append(report_to_json(report))
+        assert texts[-1] == report_to_json_reference(report)
+    assert texts[1:] == texts[:-1]
 
 
 def test_singular_metric_errors_name_the_point():
