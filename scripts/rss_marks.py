@@ -35,7 +35,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("spec", help="path to a manifold spec JSON file")
     parser.add_argument("--grid", type=int, default=3, metavar="N", help="samples per axis")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     args = parser.parse_args()
 
     print(f"{'phase':<10} {'peak MB':>8} {'now MB':>8}")
@@ -45,7 +44,7 @@ def main() -> None:
 
     _mark("import")
     spec = load_spec(args.spec)
-    report = run_suite(spec, spec.domain.grid(args.grid), seed=args.seed)
+    report = run_suite(spec, spec.domain.grid(args.grid))
     _mark("run_suite")
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         _emit(report, None, _render_verify)

@@ -443,7 +443,10 @@ def _sub_blocks(sel: np.ndarray, floats_per_point: int) -> list[np.ndarray]:
     A run holds one point only where `sel` does: numpy sums the products
     of a lone point's contractions in another order than those of a stack
     of points, so a lone point cut from a stack would change in its last
-    bits.  Any two or more points give the bits of the whole stack.
+    bits.  Any two or more points give the bits of the whole stack.  Both
+    are what numpy 2.4 does, not what it documents;
+    `test_reports_do_not_depend_on_how_the_sampled_checks_cut_a_block`
+    fails if another numpy or BLAS sums otherwise.
     """
     size = max(2, _SAMPLE_BYTES // (8 * max(1, floats_per_point)))
     return np.array_split(sel, max(1, len(sel) // size))
