@@ -49,7 +49,6 @@ from .tensor import (
     sectional_curvature,
 )
 from .verify import (
-    CheckReport,
     QBasisCoefficients,
     coeff_angles,
     run_suite,

@@ -13,9 +13,10 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parse error, 3 inadmissible, singular or ill-conditioned metric, or domain
 error.  Every error is one line on stderr, and with --json PATH it is also
-written to PATH as {"error": {"type", "message"}}.  Otherwise --json PATH
-writes the same report that drives the human-readable output, so every
-printed number is also in the file.
+written to PATH as {"error": {"type", "message"}} (the line says so where
+PATH cannot be written).  Otherwise --json PATH writes the same report
+that drives the human-readable output, so every printed number is also in
+the file.
 """
 
 from __future__ import annotations
@@ -412,10 +413,16 @@ def main(argv=None) -> int:
 
 
 def _report_error(exc: Exception, json_path: str | None) -> None:
-    print(f"error: {exc}", file=sys.stderr)
+    """The one stderr line of an error, and its JSON at `json_path` if one
+    is named and can be written; the line says so if it cannot."""
+    line = f"error: {exc}"
     if json_path:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        write_report(payload, json_path)
+        try:
+            write_report(payload, json_path)
+        except OSError as write_error:
+            line += f"; error report not written: {write_error}"
+    print(line, file=sys.stderr)
 
 
 def app() -> None:

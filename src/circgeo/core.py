@@ -133,15 +133,9 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def contains(self, p, slack: float = 1e-12) -> bool:
-        return bool(self._inside(as_point(p)[None], slack)[0])
-
     def _inside(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
         """Which rows of xs (n, 4) lie in the box."""
         return np.all((xs >= self.lo - slack) & (xs <= self.hi + slack), axis=1)
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
 
     def grid(self, n: int) -> np.ndarray:
         """Cartesian product of n equispaced samples per axis, endpoints included."""
@@ -150,9 +144,6 @@ class Box:
         axes = [np.linspace(self.lo[i], self.hi[i], n) for i in range(4)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 4)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, 4))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ once with a leading point axis, and each check is one array pass over the
 block, the closed-form orthonormal q-bases of `mu-law` included; the three
 sampled checks draw and contract their samples over runs of a few points
 (`_SAMPLE_BYTES`), so their transient arrays do not grow with the block.
+A check's pass gives arrays: residuals (n, k), their scales and payload
+columns.  One builder, `_entries`, makes them the report's entries, plain
+dicts, with the verdict of a whole check taken at once by the one rule
+(`_fails`); a skip is a mask where the entries are built.
 Each point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
 first error raised.  The two large per-point payloads, the parallel-scan
@@ -43,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +67,6 @@ from .expr import _as_points, _Failure, _raise_first
 from .tensor import DegeneratePlaneError, RiemannAtPoint, _christoffel_block, _nabla_q
 
 __all__ = [
-    "CheckReport",
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
     "QBasisCoefficients",
@@ -107,62 +110,71 @@ def convention_text() -> str:
     )
 
 
-@dataclass
-class CheckReport:
-    """One named check: absolute residuals, scales, tolerance and verdict.
-
-    The payload holds plain JSON types (dict, list, str, float, int, bool,
-    None) and, for the parallel-scan rows and the mu-law cases, `Table`s,
-    which read as lists of row dicts; `to_dict` passes it through
-    unconverted and `report_to_json` writes both.
-    """
-
-    name: str
-    point: list | None
-    residuals: dict[str, float]
-    tolerance: float
-    status: str
-    payload: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "point": self.point,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "tolerance": float(self.tolerance),
-            "status": self.status,
-            "payload": self.payload,
-        }
+# Why an entry is skipped: the checks gated on the curvature identity where
+# it fails, and integrability where q is not parallel.
+_GATED = "curvature identity does not hold at this point"
+_NOT_PARALLEL = "nabla q does not vanish here; residual recorded without a pass expectation"
 
 
-def _verdict(entries: dict[str, tuple[float, float]], tolerance: float) -> str:
-    for absval, scale in entries.values():
-        if absval / max(1.0, scale) > tolerance:
-            return "fail"
-    return "pass"
+def _fails(resid: np.ndarray, scale: np.ndarray, tolerance: float) -> np.ndarray:
+    """The verdict rule at each of n points: some residual of the row
+    resid[i] (k,) exceeds the tolerance once divided by its scale floored
+    at 1, r / max(1, s) > tolerance, as Python reads it: a NaN scale floors
+    to 1 (np.fmax) and a NaN quotient does not exceed."""
+    with np.errstate(invalid="ignore"):
+        return (resid / np.fmax(1.0, scale) > tolerance).any(axis=1)
 
 
-def _make_report(
+def _entries(
     name: str,
-    point,
-    entries: dict[str, tuple[float, float]],
+    points: list,
+    labels,
+    resid: np.ndarray,
+    scale,
     tolerance: float,
-    payload: dict | None = None,
-) -> CheckReport:
-    payload = dict(payload or {})
-    payload["scales"] = {k: float(s) for k, (_, s) in entries.items()}
-    return CheckReport(
-        name=name,
-        point=None if point is None else [float(v) for v in np.asarray(point).ravel()],
-        residuals={k: float(a) for k, (a, _) in entries.items()},
-        tolerance=tolerance,
-        status=_verdict(entries, tolerance),
-        payload=payload,
-    )
+    payload: dict,
+    ran: np.ndarray | None = None,
+    skip: tuple[np.ndarray, str] | None = None,
+) -> list[dict]:
+    """The report entries of check `name` at n points, in point order.
+
+    The check ran at the m points where `ran` (n,) is set, at all n if it is
+    None: `resid` (m, k) holds their absolute residuals under `labels`,
+    `scale` (broadcast to resid) the scales, and `payload` a column of m
+    values per key.  Each such entry fails or passes by `_fails`, or is
+    skipped, residuals kept, where the mask of `skip` (m,) is set; its
+    payload carries the scales, and the reason of a skip.  An entry where
+    the check did not run is skipped with no residuals (`_GATED`).
+    Entries are plain dicts of JSON values, but for the `Table`s a payload
+    may hold.
+    """
+    tolerance = float(tolerance)
+    scale = np.broadcast_to(scale, resid.shape)
+    status = np.where(_fails(resid, scale, tolerance), "fail", "pass")
+    if skip is not None:
+        status = np.where(skip[0], "skipped", status)
+    found = zip(resid.tolist(), scale.tolist(), status.tolist(), *payload.values())
+    entries = []
+    for point, has_run in zip(points, [True] * len(points) if ran is None else ran.tolist()):
+        if has_run:
+            r, s, verdict, *values = next(found)
+            residuals = dict(zip(labels, r))
+            extra = {**dict(zip(payload, values)), "scales": dict(zip(labels, s))}
+            if verdict == "skipped":
+                extra["reason"] = skip[1]
+        else:
+            residuals, verdict, extra = {}, "skipped", {"reason": _GATED}
+        entries.append(
+            {
+                "name": name,
+                "point": point,
+                "residuals": residuals,
+                "tolerance": tolerance,
+                "status": verdict,
+                "payload": extra,
+            }
+        )
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +276,9 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
 # ---------------------------------------------------------------------------
 # Individual checks
 #
-# Each check is one helper over n points, every array with a leading point
-# axis, returning one report (or entries and payload) per point; `run_suite`
-# calls it once per block of points.
+# Each check is one array pass over n points, every array with a leading
+# point axis, giving residuals (n, k), their scales and payload values per
+# point; `_suite_block` makes them entries (`_entries`) once per block.
 # ---------------------------------------------------------------------------
 
 
@@ -281,16 +293,11 @@ def _point_max(a: np.ndarray) -> np.ndarray:
 _UP, _DOWN = _SHIFTS[1], _SHIFTS[3]
 
 
-def _isometry_pairs(rng: np.random.Generator, samples: int) -> np.ndarray:
-    """The (x, y) sample pairs of one point, (2, samples, 4): all x, then all y."""
-    return rng.uniform(-1.0, 1.0, size=(2, samples, 4))
-
-
-def _isometry_reports(
-    points: list, g: np.ndarray, pairs: np.ndarray, tolerance: float
-) -> list[CheckReport]:
-    """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 at n points: g (n, 4, 4) and
-    the sample pairs (n, 2, S, 4) of each point."""
+def _isometry_residuals(g: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 at n points, from g (n, 4, 4)
+    and the sample pairs (n, 2, S, 4) of each point, all x then all y: the
+    largest |residual| of each k, (n, 3), and the scale max(1, max |g(x, y)|),
+    (n, 1)."""
     xs, ys = pairs[:, 0], pairs[:, 1]
 
     def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # g(x, y) of every pair, (n, S)
@@ -302,11 +309,7 @@ def _isometry_reports(
         [np.abs(form(xs[..., shift], ys[..., shift]) - base).max(axis=1) for shift in _SHIFTS[1:]],
         axis=1,
     )
-    payload = {"samples": pairs.shape[2]}
-    return [
-        _make_report("isometry", p, {"q1": (r1, s), "q2": (r2, s), "q3": (r3, s)}, tolerance, payload)
-        for p, (r1, r2, r3), s in zip(points, resid.tolist(), scale.tolist())
-    ]
+    return resid, scale[:, None]
 
 
 _PARALLEL_LABELS = (
@@ -349,28 +352,6 @@ def _parallel_residuals(
     return np.abs(values), scale
 
 
-def _parallel_condition_reports(
-    points: list,
-    grads: tuple[np.ndarray, np.ndarray, np.ndarray],
-    values: np.ndarray,
-    scale: np.ndarray,
-    tolerance: float,
-) -> list[CheckReport]:
-    """One report per point from the gradients (n, 4) of A, B, C and their
-    `_parallel_residuals`."""
-    ga, gb, gc = (grad.tolist() for grad in grads)
-    return [
-        _make_report(
-            "parallel-condition",
-            p,
-            {k: (v, s) for k, v in zip(_PARALLEL_LABELS, row)},
-            tolerance,
-            {"grad_A": a, "grad_B": b, "grad_C": c},
-        )
-        for p, row, s, a, b, c in zip(points, values.tolist(), scale.tolist(), ga, gb, gc)
-    ]
-
-
 def _equivalence_rows(
     points: np.ndarray,
     values: np.ndarray,
@@ -397,25 +378,6 @@ def _equivalence_rows(
         "gradient_holds": f4_scaled <= f4_tol,
         "parallel_holds": nq_scaled <= nq_tol,
     }
-
-
-def _equivalence_report(rows: Table, f4_tol: float, nq_tol: float, tolerance: float) -> CheckReport:
-    """Over all points: the gradient conditions hold iff nabla q vanishes.
-
-    The check fails only if the two predicates of the rows disagree at more
-    than `tolerance` points.  Points where both are false are consistent
-    (the equivalence is two-sided).
-    """
-    holds = rows.columns
-    disagreements = np.count_nonzero(holds["gradient_holds"] != holds["parallel_holds"])
-    entries = {"disagreements": (float(disagreements), 1.0)}
-    return _make_report(
-        "parallel-equivalence",
-        None,
-        entries,
-        tolerance,
-        {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows},
-    )
 
 
 # Points per geometry pass of `run_suite`.  For the parallel scan on
@@ -452,23 +414,22 @@ def _sub_blocks(sel: np.ndarray, floats_per_point: int) -> list[np.ndarray]:
     return np.array_split(sel, max(1, len(sel) // size))
 
 
-def _identity_reports(points: list, r_low: np.ndarray, tolerance: float) -> list[CheckReport]:
+def _identity_residuals(r_low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R(e_i, e_j, q e_k, q e_l) = R(e_i, e_j, e_k, e_l) at n points, from
     R_ijkl (n, 4, 4, 4, 4): all 256 combinations, which multilinearity makes
-    sufficient."""
+    sufficient.  Returns the largest |residual| and the scale max |R_ijkl|,
+    each (n, 1)."""
     shifted = r_low[..., _DOWN, :][..., _DOWN]
-    resid, norm = _point_max(shifted - r_low).tolist(), _point_max(r_low).tolist()
-    return [
-        _make_report("curvature-identity", p, {"max": (r, s)}, tolerance, {"riemann_norm_inf": s})
-        for p, r, s in zip(points, resid, norm)
-    ]
+    return _point_max(shifted - r_low)[:, None], _point_max(r_low)[:, None]
 
 
-def _integrability_reports(
-    points: list, r_mixed: np.ndarray, r_low: np.ndarray, ginv: np.ndarray, tolerance: float
-) -> list[CheckReport]:
+def _integrability_residuals(
+    r_mixed: np.ndarray, r_low: np.ndarray, ginv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q on the output slot against q on the argument at n points, from
-    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4).
+    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4): the largest
+    |residual| and the scale max(1, max |R^l_ijk|), each (n, 1), and the
+    alternate raising's residual, (n,).
 
     The primary residual uses this package's (1,3) tensor, R^l_ijk with the
     plane slots first.  Because the raised-slot placement is ambiguous in
@@ -484,18 +445,7 @@ def _integrability_reports(
     # so lift the first slot of R_(ajkl) = r_low[k, l, a, j].
     alt = np.einsum("...ab,...klbj->...ajkl", ginv, r_low)
     lhs_alt, rhs_alt = alt[:, _UP], alt[:, :, _DOWN]
-    columns = zip(
-        points,
-        _point_max(lhs - rhs).tolist(),
-        scale.tolist(),
-        _point_max(lhs_alt - rhs_alt).tolist(),
-    )
-    return [
-        _make_report(
-            "integrability", p, {"primary": (r, s)}, tolerance, {"alternate_raising_residual": a}
-        )
-        for p, r, s, a in columns
-    ]
+    return _point_max(lhs - rhs)[:, None], scale[:, None], _point_max(lhs_alt - rhs_alt)
 
 
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
@@ -510,17 +460,23 @@ def _r_xyxy(r_low: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("nma,nma->nm", w @ r_low.reshape(n, 16, 16), w).reshape(n, *inner)
 
 
-def _sectional_entries(
+_SECTIONAL_LABELS = ("ring_spread", "mu_x_q2x", "mu_qx_q3x")
+
+
+def _sectional_residuals(
     g: np.ndarray, r_low: np.ndarray, xs: np.ndarray
-) -> tuple[list[tuple[dict, dict]], _Failure]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Failure]:
     """Sectional curvatures of the six q-basis planes of each vector at n
     points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) and vectors xs (n, V, 4).
 
     Ring planes share one curvature and diagonal planes are flat where the
     curvature identity holds (the suite gates on it) and each vector
-    induces a q-basis.  Returns the entries and payload of each point, and
-    the points where a plane is degenerate (the error names the first such
-    plane).
+    induces a q-basis.  Returns, in `_SECTIONAL_LABELS` order, the spread of
+    the ring curvatures and the largest |curvature| of each diagonal plane,
+    (n, 3), with their scales max(1, max |ring curvature|) and max |R_ijkl|,
+    (n, 3); the six curvatures of the first vector (n, min(V, 1), 6), rings
+    first; and the points where a plane is degenerate (the error names the
+    first such plane).
     """
     n, v = xs.shape[:2]
     shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
@@ -538,27 +494,17 @@ def _sectional_entries(
     )
     mu = _r_xyxy(r_low, shifts[..., a, :], shifts[..., b, :]) / np.where(degenerate, 1.0, det)
     ring, diag = mu[..., :4], mu[..., 4:]
-    columns = zip(
-        np.max(ring.max(axis=2) - ring.min(axis=2), axis=1, initial=0.0).tolist(),
-        np.max(np.abs(ring), axis=(1, 2), initial=1.0).tolist(),
-        np.max(np.abs(diag[..., 0]), axis=1, initial=0.0).tolist(),
-        np.max(np.abs(diag[..., 1]), axis=1, initial=0.0).tolist(),
-        _point_max(r_low).tolist(),
-        mu[:, 0].tolist() if v else [None] * n,
-    )
-    found = [
+    resid = np.stack(
         (
-            {"ring_spread": (spread, ring_scale), "mu_x_q2x": (d0, norm), "mu_qx_q3x": (d1, norm)},
-            {
-                "vectors": v,
-                "first_vector_values": (
-                    None if first is None else {"ring": first[:4], "diagonal": first[4:]}
-                ),
-            },
-        )
-        for spread, ring_scale, d0, d1, norm, first in columns
-    ]
-    return found, failure
+            np.max(ring.max(axis=2) - ring.min(axis=2), axis=1, initial=0.0),
+            np.max(np.abs(diag[..., 0]), axis=1, initial=0.0),
+            np.max(np.abs(diag[..., 1]), axis=1, initial=0.0),
+        ),
+        axis=1,
+    )
+    norm = _point_max(r_low)
+    scale = np.stack((np.max(np.abs(ring), axis=(1, 2), initial=1.0), norm, norm), axis=1)
+    return resid, scale, mu[:, :1], failure
 
 
 def _mu_law_cases(
@@ -636,34 +582,6 @@ def mu_law_cases(
 # ---------------------------------------------------------------------------
 
 
-def _skipped(name: str, point, tolerance: float, reason: str) -> CheckReport:
-    return CheckReport(
-        name=name,
-        point=None if point is None else [float(v) for v in np.asarray(point).ravel()],
-        residuals={},
-        tolerance=tolerance,
-        status="skipped",
-        payload={"reason": reason},
-    )
-
-
-def _gated(
-    name: str, points: list, holds: np.ndarray, found: list[tuple[dict, dict]], tolerance: float
-) -> list[CheckReport]:
-    """One report per point: the next of `found` where the curvature
-    identity holds, skipped elsewhere."""
-    found = iter(found)
-    reports = []
-    for p, ok in zip(points, holds):
-        if ok:
-            entries, payload = next(found)
-            reports.append(_make_report(name, p, entries, tolerance, payload))
-        else:
-            reason = "curvature identity does not hold at this point"
-            reports.append(_skipped(name, p, tolerance, reason))
-    return reports
-
-
 def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
     """Failures over the points `sel` (increasing indices into n points) as
     failures over all n points."""
@@ -689,7 +607,7 @@ def _suite_block(
     seed: int,
     tols: dict[str, float],
     samples: tuple[int, int, int],
-) -> tuple[list[CheckReport], dict[str, np.ndarray]]:
+) -> tuple[list[dict], dict[str, np.ndarray]]:
     """The suite's entries at the points xs (n, 4), numbered from `start`,
     point by point in canonical order, and the columns of their
     parallel-scan rows.
@@ -710,7 +628,26 @@ def _suite_block(
     n = len(geo.points)
     if n == 0:
         _raise_first(failures)  # the first point fails, before any check
-    points = geo.points.tolist()
+
+    def sampled(sel: np.ndarray, floats_per_point: int, run) -> list:
+        """`run(sub)` over the runs of the points `sel`, each giving values
+        per point of the run (arrays or lists) and then its failures; the
+        values joined over the runs, the failures lifted to the block."""
+        parts = []
+        for sub in _sub_blocks(sel, floats_per_point):
+            *values, run_failures = run(sub)
+            failures.extend(_lift(run_failures, sub, n))
+            parts.append(values)
+        joined = zip(*parts)
+        return [np.concatenate(r) if isinstance(r[0], np.ndarray) else sum(r, []) for r in joined]
+
+    columns = []
+
+    def add(name: str, labels, resid, scale, payload: dict, **masks) -> None:
+        """Append the entries of check `name`, each with a point list of its own."""
+        points = geo.points.tolist()
+        columns.append(_entries(name, points, labels, resid, scale, tols[name], payload, **masks))
+
     grads = tuple(jet.grad for jet in geo.jets)
     values, scale = _parallel_residuals(*grads)
     rows = _equivalence_rows(
@@ -719,71 +656,74 @@ def _suite_block(
     if _NEEDS_IDENTITY.intersection(selected):
         # `geo.r_low` builds the curvature on first use; a selection without
         # these checks or integrability never builds it.
-        identity = _identity_reports(points, geo.r_low, tols["curvature-identity"])
-        holds = np.array([rep.passed for rep in identity])
+        identity, norm = _identity_residuals(geo.r_low)
+        holds = ~_fails(identity, norm, tols["curvature-identity"])
         sel = np.flatnonzero(holds)
 
-    columns = []
     if "isometry" in selected:
-        column = []
-        for sub in _sub_blocks(np.arange(n), 8 * isometry_samples):  # pairs (2, S, 4)
-            pairs = np.array([_isometry_pairs(stream(start + i, 0), isometry_samples) for i in sub])
-            sub_points = [points[i] for i in sub]
-            column += _isometry_reports(sub_points, geo.g[sub], pairs, tols["isometry"])
-        columns.append(column)
+
+        def isometry_run(sub):
+            pairs = np.array(
+                [stream(start + i, 0).uniform(-1.0, 1.0, (2, isometry_samples, 4)) for i in sub]
+            )
+            return *_isometry_residuals(geo.g[sub], pairs), []
+
+        # The widest array is the sample pairs, (2, S, 4) a point.
+        resid, iso_scale = sampled(np.arange(n), 8 * isometry_samples, isometry_run)
+        add("isometry", ("q1", "q2", "q3"), resid, iso_scale, {"samples": [isometry_samples] * n})
 
     if "parallel-condition" in selected:
-        columns.append(
-            _parallel_condition_reports(points, grads, values, scale, tols["parallel-condition"])
-        )
+        payload = dict(zip(("grad_A", "grad_B", "grad_C"), (grad.tolist() for grad in grads)))
+        add("parallel-condition", _PARALLEL_LABELS, values, scale[:, None], payload)
 
     if "curvature-identity" in selected:
-        columns.append(identity)
+        payload = {"riemann_norm_inf": norm[:, 0].tolist()}
+        add("curvature-identity", ("max",), identity, norm, payload)
 
     if "integrability" in selected:
-        column = _integrability_reports(
-            points, geo.r_mixed, geo.r_low, geo.ginv, tols["integrability"]
-        )
+        resid, int_scale, alternate = _integrability_residuals(geo.r_mixed, geo.r_low, geo.ginv)
         parallel = rows["gradient_holds"] & rows["parallel_holds"]
-        for rep, is_parallel in zip(column, parallel.tolist()):
-            if not is_parallel:
-                rep.payload["reason"] = (
-                    "nabla q does not vanish here; residual recorded without a pass expectation"
-                )
-                rep.status = "skipped"
-        columns.append(column)
+        payload = {"alternate_raising_residual": alternate.tolist()}
+        skip = (~parallel, _NOT_PARALLEL)
+        add("integrability", ("primary",), resid, int_scale, payload, skip=skip)
 
     if "sectional-relations" in selected:
-        found = []
-        for sub in _sub_blocks(sel, 96 * sectional_samples):  # plane products (6 V, 16)
+
+        def sectional_run(sub):
             vectors = np.array(
                 [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sub]
             ).reshape(len(sub), sectional_samples, 4)
-            sub_found, failure = _sectional_entries(geo.g[sub], geo.r_low[sub], vectors)
-            found += sub_found
-            failures += _lift([failure], sub, n)
-        columns.append(
-            _gated("sectional-relations", points, holds, found, tols["sectional-relations"])
-        )
+            *found, failure = _sectional_residuals(geo.g[sub], geo.r_low[sub], vectors)
+            return *found, [failure]
+
+        # The widest array is the plane products, (6 V, 16) a point.
+        resid, sec_scale, first = sampled(sel, 96 * sectional_samples, sectional_run)
+        # `first` holds no row at a point where no vector was drawn.
+        payload = {
+            "vectors": [sectional_samples] * len(sel),
+            "first_vector_values": [
+                {"ring": mu[0][:4], "diagonal": mu[0][4:]} if mu else None for mu in first.tolist()
+            ],
+        }
+        add("sectional-relations", _SECTIONAL_LABELS, resid, sec_scale, payload, ran=holds)
 
     if "mu-law" in selected:
-        found = []
-        for sub in _sub_blocks(sel, 16 * mu_samples):  # case products (S, 16)
+
+        def mu_law_run(sub):
             draws = np.array([_basis_draws(stream(start + i, 2)) for i in sub])
             abc = (jet.value[sub] for jet in geo.jets)
             bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sub), 3).T)
-            basis_failure = _naming_points(basis_failure, geo.points[sub])
             coeffs = np.array(
                 [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sub]
             ).reshape(len(sub), mu_samples, 4)
             cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sub], bases, coeffs)
-            failures += _lift([basis_failure, *cosine_failures], sub, n)
-            norms = _point_max(geo.r_low[sub]).tolist()
-            found += [
-                ({"expansion_max": (w, norm)}, {"basis": basis, "cases": point_cases})
-                for w, norm, basis, point_cases in zip(worst.tolist(), norms, bases.tolist(), cases)
-            ]
-        columns.append(_gated("mu-law", points, holds, found, tols["mu-law"]))
+            basis_failure = _naming_points(basis_failure, geo.points[sub])
+            return bases, cases, worst, [basis_failure, *cosine_failures]
+
+        # The widest array is the case products, (S, 16) a point.
+        bases, cases, worst = sampled(sel, 16 * mu_samples, mu_law_run)
+        payload = {"basis": bases.tolist(), "cases": cases}
+        add("mu-law", ("expansion_max",), worst[:, None], norm[sel], payload, ran=holds)
 
     _raise_first(failures)
     return [column[i] for i in range(n) for column in columns], rows
@@ -831,27 +771,34 @@ def run_suite(
     samples = (isometry_samples, sectional_samples, mu_samples)
 
     xs = _as_points(points)
-    reports: list[CheckReport] = []
+    entries: list[dict] = []
     blocks: list[dict[str, np.ndarray]] = []
     for start in range(0, len(xs), _BLOCK):
         block = xs[start : start + _BLOCK]
-        block_reports, block_rows = _suite_block(spec, block, start, selected, seed, tols, samples)
-        reports += block_reports
+        block_entries, block_rows = _suite_block(spec, block, start, selected, seed, tols, samples)
+        entries += block_entries
         blocks.append(block_rows)
 
     if "parallel-equivalence" in selected and blocks:
+        # Over all points: the gradient conditions hold iff nabla q vanishes.
+        # The check fails only if the two predicates disagree at more than
+        # its tolerance of points; where both are false they agree, as the
+        # equivalence is two-sided.
         rows = Table({key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]})
-        reports.append(
-            _equivalence_report(
-                rows, tols["parallel-condition"], tols["nabla-q"], tols["parallel-equivalence"]
-            )
+        f4_tol, nq_tol = tols["parallel-condition"], tols["nabla-q"]
+        cols = rows.columns
+        disagreements = np.count_nonzero(cols["gradient_holds"] != cols["parallel_holds"])
+        entries += _entries(
+            "parallel-equivalence",
+            [None],
+            ("disagreements",),
+            np.full((1, 1), disagreements, float),
+            1.0,
+            tols["parallel-equivalence"],
+            {"gradient_tolerance": [f4_tol], "nabla_q_tolerance": [nq_tol], "points": [rows]},
         )
 
-    return {
-        "spec": spec.name,
-        "convention": convention_text(),
-        "checks": [rep.to_dict() for rep in reports],
-    }
+    return {"spec": spec.name, "convention": convention_text(), "checks": entries}
 
 
 def _report_pieces(report: dict) -> Iterator[str]:

@@ -260,6 +260,23 @@ def integrability_entry(m, r, tolerance) -> dict:
     )
 
 
+def sectional_entry(m, r, xs, tolerance) -> dict:
+    """Equal ring curvatures and flat diagonal planes over the q-basis
+    planes of each vector of xs, one `sectional_curvature` call per plane
+    (`sectional_planes_loop`, which raises at the first degenerate plane)."""
+    mu = sectional_planes_loop(m, r, xs).reshape(len(xs), 6)
+    ring, diag = mu[:, :4], mu[:, 4:]
+    spread = float(np.max(ring.max(axis=1) - ring.min(axis=1), initial=0.0))
+    entries = {
+        "ring_spread": (spread, max(1.0, float(np.max(np.abs(ring), initial=0.0)))),
+        "mu_x_q2x": (float(np.max(np.abs(diag[:, 0]), initial=0.0)), r.norm_inf),
+        "mu_qx_q3x": (float(np.max(np.abs(diag[:, 1]), initial=0.0)), r.norm_inf),
+    }
+    first = {"ring": mu[0, :4].tolist(), "diagonal": mu[0, 4:].tolist()} if len(xs) else None
+    payload = {"vectors": len(xs), "first_vector_values": first}
+    return _entry("sectional-relations", m.point, entries, tolerance, payload)
+
+
 def equivalence_entry(rows, f4_tol, nq_tol, tolerance) -> dict:
     disagreements = sum(row["gradient_holds"] != row["parallel_holds"] for row in rows)
     payload = {"gradient_tolerance": f4_tol, "nabla_q_tolerance": nq_tol, "points": rows}
@@ -284,15 +301,14 @@ def run_suite_pointwise(
     per-point random streams [seed, point index, k].  Isometry, the
     parallel condition, the curvature identity, integrability and the
     parallel equivalence are restated above with numpy; sectional-relations
-    and mu-law use the package's one-point contractions.  The first error
-    raised is the one the batched suite must raise.  The q-basis
-    (`core.find_orthogonal_q_basis`, the one-point case of the suite's block
-    helper) and the sectional sampler are looked up at each call, so a test
-    can replace them for both.
+    uses one public `sectional_curvature` call per plane, and mu-law the
+    package's one-point contractions.  The first error raised is the one
+    the batched suite must raise.  The q-basis (`core.find_orthogonal_q_basis`,
+    the one-point case of the suite's block helper) and the sectional sampler
+    are looked up at each call, so a test can replace them for both.
     """
     import circgeo.core as core
     import circgeo.verify as v
-    from circgeo.expr import _raise_first
     from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
 
     selected = list(v.KNOWN_CHECKS) if checks is None else list(checks)
@@ -328,11 +344,7 @@ def run_suite_pointwise(
             tol = tols["sectional-relations"]
             if holds:
                 xs = v.sample_q_basis_vectors(streams[1], sectional_samples)
-                [(entries, payload)], failure = v._sectional_entries(
-                    m.matrix[None], r.r_low[None], xs[None]
-                )
-                _raise_first([failure])
-                reports.append(_entry("sectional-relations", m.point, entries, tol, payload))
+                reports.append(sectional_entry(m, r, xs, tol))
             else:
                 reports.append(_skipped("sectional-relations", m.point, tol, gated))
 

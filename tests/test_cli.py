@@ -212,6 +212,23 @@ def test_missing_spec_exits_2(capsys, tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", CURVED, "--point", "0,0,0,0"],  # the report's own write fails
+        ["verify", CURVED, "--point", "0,0,0,0", "--bogus"],  # a usage error
+        ["verify", "nope.json", "--point", "0,0,0,0"],  # a missing spec
+    ],
+)
+def test_an_error_report_that_cannot_be_written_is_one_line_and_exit_2(argv, capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--json", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"error report not written: [Errno 2] No such file or directory: '{missing}'" in err
+    assert not missing.parent.exists()
+
+
 def test_malformed_spec_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "A": "x1 +", "B": "1", "C": "2", "domain": {"min": [0,0,0,0], "max": [1,1,1,1]}}')

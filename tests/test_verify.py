@@ -22,9 +22,11 @@ from circgeo.verify import (
     DEFAULT_TOLERANCES,
     KNOWN_CHECKS,
     QBasisCoefficients,
+    _SECTIONAL_LABELS,
     _draw_rows,
-    _isometry_reports,
-    _sectional_entries,
+    _entries,
+    _isometry_residuals,
+    _sectional_residuals,
     _unit_coefficients,
     coeff_angles,
     mu_law_cases,
@@ -67,6 +69,45 @@ def _passes(entries, name) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The verdict rule
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "resid,scale,tolerance",
+    [
+        ([[2e-9]], [[2.0]], 1e-9),  # exactly at tolerance x scale
+        ([[2.5e-9]], [[2.0]], 1e-9),
+        ([[1.5e-9]], [[0.5]], 1e-9),  # scales below 1 floor to 1
+        ([[0.5e-9]], [[0.5]], 1e-9),
+        ([[2e-9]], [[0.0]], 1e-9),
+        ([[2e-9]], [[-0.0]], 1e-9),
+        ([[NAN]], [[1.0]], 1e-9),  # a NaN quotient does not exceed
+        ([[2e-9]], [[NAN]], 1e-9),  # max(1.0, nan) is 1.0
+        ([[0.5e-9]], [[NAN]], 1e-9),
+        ([[INF]], [[INF]], 1e-9),
+        ([[INF]], [[1.0]], 1e-9),
+        ([[0.0]], [[5.0]], 0.0),  # a tolerance of 0
+        ([[1e-300]], [[5.0]], 0.0),
+        # k > 1 residuals: any one exceeding fails the entry.
+        ([[1e-10, 3e-9, 0.0]], [[1.0, 2.0, 1.0]], 1e-9),
+        ([[1e-10, 3e-9, 0.0]], [[1.0, 4.0, 1.0]], 1e-9),
+        ([[1e-10, 3e-9], [0.0, 0.0], [NAN, 5.0]], [[1.0, 2.0], [NAN, -0.0], [1.0, 1.0]], 1e-9),
+    ],
+)
+def test_entry_status_is_the_scalar_rule(resid, scale, tolerance):
+    resid, scale = np.array(resid), np.array(scale)
+    labels = [f"r{j}" for j in range(resid.shape[1])]
+    n = len(resid)
+    entries = _entries("probe", [None] * n, labels, resid, scale, tolerance, {})
+    for entry, rs, ss in zip(entries, resid.tolist(), scale.tolist()):
+        failed = any(r / max(1.0, s) > tolerance for r, s in zip(rs, ss))
+        assert entry["status"] == ("fail" if failed else "pass")
+
+
+# ---------------------------------------------------------------------------
 # Isometry
 # ---------------------------------------------------------------------------
 
@@ -87,11 +128,17 @@ def test_isometry_negative_control():
     bad[0, 1] = 3.0  # break the circulant pattern
     bad[1, 0] = 3.0
     pairs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, 2, 200, 4))
-    tolerance = DEFAULT_TOLERANCES["isometry"]
-    (rep,) = _isometry_reports([None], bad[None], pairs, tolerance)
-    assert rep.status == "fail"
-    (loose,) = _isometry_reports([None], bad[None], pairs, 10.0)
-    assert (loose.status, loose.tolerance, loose.residuals) == ("pass", 10.0, rep.residuals)
+    resid, scale = _isometry_residuals(bad[None], pairs)
+
+    def entry(tolerance):
+        (rep,) = _entries("isometry", [None], ("q1", "q2", "q3"), resid, scale, tolerance, {})
+        return rep
+
+    rep = entry(DEFAULT_TOLERANCES["isometry"])
+    assert rep["status"] == "fail"
+    loose = entry(10.0)
+    assert (loose["status"], loose["tolerance"]) == ("pass", 10.0)
+    assert loose["residuals"] == rep["residuals"]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +291,11 @@ def test_integrability_residual_reported_on_nonpar(nonpar):
 
 def sectional_passes(spec, p, x) -> bool:
     m, r = riemann_of(spec, p)
-    [(entries, _)], (bad, _) = _sectional_entries(
+    [resid], [scale], _, (bad, _) = _sectional_residuals(
         m.matrix[None], r.r_low[None], np.asarray(x, float)[None, None]
     )
     assert not bad.any()
-    return _passes(entries, "sectional-relations")
+    return _passes(dict(zip(_SECTIONAL_LABELS, zip(resid, scale))), "sectional-relations")
 
 
 def test_sectional_relations_curved_par(curved_par):
@@ -739,8 +786,11 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
     for spec, p in oracle_points(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         xs = sample_q_basis_vectors(rng, 50)
-        [(entries, payload)], failure = _sectional_entries(m.matrix[None], r.r_low[None], xs[None])
+        [resid], [scales], [first], failure = _sectional_residuals(
+            m.matrix[None], r.r_low[None], xs[None]
+        )
         assert not failure[0].any()
+        entries = dict(zip(_SECTIONAL_LABELS, zip(resid, scales)))
         mu = sectional_planes_loop(m, r, xs)
         ring, diag = mu[:, :4], mu[:, 4:]
         spread = np.max(ring.max(axis=1) - ring.min(axis=1))
@@ -753,19 +803,19 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
         for key, (value, scale) in expected.items():
             assert entries[key][0] == pytest.approx(value, rel=0, abs=1e-12)
             assert entries[key][1] == pytest.approx(scale, rel=0, abs=1e-12)
-        assert payload["vectors"] == 50
-        first = payload["first_vector_values"]
-        assert np.allclose(first["ring"] + first["diagonal"], mu[0], rtol=0, atol=1e-12)
+        assert first.shape == (1, 6)  # the first vector's ring, then diagonal planes
+        assert np.allclose(first[0], mu[0], rtol=0, atol=1e-12)
 
 
 def test_sectional_entries_reject_degenerate_plane(curved_par):
     m, r = riemann_of(curved_par, ORIGIN)
     xs = np.array([[0.3, -0.7, 0.2, 0.9], [1.0, 0.0, 1.0, 0.0]])  # x = q^2 x in row 2
-    with pytest.raises(DegeneratePlaneError):
+    with pytest.raises(DegeneratePlaneError) as want:
         sectional_planes_loop(m, r, xs)
-    _, (mask, make) = _sectional_entries(m.matrix[None], r.r_low[None], xs[None])
+    *_, (mask, make) = _sectional_residuals(m.matrix[None], r.r_low[None], xs[None])
     assert mask.tolist() == [True]
     assert isinstance(make(0), DegeneratePlaneError)
+    assert str(make(0)) == str(want.value)  # the Gram determinant is exactly 0 on both
 
 
 def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
