@@ -3,13 +3,13 @@ byte matrices with every float as `repr` writes it.
 
 `verify` holds the parallel-scan rows and each point's mu-law cases as
 `Table`s; `verify.report_to_json` and `verify.write_report` write the
-tables of a report through `_tables_json`, the floats of all of them in one
-`_floattext` pass and the rows a step at a time.
+tables of a report through `_tables_json`, each run of consecutive tables
+with the same columns in one `_floattext` pass and the rows a step at a
+time.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -34,9 +34,9 @@ class Table(Sequence):
     `text` and `to_json` write all rows from the columns as byte matrices,
     the floats as `repr` writes them, by `_floattext.float_text`, each
     distinct bit pattern once (so -0.0 stays -0.0); `verify.report_to_json`
-    and `verify.write_report` format the floats of all the tables of a
-    report in one pass.  A table keeps no text: each write formats its
-    floats anew.
+    and `verify.write_report` format the floats of each run of consecutive
+    same-column tables of a report in one pass.  A table keeps no text:
+    each write formats its floats anew.
     """
 
     def __init__(self, columns: dict):
@@ -71,7 +71,7 @@ class Table(Sequence):
         floats by repr, flags and nulls as `words`, the values of a list
         column joined by `comma`; rows joined by `row_sep`.  No text may
         hold a NUL character."""
-        (cells,) = _format_floats([[self]])
+        cells = _format_floats([self])
         return "".join(p for _, p in _tables_text([self], cells, layout, words, comma, row_sep))
 
     def _check_finite(self) -> None:
@@ -89,24 +89,19 @@ class Table(Sequence):
         return "".join(p for _, p in _tables_json([self]))
 
 
-def _format_floats(groups: list[list[Table]]) -> list[tuple]:
-    """The float texts of groups of tables, the tables of a group with the
-    same columns: one sort of all their bit patterns and one `float_text`
-    pass over the distinct ones.
+def _format_floats(tables: list[Table]) -> tuple:
+    """The float texts of tables with the same columns: one sort of all
+    their bit patterns and one `float_text` pass over the distinct ones.
 
-    Returns per group (texts, lengths, index): the texts (distinct, WIDTH)
-    uint8, NUL-padded, and their lengths, shared by all groups, and per
-    float column key the row in texts of each value of that column over
-    all the group's tables, one table after another (int32: 2^31 distinct
-    floats would be 16 GB of input).
+    Returns (texts, lengths, index): the texts (distinct, WIDTH) uint8,
+    NUL-padded, and their lengths, and per float column key the row in
+    texts of each value of that column over all the tables, one table
+    after another (int32: 2^31 distinct floats would be 16 GB of input).
     """
     from ._floattext import CHUNK, float_text  # compiled only where a table is written
 
-    keys = [
-        [k for k, c in g[0].columns.items() if c is not None and c.dtype == np.float64]
-        for g in groups
-    ]
-    values = [t.columns[k].ravel() for g, ks in zip(groups, keys) for k in ks for t in g]
+    keys = [k for k, c in tables[0].columns.items() if c is not None and c.dtype == np.float64]
+    values = [t.columns[k].ravel() for k in keys for t in tables]
     bits = np.concatenate([np.zeros(0)] + values).view(np.uint64)
     del values
     # np.unique(bits, return_inverse=True), each temporary freed once used,
@@ -128,15 +123,12 @@ def _format_floats(groups: list[list[Table]]) -> list[tuple]:
     lengths = np.empty(len(texts), np.uint8)  # counted a chunk at a time: no bool copy of texts
     for start in range(0, len(texts), CHUNK):
         lengths[start : start + CHUNK] = np.count_nonzero(texts[start : start + CHUNK], axis=1)
-    cells, end = [], 0
-    for g, ks in zip(groups, keys):
-        index = {}
-        for k in ks:
-            shape = (sum(len(t) for t in g), *g[0].columns[k].shape[1:])
-            index[k] = inverse[end : end + math.prod(shape)].reshape(shape)
-            end += math.prod(shape)
-        cells.append((texts, lengths, index))
-    return cells
+    index, end = {}, 0
+    for k in keys:
+        shape = (sum(len(t) for t in tables), *tables[0].columns[k].shape[1:])
+        index[k] = inverse[end : end + math.prod(shape)].reshape(shape)
+        end += math.prod(shape)
+    return texts, lengths, index
 
 
 # Bytes of row matrix per step of `_tables_text`: the matrix and its
@@ -266,29 +258,23 @@ def _tables_json(tables: list[Table]) -> Iterator[tuple[int, str]]:
     """The JSON arrays of `tables` (floats known to be finite) as (i, piece)
     pairs in table order, "[" first and "]" last of each table.
 
-    The tables with the same columns are written in one pass of
-    `_tables_text`, the floats of all of them formatted in one pass when
-    the first piece is asked for; the passes are merged by table, so only a
-    step of each is held at a time.
+    Each run of consecutive tables with the same columns is written in one
+    pass of `_tables_text`, its floats formatted in one pass when its first
+    piece is asked for, so only a step of one run is held at a time.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, t in enumerate(tables):
-        shape = [(k, None if c is None else (c.dtype, c.shape[1:])) for k, c in t.columns.items()]
-        groups.setdefault(tuple(shape), []).append(i)
-    members = list(groups.values())
-    cells = _format_floats([[tables[i] for i in m] for m in members])
 
-    def written(members, cells):
-        group = [tables[i] for i in members]
-        layout = _json_layout(group[0])
-        for j, piece in _tables_text(group, cells, layout, ("true", "false", "null"), ",", ","):
-            yield members[j], piece
+    def shape(t: Table) -> list:
+        return [(k, None if c is None else (c.dtype, c.shape[1:])) for k, c in t.columns.items()]
 
-    merged = heapq.merge(*map(written, members, cells), key=operator.itemgetter(0))
-    item = next(merged, None)
-    for i in range(len(tables)):
-        yield i, "["
-        while item is not None and item[0] == i:
-            yield item
-            item = next(merged, None)
-        yield i, "]"
+    start, words = 0, ("true", "false", "null")
+    for _, run in itertools.groupby(tables, shape):
+        run = list(run)
+        pieces = _tables_text(run, _format_floats(run), _json_layout(run[0]), words, ",", ",")
+        item = next(pieces, None)
+        for j in range(len(run)):
+            yield start + j, "["
+            while item is not None and item[0] == j:
+                yield start + j, item[1]
+                item = next(pieces, None)
+            yield start + j, "]"
+        start += len(run)

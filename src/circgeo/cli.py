@@ -32,6 +32,7 @@ from .core import (
     AdmissibilityError,
     OutsideDomainError,
     SingularMetricError,
+    _SHIFTS,
     admissibility,
     basis_angles,
     find_orthogonal_q_basis,
@@ -39,7 +40,6 @@ from .core import (
     inverse_metric,
     load_spec,
     metric_at,
-    q_apply,
 )
 from .expr import DomainError, ParseError
 from .tensor import christoffel_from_metric, nabla_q, riemann_from_christoffel
@@ -303,7 +303,7 @@ def _cmd_basis(args) -> int:
     m = metric_at(spec, args.point)
     x = find_orthogonal_q_basis(m, seed=args.seed)
     angles = basis_angles(m, x)
-    shifts = [q_apply(x, k) for k in range(4)]
+    shifts = x[_SHIFTS]
     products = {
         f"g(q{i}x,q{j}x)": inner(m, shifts[i], shifts[j])
         for i in range(4)

@@ -9,6 +9,14 @@ tests admissibility, evaluates the closed-form inverse, measures inner
 products and angles, classifies q-bases and gives orthonormal ones in
 closed form.
 
+This module is the one place that knows how q and the circulant pattern
+are encoded: as index maps.  `_CLASS` maps entry (i, j) to 0, 1, 2 for A,
+B, C, so the metric and its first and second partials are each one
+gather (`circulant_matrix`) from the stacked values, gradients or
+Hessians of A, B, C; `_SHIFTS` gathers q^k x, and `_UP` and `_DOWN` apply
+q to an upper or a lower tensor index.  `Q` is the matrix of q for
+callers; no code in the package contracts with it.
+
 The domain check, the field jets, admissibility and the inverse are
 computed for many points at once (`_metric_jets`, `_inverse_factors`,
 `_orthogonal_q_bases`); `metric_at`, `inverse_metric` and
@@ -84,33 +92,36 @@ class QBasisError(ValueError):
     """Vector does not induce a q-basis."""
 
 
-# Entry pattern of the circulant metric: entry (i, j) depends on (j - i) mod 4.
+# Entry (i, j) of the metric is A, B or C by _CLASS[i, j] = min(s, 4 - s), s = (j - i) mod 4.
 _SHIFT = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
-MASK_A = (_SHIFT == 0).astype(float)
-MASK_B = ((_SHIFT == 1) | (_SHIFT == 3)).astype(float)
-MASK_C = (_SHIFT == 2).astype(float)
-for _m in (MASK_A, MASK_B, MASK_C):
-    _m.setflags(write=False)
-
-# The cyclic shift: (q x)^s = x^(s+1 mod 4).
-Q = np.roll(np.eye(4), 1, axis=1)
-Q.setflags(write=False)
+_CLASS = np.minimum(_SHIFT, 4 - _SHIFT)
 # Row k of x[..., _SHIFTS] is q^k x: (q^k x)^i = x^(i+k mod 4).
 _SHIFTS = (np.arange(4)[:, None] + np.arange(4)) % 4
+for _m in (_SHIFT, _CLASS, _SHIFTS):
+    _m.setflags(write=False)
+# The shift on tensor components: q e_k = e_(k-1), so feeding q e_k into a
+# lower slot reads component k - 1 (gather with _DOWN), and applying q to
+# an upper index gives (q v)^s = v^(s+1) (gather with _UP).
+_UP, _DOWN = _SHIFTS[1], _SHIFTS[3]
+
+# The cyclic shift as a matrix for callers, (q x)^s = Q[s, k] x^k = x^(s+1 mod 4).
+Q = np.eye(4)[_UP]
+Q.setflags(write=False)
 
 
 def circulant_matrix(a, b, c) -> np.ndarray:
-    """Symmetric circulant matrix with first row (a, b, c, b).
-
-    Floats give one (4, 4) matrix; arrays of shape (n,) give n of them.
-    """
-    a, b, c = (np.asarray(v)[..., None, None] for v in (a, b, c))
-    return a * MASK_A + b * MASK_B + c * MASK_C
+    """Symmetric circulant matrix with first row (a, b, c, b), over any
+    leading axes: floats give one (4, 4) matrix, arrays of shape (n,) give
+    n of them, and the gradients (..., k) or Hessians (..., l, k) of A, B,
+    C give d_k g_ij (..., k, i, j) or d_l d_k g_ij (..., l, k, i, j).  One
+    gather of the stacked (a, b, c) with `_CLASS`."""
+    abc = np.stack(np.broadcast_arrays(a, b, c), axis=-1).astype(float, copy=False)
+    return abc[..., _CLASS]
 
 
 def q_apply(x, k: int = 1) -> np.ndarray:
     """Apply the cyclic shift k times: (1,2,3,4) -> (2,3,4,1) for k=1."""
-    return np.roll(np.asarray(x, dtype=float), -(k % 4))
+    return np.asarray(x, dtype=float)[..., _SHIFTS[k % 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +144,9 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def _inside(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        """Which rows of xs (n, 4) lie in the box."""
-        return np.all((xs >= self.lo - slack) & (xs <= self.hi + slack), axis=1)
+    def _inside(self, xs: np.ndarray) -> np.ndarray:
+        """Which rows of xs (n, 4) lie in the box, up to 1e-12 per coordinate."""
+        return np.all((xs >= self.lo - 1e-12) & (xs <= self.hi + 1e-12), axis=1)
 
     def grid(self, n: int) -> np.ndarray:
         """Cartesian product of n equispaced samples per axis, endpoints included."""
@@ -179,7 +190,12 @@ class ManifoldSpec:
 
 def load_spec(path) -> ManifoldSpec:
     """Load a manifold spec from a JSON file."""
-    return ManifoldSpec.from_dict(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json's reader recurses once per nested array or object
+        raise ValueError("malformed manifold spec: JSON nested too deeply") from None
+    return ManifoldSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +218,6 @@ def admissibility(a: float, b: float, c: float) -> tuple[bool, tuple[float, floa
         (a - c) * (a - c) * ((a + c) * (a + c) - 4.0 * b * b),
     )
     return bool(_ordered(a, b, c)), minors
-
-
-def _entry_partials(ga: np.ndarray, gb: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """d_k g_ij from the gradients of A, B, C, over any leading axes: (..., k, i, j)."""
-    return (
-        np.einsum("...k,ij->...kij", ga, MASK_A)
-        + np.einsum("...k,ij->...kij", gb, MASK_B)
-        + np.einsum("...k,ij->...kij", gc, MASK_C)
-    )
-
-
-def _entry_hessians(ha: np.ndarray, hb: np.ndarray, hc: np.ndarray) -> np.ndarray:
-    """d_l d_k g_ij from the Hessians of A, B, C, over any leading axes: (..., l, k, i, j)."""
-    return (
-        np.einsum("...lk,ij->...lkij", ha, MASK_A)
-        + np.einsum("...lk,ij->...lkij", hb, MASK_B)
-        + np.einsum("...lk,ij->...lkij", hc, MASK_C)
-    )
 
 
 @dataclass(frozen=True)
@@ -261,11 +259,11 @@ class MetricAtPoint:
 
     @cached_property
     def d1(self) -> np.ndarray:
-        return _entry_partials(self.jet_a.grad, self.jet_b.grad, self.jet_c.grad)
+        return circulant_matrix(self.jet_a.grad, self.jet_b.grad, self.jet_c.grad)
 
     @cached_property
     def d2(self) -> np.ndarray:
-        return _entry_hessians(self.jet_a.hess, self.jet_b.hess, self.jet_c.hess)
+        return circulant_matrix(self.jet_a.hess, self.jet_b.hess, self.jet_c.hess)
 
     @cached_property
     def _inverse(self) -> "InverseMetricAtPoint":
@@ -277,24 +275,23 @@ class MetricAtPoint:
 
 
 def _metric_jets(
-    spec: ManifoldSpec, xs: np.ndarray, check_domain: bool = True
+    spec: ManifoldSpec, xs: np.ndarray
 ) -> tuple[tuple[FieldJet, FieldJet, FieldJet], list[_Failure]]:
     """Jets of A, B and C at every row of xs (n, 4), and the failures unraised.
 
     The failures are listed in the order `metric_at` tests them at one
-    point: a finite point, inside the domain box (if `check_domain`), the
-    fields A, B and C, then the ordering 0 < B < C < A.
+    point: a finite point, inside the domain box, the fields A, B and C,
+    then the ordering 0 < B < C < A.
     """
-    failures = [_point_failure(xs)]
-    if check_domain:
-        failures.append(
-            (
-                ~spec.domain._inside(xs),
-                lambda i: OutsideDomainError(
-                    f"point {xs[i].tolist()} outside the domain box of spec '{spec.name}'"
-                ),
-            )
-        )
+    failures = [
+        _point_failure(xs),
+        (
+            ~spec.domain._inside(xs),
+            lambda i: OutsideDomainError(
+                f"point {xs[i].tolist()} outside the domain box of spec '{spec.name}'"
+            ),
+        ),
+    ]
     jets = []
     for field in (spec.A, spec.B, spec.C):
         jet, field_failures = _field_jets(field.ast, xs)
@@ -313,7 +310,7 @@ def _metric_jets(
     return tuple(jets), failures
 
 
-def metric_at(spec: ManifoldSpec, p, check_domain: bool = True) -> MetricAtPoint:
+def metric_at(spec: ManifoldSpec, p) -> MetricAtPoint:
     """Evaluate the circulant metric of a spec at a point.
 
     Raises OutsideDomainError when p leaves the domain box, DomainError when
@@ -321,7 +318,7 @@ def metric_at(spec: ManifoldSpec, p, check_domain: bool = True) -> MetricAtPoint
     AdmissibilityError when the ordering 0 < B < C < A fails there.
     """
     x = as_point(p)
-    jets, failures = _metric_jets(spec, x[None], check_domain)
+    jets, failures = _metric_jets(spec, x[None])
     _raise_first(failures)
     ja, jb, jc = (_single(jet) for jet in jets)
     return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=x)
@@ -472,7 +469,7 @@ def basis_angles(m: MetricAtPoint, x) -> BasisAngles:
     flag, value = induces_q_basis(x)
     if not flag:
         raise QBasisError(f"{np.asarray(x).tolist()} does not induce a q-basis (criterion {value})")
-    shifts = [q_apply(x, k) for k in range(4)]
+    shifts = np.asarray(x, dtype=float)[_SHIFTS]
     cosines = {
         (i, j): cos_angle(m, shifts[i], shifts[j])
         for i, j in combinations(range(4), 2)

@@ -14,7 +14,7 @@ Conventions, fixed once for the whole package:
   * Index lowering uses the last slot: R_ijkl = g_al R^a_ijk, which makes
     R_ijkl = g(R(e_i, e_j) e_k, e_l).
 
-The Christoffel, curvature and nabla q contractions take any leading axes,
+The Christoffel, curvature and nabla q computations take any leading axes,
 so one call covers a block of points (`_christoffel_block`, whose `_Block`
 holds the metric, Gamma and the curvature of every point with a leading
 point axis); the per-point functions are their case without a leading axis.
@@ -31,9 +31,8 @@ from .core import (
     InverseMetricAtPoint,
     ManifoldSpec,
     MetricAtPoint,
-    Q,
-    _entry_hessians,
-    _entry_partials,
+    _DOWN,
+    _UP,
     _inverse_factors,
     _metric_jets,
     _naming_points,
@@ -150,7 +149,7 @@ class _Block:
     @cached_property
     def dgamma(self) -> np.ndarray:
         """d_l Gamma^s_ij, (n, l, s, i, j)."""
-        return _dgamma(self.ginv, self.dg, _entry_hessians(*(jet.hess for jet in self.jets)))
+        return _dgamma(self.ginv, self.dg, circulant_matrix(*(jet.hess for jet in self.jets)))
 
     @cached_property
     def _curvature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +178,7 @@ def _christoffel_block(spec: ManifoldSpec, xs: np.ndarray) -> tuple[_Block, list
     ginv = InverseMetricAtPoint(
         *(f[keep] for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
     ).matrix
-    dg = _entry_partials(*(jet.grad for jet in jets))
+    dg = circulant_matrix(*(jet.grad for jet in jets))
     return _Block(xs[keep], jets, ginv, dg, _gamma(ginv, dg)), failures
 
 
@@ -247,8 +246,9 @@ class NablaQ:
 
 
 def _nabla_q(gamma: np.ndarray) -> np.ndarray:
-    """Components of nabla q from Gamma over any leading axes: (..., i, s, j)."""
-    return np.einsum("...sik,kj->...isj", gamma, Q) - np.einsum("...kij,sk->...isj", gamma, Q)
+    """Components of nabla q from Gamma over any leading axes: (..., i, s, j).
+    q only relabels components: the terms are Gamma^s_i(j-1) and Gamma^(s+1)_ij."""
+    return np.swapaxes(gamma[..., _DOWN] - gamma[..., _UP, :, :], -3, -2)
 
 
 def nabla_q(ch: ChristoffelAtPoint) -> NablaQ:

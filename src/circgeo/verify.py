@@ -35,11 +35,13 @@ Each point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
 first error raised.  The two large per-point payloads, the parallel-scan
 rows and each point's mu-law cases, are held as column `Table`s and
-written straight from their columns as byte matrices; the floats of all
-the tables of a report are written in one pass of the exact array kernel
-`_floattext.float_text`, each distinct value once, byte for byte as
-`repr` writes them.  Reports are compact JSON, written to a file piece by
-piece (`write_report`) without ever holding the whole text.
+written straight from their columns as byte matrices; the floats of each
+run of consecutive same-column tables are written in one pass of the
+exact array kernel `_floattext.float_text`, each distinct value once,
+byte for byte as `repr` writes them.  Reports are compact JSON, written
+to a file piece by piece (`write_report`) without ever holding the whole
+text.  The shift acts on vectors and tensor components through `core`'s
+index maps (`_SHIFTS`, `_UP`, `_DOWN`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ from ._table import Table, _tables_json
 from .core import (
     BasisAngles,
     ManifoldSpec,
+    _DOWN,
     _SHIFTS,
+    _UP,
     _basis_draws,
     _cosine_beyond,
     _cosine_error,
@@ -285,12 +289,6 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
 def _point_max(a: np.ndarray) -> np.ndarray:
     """max |a| over every axis but the first, (n,)."""
     return np.abs(a).max(axis=tuple(range(1, a.ndim)))
-
-
-# The shift on tensor components: q e_k = e_(k-1), so feeding q e_k into a
-# lower slot reads component k - 1 (gather with _DOWN), and applying q to
-# an upper index gives (q v)^s = v^(s+1) (gather with _UP).
-_UP, _DOWN = _SHIFTS[1], _SHIFTS[3]
 
 
 def _isometry_residuals(g: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -851,7 +849,8 @@ def report_to_json(report: dict) -> str:
 
     The text equals json.dumps(report, sort_keys=True, allow_nan=False,
     separators=(",", ":")) with every `Table` read as its list of rows, and
-    a newline; the floats of all the tables are formatted in one pass.
+    a newline; the floats of each run of same-column tables are formatted
+    in one pass.
     """
     return "".join(_report_pieces(report))
 

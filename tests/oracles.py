@@ -11,8 +11,16 @@ import json
 
 import numpy as np
 
-from circgeo.core import MASK_A, MASK_B, MASK_C
 from circgeo.verify import Table
+
+# The circulant pattern as 0/1 masks and the cyclic shift as a matrix,
+# written out here rather than taken from the package, whose encoding is a
+# set of index maps (`core._CLASS`, `core._SHIFTS`).
+MASK_A = np.eye(4)
+MASK_B = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
+MASK_C = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+# (q x)^s = Q[s, k] x^k = x^(s+1 mod 4)
+Q = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], dtype=float)
 
 
 def fd_jet(f, p, h_grad: float = 1e-5, h_hess: float = 1e-5):
@@ -40,12 +48,22 @@ def fd_jet(f, p, h_grad: float = 1e-5, h_hess: float = 1e-5):
     return grad, hess
 
 
+def masked(a, b, c) -> np.ndarray:
+    """The circulant pattern of a, b, c (any equal trailing shape) as a sum
+    over the masks: (..., 4, 4)."""
+    return sum(np.multiply.outer(v, mask) for v, mask in zip((a, b, c), (MASK_A, MASK_B, MASK_C)))
+
+
+def nabla_q_reference(gamma) -> np.ndarray:
+    """Gamma^s_ik q^k_j - Gamma^k_ij q^s_k as matrix contractions with Q,
+    from gamma (..., s, i, j): (..., i, s, j)."""
+    return np.einsum("...sik,kj->...isj", gamma, Q) - np.einsum("...kij,sk->...isj", gamma, Q)
+
+
 def metric_values(spec, p) -> np.ndarray:
     """Assemble the metric matrix from plain field values (no jets)."""
     p = np.asarray(p, float)
-    return (
-        spec.A(p) * MASK_A + spec.B(p) * MASK_B + spec.C(p) * MASK_C
-    )
+    return masked(spec.A(p), spec.B(p), spec.C(p))
 
 
 def fd_christoffel(spec, p, h: float = 1e-5) -> np.ndarray:

@@ -1,19 +1,27 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circgeo import _floattext
 from circgeo.cli import main
 from circgeo.core import load_spec
+from circgeo.expr import unparse
 from circgeo.verify import run_suite
 
 from conftest import fixture_path
 from oracles import report_to_json_reference, scan_stdout_reference
+from test_expr import _ast_strategy
 
 CURVED = str(fixture_path("curved-par"))
 NONPAR = str(fixture_path("nonpar"))
@@ -434,6 +442,13 @@ def test_very_deep_field_exits_2(tmp_path, capsys, A):
     assert err.count("\n") == 1 and "deeper than" in err
 
 
+def test_a_spec_nested_too_deeply_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: malformed manifold spec: JSON nested too deeply\n"
+
+
 def test_a_spec_name_like_the_table_placeholder_reaches_the_report(tmp_path):
     spec = tmp_path / "spec.json"
     with open(CURVED) as f:
@@ -471,3 +486,91 @@ def test_a_write_that_fails_midway_leaves_the_error_report(tmp_path, capsys, mon
     message = "[Errno 28] No space left on device"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert json.loads(out.read_text()) == {"error": {"type": "OSError", "message": message}}
+
+
+# ---------------------------------------------------------------------------
+# The error model over generated command lines
+# ---------------------------------------------------------------------------
+
+_JSON = "<json>"  # stands for the --json path, filled in per example
+_TOKENS = ["--bogus", "--point", "--grid", "--json", "--seed", "-1", "", "x", "0,0,0", "nan", "--"]
+
+
+def _mutated(draw, text: str) -> str:
+    """`text` with a character dropped, inserted or replaced, or cut short."""
+    if not text:
+        return text
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(list('()+-*/^,.e x1"{}[]:\\') + ["\0", "\u00e9", "1e400"]))
+    head, tail = text[:at], text[at + 1 :]
+    return draw(st.sampled_from([head + tail, head + char + text[at:], head + char + tail, head]))
+
+
+@st.composite
+def _command_lines(draw):
+    """A spec's file text and a command line naming it.  The fields are near
+    an admissible metric, from `_ast_strategy`; at most one of a field's
+    text, the file's text or the words of the line is mutated."""
+    mutate = draw(st.sampled_from([None] * 4 + ["A", "B", "C", "file", "argv"]))
+    fields = {}
+    for key, base in (("A", 10), ("B", 1), ("C", 2)):
+        tree = unparse(draw(_ast_strategy()))
+        near = [f"{base} + 0.01*({tree})", f"{base} + 1e150*({tree})", tree, str(base)]
+        field = draw(st.sampled_from(near))
+        fields[key] = _mutated(draw, field) if mutate == key else field
+    odd = [[0.3] * 4, [1, 0, 0, 0], ["a", 0, 0, 0], [math.nan] * 4, [-math.inf, 0, 0, 0]]
+    lo = draw(st.sampled_from([[-1] * 4] * 5 + odd))
+    name = draw(st.sampled_from(["probe", "\0", ""]))
+    text = json.dumps({"name": name, **fields, "domain": {"min": lo, "max": [1] * 4}})
+    if mutate == "file":  # a character changed, or nested deeper than a recursive reader goes
+        text = draw(st.sampled_from([_mutated(draw, text), "[" * 100_000 + text]))
+
+    command = draw(
+        st.sampled_from(["validate", "metric", "christoffel", "curvature", "basis", "verify", "scan"])
+    )
+    point = draw(
+        st.sampled_from(
+            ["0.5,0.5,0.5,0.5", "0,0,0,0", "-1,-1,-1,-1", "1,0,-1,0", "2,0,0,0", "inf,0,0,0", "1e-320,0,0,0"]
+        )
+    )
+    words = {
+        "validate": ["--grid", draw(st.sampled_from(["1", "2", "0", "-2"]))],
+        "verify": draw(st.sampled_from([["--point", point], ["--grid", "2"]])),
+        "scan": ["--grid", draw(st.sampled_from(["2", "3"])), "--check", "parallel"],
+    }.get(command, ["--point", point])
+    argv = [command, "<spec>", *words, "--seed", str(draw(st.integers(-3, 3)))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--checks", draw(st.sampled_from(["mu-law,isometry", "parallel-equivalence", "nope"]))]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["mu-law=1e-30", "isometry=inf", "nope=1", "mu-law=-1"]))]
+    argv += ["--json", _JSON]
+    if mutate == "argv":  # a word dropped, doubled or inserted
+        at = draw(st.integers(0, len(argv) - 1))
+        token = draw(st.sampled_from(_TOKENS))
+        argv[at : at + 1] = draw(st.sampled_from([[], [argv[at]] * 2, [token, argv[at]]]))
+    return text, argv
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_command_lines(), st.booleans())
+def test_every_command_line_ends_in_a_documented_exit_code(capsys, line, missing_dir):
+    text, argv = line
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / ("missing/" * missing_dir + "out.json")
+        spec.write_text(text)
+        argv = [str(spec) if w == "<spec>" else str(out) if w == _JSON else w for w in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)  # nothing escapes: an exception fails the test
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert not caught, [str(w.message) for w in caught]  # a warning would be a second line
+        if err:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert code in (2, 3), (argv, code, err)
+        else:  # validate's inadmissible points are its result, exit 3
+            assert code in (0, 1) or (code == 3 and "validate" in argv), (argv, code)
+        if out.exists():
+            report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+            assert ("error" in report) == bool(err), (argv, code, report)

@@ -157,20 +157,27 @@ def test_unserialisable_values_raise_type_error_like_json_dumps():
         report_to_json({"a": [Table({"b": np.ones(1)}), {1, 2}]})
 
 
-def test_report_formats_the_floats_of_all_its_tables_in_one_pass(monkeypatch):
+def test_report_formats_the_floats_of_each_run_of_same_column_tables_in_one_pass(monkeypatch):
     spec = load_spec(fixture_path("curved-par"))
     report = run_suite(spec, spec.domain.grid(3), seed=3)
     tables = [c["payload"][k] for c in report["checks"] for k in ("cases", "points") if k in c["payload"]]
-    assert len(tables) == 82  # 81 points' mu-law cases and the parallel-scan rows
-    floats = [c for t in tables for c in t.columns.values() if c is not None and c.dtype == float]
-    distinct = len(np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64)))
+    # In document order: the 81 points' mu-law cases, then the parallel-scan rows.
+    assert len(tables) == 82 and "cases" in report["checks"][-2]["payload"]
+    assert len({tuple(t.columns) for t in tables[:81]}) == 1
+    assert tables[81].columns.keys() != tables[0].columns.keys()
+    distinct = []
+    for run in (tables[:81], tables[81:]):
+        floats = [c for t in run for c in t.columns.values() if c is not None and c.dtype == float]
+        distinct.append(len(np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64))))
     calls = []
     kernel = _floattext._kernel
     monkeypatch.setattr(_floattext, "_kernel", lambda v: calls.append(len(v)) or kernel(v))
     text = report_to_json(report)
-    assert len(calls) == -(-distinct // _floattext.CHUNK) and sum(calls) == distinct
+    # One float_text pass per run: each pass takes its run's distinct floats once.
+    assert len(calls) == sum(-(-d // _floattext.CHUNK) for d in distinct)
+    assert sum(calls) == sum(distinct)
     # A table keeps no texts: a second write formats again.
-    assert report_to_json(report) == text and sum(calls) == 2 * distinct
+    assert report_to_json(report) == text and sum(calls) == 2 * sum(distinct)
 
 
 def test_text_rejects_nul_in_its_layout():
@@ -188,9 +195,15 @@ def test_tables_with_the_same_columns_are_written_in_one_pass(monkeypatch, step_
         columns = {"x": rng.standard_normal(n), "v": rng.standard_normal((n, 2)) * 1e20}
         return Table({**columns, "ok": rng.random(n) < 0.5, "none": None})
 
+    def other(n):
+        return Table({"x": rng.standard_normal(n), "y": rng.standard_normal(n)})
+
     report = {"a": [table(n) for n in (3, 0, 40, 1, 0, 7)], "b": table(5), "c": table(0)}
     assert report_to_json(report) == report_to_json_reference(report)
     assert [t.to_json() for t in report["a"]] == [reference(list(t)) for t in report["a"]]
+    # Runs of tables whose columns alternate: A, B, A, then B, A, B.
+    mixed = {"m": [table(4), other(3), table(30), other(0), table(2), other(20)]}
+    assert report_to_json(mixed) == report_to_json_reference(mixed)
 
 
 @pytest.mark.parametrize("name", ["\0", "\0\0", '"\0', "\0\\"])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from circgeo.core import MetricAtPoint, metric_at, q_apply
+from circgeo.core import MetricAtPoint, circulant_matrix, metric_at, q_apply
 from circgeo.tensor import (
     DegeneratePlaneError,
+    _nabla_q,
     christoffel_at,
     christoffel_from_metric,
     metric_compatibility_residual,
@@ -17,7 +18,7 @@ from circgeo.tensor import (
 from circgeo.verify import sample_q_basis_vectors
 
 from conftest import interior_points
-from oracles import fd_christoffel, fd_dgamma
+from oracles import fd_christoffel, fd_dgamma, masked, nabla_q_reference
 
 
 def geometry_at(spec, p):
@@ -218,3 +219,42 @@ def test_nabla_q_formula_shape():
     m = MetricAtPoint.from_constants(5, 1, 3)
     ch = christoffel_from_metric(m)
     assert nabla_q(ch).components.shape == (4, 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# The index maps of q and of the circulant pattern
+# ---------------------------------------------------------------------------
+
+
+def _signed_values(rng, shape):
+    """Finite floats over many magnitudes, a third of them +0.0 or -0.0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    zero = rng.random(shape) < 1 / 3
+    return np.where(zero, np.copysign(0.0, rng.standard_normal(shape)), values)
+
+
+def _same_up_to_zero_sign(got, ref):
+    assert got.shape == ref.shape
+    nonzero = ref != 0
+    assert np.array_equal(got[nonzero].view(np.uint64), ref[nonzero].view(np.uint64))
+    assert not got[~nonzero].any()
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+def test_index_maps_match_mask_and_matrix_contractions(lead):
+    # The gathers must give the masks' and Q's numbers: nonzero entries bit
+    # for bit, zeros in value.  An exact zero may change sign: the gradient
+    # of -(x1 - 12) is (-1, -0.0, -0.0, -0.0), a gather keeps the -0.0 and a
+    # mask sum adds +0.0 to it.  No report shows this sign: every residual
+    # is an absolute value, and `christoffel` and `curvature` at points of a
+    # spec whose fields are negated like this write the same bytes either
+    # way.
+    rng = np.random.default_rng(len(lead) + sum(lead))
+    a, b, c = (_signed_values(rng, lead) for _ in range(3))
+    _same_up_to_zero_sign(circulant_matrix(a, b, c), masked(a, b, c))
+    grads = [_signed_values(rng, (*lead, 4)) for _ in range(3)]
+    _same_up_to_zero_sign(circulant_matrix(*grads), masked(*grads))  # d_k g_ij
+    hessians = [_signed_values(rng, (*lead, 4, 4)) for _ in range(3)]
+    _same_up_to_zero_sign(circulant_matrix(*hessians), masked(*hessians))  # d_l d_k g_ij
+    gamma = _signed_values(rng, (*lead, 4, 4, 4))
+    _same_up_to_zero_sign(_nabla_q(gamma), nabla_q_reference(gamma))
