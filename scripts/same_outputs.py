@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Compare the outputs of this checkout with those of another one.
+
+    python3 scripts/same_outputs.py OTHER_ROOT
+
+Runs a fixed list of `circgeo` command lines (below) with this checkout's
+sources and with OTHER_ROOT's (`PYTHONPATH=<root>/src`), both on this
+checkout's fixtures and with the same temporary `--json` path.  Prints each
+command line whose stdout, stderr, exit code or JSON report bytes differ,
+with what differs, and exits 1 if any do; exits 0 when all are the same.
+A refactor that claims byte-identical output runs this against its parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ADMISSIBLE = ["const", "flat-par", "curved-par", "nonpar"]
+ALL = ["bad-order", *ADMISSIBLE]
+JOBS = 2  # command lines run at once, each side after the other
+
+
+def command_lines() -> list[list[str]]:
+    """Each command line as argv after `circgeo`, the spec a fixture name."""
+    lines = []
+    for name in ADMISSIBLE:
+        lines.append(["verify", name, "--grid", "3", "--seed", "7"])
+        lines.append(["scan", name, "--check", "parallel", "--grid", "6"])
+    lines.append(["verify", "curved-par", "--grid", "5", "--seed", "3"])
+    lines.append(["scan", "curved-par", "--check", "parallel", "--grid", "8"])
+    for name in ALL:
+        for grid in ("3", "5"):
+            lines.append(["validate", name, "--grid", grid])
+    lines.append(["validate", "curved-par", "--grid", "10"])
+    for name in ADMISSIBLE:
+        for command in ("metric", "christoffel", "curvature", "basis"):
+            for point in ("0,0,0,0", "-1,-1,-1,-1"):
+                lines.append([command, name, f"--point={point}"])
+    return lines
+
+
+def run(root: Path, argv: list[str], json_path: Path) -> tuple:
+    """(exit code, stdout, stderr, report bytes) of one command line."""
+    spec = str(ROOT / "fixtures" / f"{argv[1]}.json")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "circgeo", argv[0], spec, *argv[2:], "--json", str(json_path)],
+        cwd=json_path.parent,
+        env=env,
+        capture_output=True,
+    )
+    report = json_path.read_bytes() if json_path.exists() else None
+    json_path.unlink(missing_ok=True)
+    return done.returncode, done.stdout, done.stderr, report
+
+
+def differences(other: Path, argv: list[str], tmp: Path) -> list[str]:
+    """What differs between the two checkouts' runs of one command line."""
+    json_path = tmp / "report.json"
+    tmp.mkdir()
+    ours, theirs = run(ROOT, argv, json_path), run(other, argv, json_path)
+    names = ("exit code", "stdout", "stderr", "json")
+    return [name for name, a, b in zip(names, ours, theirs) if a != b]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_root", type=Path, help="root of the checkout to compare with")
+    args = parser.parse_args()
+    other = args.other_root.resolve()
+    if not (other / "src" / "circgeo").is_dir():
+        parser.error(f"{other} holds no src/circgeo")
+    lines = command_lines()
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(JOBS) as pool:
+        found = pool.map(
+            lambda k: differences(other, lines[k], Path(tmp) / str(k)), range(len(lines))
+        )
+        failed = 0
+        for argv, diff in zip(lines, found):
+            if diff:
+                failed += 1
+                print(f"differs ({', '.join(diff)}): circgeo {' '.join(argv)}")
+    print(f"{len(lines) - failed} of {len(lines)} command lines give the same outputs")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,15 @@
-"""Column tables and their text: rows held as numpy columns, written as
-byte matrices with every float as `repr` writes it.
+"""Column tables and the one writer of report text.
 
-`verify` holds the parallel-scan rows and each point's mu-law cases as
-`Table`s; `verify.report_to_json` and `verify.write_report` write the
-tables of a report through `_tables_json`, each run of consecutive tables
-with the same columns in one `_floattext` pass and the rows a step at a
-time.
+`Table` holds rows as numpy columns: `verify` keeps the parallel-scan rows
+and each point's mu-law cases in them.  This module alone turns a report
+that holds tables into text.  `report_to_json` and `write_report`
+(re-exported by `verify`, where `cli` and the tests call them) let the C
+encoder write everything but the tables, then splice in each table's JSON
+array, written from its columns; `Table.text` writes one table's rows by
+a layout (`scan`'s stdout).  Each run of consecutive tables with the same
+columns has its floats formatted in one `_floattext` pass, as `repr`
+writes them, and its rows written as byte matrices a fixed number of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Table"]
+__all__ = ["Table", "report_to_json", "write_report"]
 
 
 class Table(Sequence):
@@ -31,12 +35,11 @@ class Table(Sequence):
     the table is made.  Row dicts are built on demand, a slice is a
     `Table`, and a table equals any sequence of the same rows.
 
-    `text` and `to_json` write all rows from the columns as byte matrices,
-    the floats as `repr` writes them, by `_floattext.float_text`, each
-    distinct bit pattern once (so -0.0 stays -0.0); `verify.report_to_json`
-    and `verify.write_report` format the floats of each run of consecutive
-    same-column tables of a report in one pass.  A table keeps no text:
-    each write formats its floats anew.
+    `text`, and `report_to_json` for a report holding tables, write all
+    rows from the columns as byte matrices, the floats as `repr` writes
+    them, by `_floattext.float_text`, each distinct bit pattern once (so
+    -0.0 stays -0.0).  A table keeps no text: each write formats its
+    floats anew.
     """
 
     def __init__(self, columns: dict):
@@ -79,14 +82,6 @@ class Table(Sequence):
         floats = [c for c in self.columns.values() if c is not None and c.dtype == np.float64]
         if not all(np.isfinite(c).all() for c in floats):
             json.dumps(list(self), sort_keys=True, allow_nan=False)
-
-    def to_json(self) -> str:
-        """The rows as a JSON array of objects, byte-identical to
-        json.dumps(list(self), sort_keys=True, separators=(",", ":"),
-        allow_nan=False), which also raises the same ValueError on NaN
-        or +-inf."""
-        self._check_finite()
-        return "".join(p for _, p in _tables_json([self]))
 
 
 def _format_floats(tables: list[Table]) -> tuple:
@@ -137,18 +132,6 @@ def _format_floats(tables: list[Table]) -> tuple:
 _ROWS_BYTES = 1 << 17
 
 
-def _steps(bounds: list[int], size: int) -> list[int]:
-    """Row cuts into steps of at most `size` rows, at table bounds except
-    inside a table longer than a step."""
-    cuts = [0]
-    for first, end in zip(bounds[:-1], bounds[1:]):
-        if end - cuts[-1] > size and first > cuts[-1]:
-            cuts.append(first)
-        while end - cuts[-1] > size:
-            cuts.append(cuts[-1] + size)
-    return cuts + [bounds[-1]] * (cuts[-1] < bounds[-1])
-
-
 def _tables_text(
     tables: list[Table], cells, layout, words, comma, row_sep
 ) -> Iterator[tuple[int, str]]:
@@ -156,12 +139,14 @@ def _tables_text(
     the pieces of table i to be joined; the tables have the same columns,
     and `cells` are their float texts from `_format_floats`.
 
-    The rows are written in steps of about `_ROWS_BYTES`, cut at table
-    bounds where they can be.  A step is a byte matrix, filled slot by slot
-    (the texts of `layout`, each float's text cut to the widest in the step,
-    the flags and nulls), its NULs dropped at once, and split by table at
-    the row lengths summed from the slots.  Only the step is held: its
-    pieces are yielded before the next step is written.
+    The rows of all the tables are written in steps of a fixed number of
+    rows, about `_ROWS_BYTES` of matrix, wherever the table bounds fall.  A
+    step is a byte matrix, filled slot by slot (the texts of `layout`, each
+    float's text cut to the widest in the step, the flags and nulls); the
+    byte where each row starts is counted off the matrix, its NULs are
+    dropped at once, and each table's share of the step is decoded from its
+    own slice of the bytes.  Only the step is held: its pieces are yielded
+    before the next step is written.
     """
     from ._floattext import WIDTH
 
@@ -170,28 +155,21 @@ def _tables_text(
     texts, lengths, index = cells
 
     # Each slot of a row: (bytes wide at most, a function of the step's rows
-    # c0:c1 giving a byte row or a NUL-padded byte matrix, and the characters
-    # it writes in each row).
+    # c0:c1 giving a byte row or a NUL-padded byte matrix).
     def literal(text):
         raw = np.frombuffer(text.encode(), np.uint8)
-        return len(raw), lambda c0, c1: (raw, len(text))
+        return len(raw), lambda c0, c1: raw
 
-    packed, word_chars = _packed(words[:2]), np.array([len(w) for w in words[:2]])
+    packed = np.array([w.encode() for w in words[:2]]).view(np.uint8).reshape(2, -1)
 
     def flag(key):
         column = np.concatenate([t.columns[key] for t in tables])  # a byte a row
-
-        def fill(c0, c1):
-            choice = np.where(column[c0:c1], 0, 1)
-            return packed.take(choice, axis=0), word_chars.take(choice)
-
-        return packed.shape[1], fill
+        return packed.shape[1], lambda c0, c1: packed.take(np.where(column[c0:c1], 0, 1), axis=0)
 
     def number(rows):
         def fill(c0, c1):
             cell = rows[c0:c1]
-            chars = lengths.take(cell)
-            return texts.take(cell, axis=0)[:, : chars.max(initial=0)], chars
+            return texts.take(cell, axis=0)[:, : lengths.take(cell).max(initial=0)]
 
         return WIDTH, fill
 
@@ -210,37 +188,31 @@ def _tables_text(
     slots.append(literal(layout[-1] + row_sep))
 
     bounds = list(itertools.accumulate([len(t) for t in tables], initial=0))
-    cuts = _steps(bounds, max(1, _ROWS_BYTES // sum(w for w, _ in slots)))
-    t = 0
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+    size = max(1, _ROWS_BYTES // sum(w for w, _ in slots))
+    sep, t = len(row_sep.encode()), 0
+    for c0 in range(0, bounds[-1], size):
+        c1 = min(c0 + size, bounds[-1])
         filled = [fill(c0, c1) for _, fill in slots]
-        matrix = np.empty((c1 - c0, sum(f.shape[-1] for f, _ in filled)), np.uint8)
+        matrix = np.empty((c1 - c0, sum(f.shape[-1] for f in filled)), np.uint8)
         at = 0
-        for f, _ in filled:
+        for f in filled:
             matrix[:, at : at + f.shape[-1]] = f
             at += f.shape[-1]
-        chars = sum((c for _, c in filled), np.zeros(c1 - c0, np.int64))
         del filled
-        text = str(matrix[matrix != 0].data, "utf-8")  # decoded from the buffer, no bytes copy
-        offsets = [0, *np.cumsum(chars).tolist()]  # the character where each row starts
+        kept = matrix != 0
+        # The byte where each row starts; summing `kept` as bytes into int32
+        # takes half the time of a sum of bools.
+        offsets = [0, *np.cumsum(kept.view(np.uint8).sum(axis=1, dtype=np.int32)).tolist()]
+        data = matrix[kept].data
         while t < len(tables) and bounds[t] < c1:
             start, end = offsets[max(bounds[t], c0) - c0], offsets[min(bounds[t + 1], c1) - c0]
             if bounds[t + 1] <= c1:
-                end -= len(row_sep)  # after the table's last row
+                end -= sep  # after the table's last row
             if end > start:
-                yield t, text[start:end]
+                yield t, str(data[start:end], "utf-8")  # decoded from the buffer, no bytes copy
             if bounds[t + 1] > c1:
                 break  # the table goes on in the next step
             t += 1
-
-
-def _packed(words) -> np.ndarray:
-    """The words as rows of bytes padded with NULs."""
-    raw = [w.encode() for w in words]
-    out = np.zeros((len(raw), max(map(len, raw))), np.uint8)
-    for row, word in zip(out, raw):
-        row[: len(word)] = np.frombuffer(word, np.uint8)
-    return out
 
 
 def _json_layout(table: Table) -> list:
@@ -254,27 +226,83 @@ def _json_layout(table: Table) -> list:
     return layout
 
 
-def _tables_json(tables: list[Table]) -> Iterator[tuple[int, str]]:
-    """The JSON arrays of `tables` (floats known to be finite) as (i, piece)
-    pairs in table order, "[" first and "]" last of each table.
+def _report_pieces(report: dict) -> Iterator[str]:
+    """The text of `report_to_json(report)` as pieces, in document order.
+
+    Every error the text would raise (NaN or +-inf, a value JSON cannot
+    write) is raised by this call, in document order: the C encoder writes
+    everything but the tables at once, each table as a placeholder string
+    once its floats are known to be finite.  The pieces are made as they
+    are taken: the encoded text between the tables, and the tables' rows a
+    step at a time.  A report string equal to the placeholder is told apart
+    by count and a longer placeholder taken.
+    """
+    mark = "\0"
+    while True:
+        tables: list[Table] = []
+
+        def placeholder(value):
+            if isinstance(value, Table):
+                value._check_finite()
+                tables.append(value)
+                return mark
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+        text = json.JSONEncoder(
+            sort_keys=True, allow_nan=False, separators=(",", ":"), default=placeholder
+        ).encode(report)
+        token = json.dumps(mark)
+        if text.count(token) == len(tables):
+            return _spliced(text, token, tables)
+        mark += "\0"
+
+
+def _spliced(text: str, token: str, tables: list[Table]) -> Iterator[str]:
+    """`text` with each `token` in turn replaced by the JSON array of the
+    next of `tables` (floats known to be finite), as pieces, and a newline.
 
     Each run of consecutive tables with the same columns is written in one
-    pass of `_tables_text`, its floats formatted in one pass when its first
-    piece is asked for, so only a step of one run is held at a time.
+    pass of `_tables_text`, its floats formatted in one pass when the run
+    is reached, so only a step of one run is held at a time.
     """
 
     def shape(t: Table) -> list:
         return [(k, None if c is None else (c.dtype, c.shape[1:])) for k, c in t.columns.items()]
 
-    start, words = 0, ("true", "false", "null")
+    at = 0
     for _, run in itertools.groupby(tables, shape):
         run = list(run)
+        words = ("true", "false", "null")
         pieces = _tables_text(run, _format_floats(run), _json_layout(run[0]), words, ",", ",")
         item = next(pieces, None)
         for j in range(len(run)):
-            yield start + j, "["
+            end = text.index(token, at)
+            yield text[at:end] + "["
+            at = end + len(token)
             while item is not None and item[0] == j:
-                yield start + j, item[1]
+                yield item[1]
                 item = next(pieces, None)
-            yield start + j, "]"
-        start += len(run)
+            yield "]"
+    yield text[at:] + "\n"
+
+
+def report_to_json(report: dict) -> str:
+    """The report as compact, strict JSON (no NaN or Infinity) with sorted
+    keys, so equal reports give equal bytes.
+
+    The text equals json.dumps(report, sort_keys=True, allow_nan=False,
+    separators=(",", ":")) with every `Table` read as its list of rows, and
+    a newline; the floats of each run of same-column tables are formatted
+    in one pass.
+    """
+    return "".join(_report_pieces(report))
+
+
+def write_report(report: dict, path) -> None:
+    """Write `report_to_json(report)` to the file at `path` piece by piece,
+    never holding the whole text.  Every error of the text is raised before
+    the file is opened, so a report that cannot be written leaves no
+    truncated file."""
+    pieces = _report_pieces(report)
+    with open(path, "w") as out:
+        out.writelines(pieces)

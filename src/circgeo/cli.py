@@ -33,6 +33,7 @@ from .core import (
     OutsideDomainError,
     SingularMetricError,
     _SHIFTS,
+    _metric_jets,
     admissibility,
     basis_angles,
     find_orthogonal_q_basis,
@@ -43,7 +44,7 @@ from .core import (
 )
 from .expr import DomainError, ParseError
 from .tensor import christoffel_from_metric, nabla_q, riemann_from_christoffel
-from .verify import convention_text, run_suite, write_report
+from .verify import _BLOCK, convention_text, run_suite, write_report
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE, _EXIT_DOMAIN = 0, 1, 2, 3
 
@@ -182,11 +183,16 @@ def _cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     points = spec.domain.grid(args.grid)
     bad = []
-    for p in points:
-        try:
-            metric_at(spec, p)
-        except (AdmissibilityError, DomainError) as exc:
-            bad.append({"point": [float(v) for v in p], "reason": str(exc)})
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        _, failures = _metric_jets(spec, block)
+        for i, p in enumerate(block):
+            # What `metric_at(spec, p)` would raise: its first failure set at p.
+            exc = next((make(i) for mask, make in failures if i < len(mask) and mask[i]), None)
+            if isinstance(exc, (AdmissibilityError, DomainError)):
+                bad.append({"point": [float(v) for v in p], "reason": str(exc)})
+            elif exc is not None:
+                raise exc
     report = {
         "command": "validate",
         "spec": spec.name,

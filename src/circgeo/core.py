@@ -172,20 +172,31 @@ class ManifoldSpec:
         try:
             name = str(data["name"])
             fields = {key: parse(str(data[key])) for key in ("A", "B", "C")}
-            dom = data["domain"]
-            box = Box(np.asarray(dom["min"], float), np.asarray(dom["max"], float))
+            lo, hi = (_domain_bound(data["domain"], key) for key in ("min", "max"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed manifold spec: {exc}") from exc
-        return cls(name, fields["A"], fields["B"], fields["C"], box)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(hi - lo).all():
+                raise ValueError(
+                    f"malformed manifold spec: domain extent max - min overflows "
+                    f"from {lo.tolist()} to {hi.tolist()}"
+                )
+        return cls(name, fields["A"], fields["B"], fields["C"], Box(lo, hi))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "A": self.A.source,
-            "B": self.B.source,
-            "C": self.C.source,
-            "domain": {"min": self.domain.lo.tolist(), "max": self.domain.hi.tolist()},
-        }
+
+def _domain_bound(domain: dict, key: str) -> np.ndarray:
+    """domain[key] as four finite floats, or a ValueError naming the bound."""
+    value = domain[key]
+    numbers = isinstance(value, (list, tuple)) and all(isinstance(v, (int, float)) for v in value)
+    try:
+        bound = np.array(value, float) if numbers else None
+    except OverflowError:  # an integer beyond the largest float
+        bound = None
+    if bound is None or bound.shape != (4,) or not np.isfinite(bound).all():
+        raise ValueError(
+            f"malformed manifold spec: domain {key} must be four finite numbers, got {value!r}"
+        )
+    return bound
 
 
 def load_spec(path) -> ManifoldSpec:

@@ -34,26 +34,22 @@ dicts, with the verdict of a whole check taken at once by the one rule
 Each point keeps its own random streams, seeded [seed, index, k], so the
 entries equal those of running the points one at a time, and so does the
 first error raised.  The two large per-point payloads, the parallel-scan
-rows and each point's mu-law cases, are held as column `Table`s and
-written straight from their columns as byte matrices; the floats of each
-run of consecutive same-column tables are written in one pass of the
-exact array kernel `_floattext.float_text`, each distinct value once,
-byte for byte as `repr` writes them.  Reports are compact JSON, written
-to a file piece by piece (`write_report`) without ever holding the whole
-text.  The shift acts on vectors and tensor components through `core`'s
-index maps (`_SHIFTS`, `_UP`, `_DOWN`).
+rows and each point's mu-law cases, are held as column `Table`s.  This
+module builds the report; `_table` writes it.  `report_to_json` and
+`write_report` are `_table`'s, re-exported here: compact JSON, the tables
+written straight from their columns, and a file written piece by piece
+without ever holding the whole text.  The shift acts on vectors and
+tensor components through `core`'s index maps (`_SHIFTS`, `_UP`, `_DOWN`).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import Table, _tables_json
+from ._table import Table, report_to_json, write_report
 from .core import (
     BasisAngles,
     ManifoldSpec,
@@ -797,69 +793,3 @@ def run_suite(
         )
 
     return {"spec": spec.name, "convention": convention_text(), "checks": entries}
-
-
-def _report_pieces(report: dict) -> Iterator[str]:
-    """The text of `report_to_json(report)` as pieces, in document order.
-
-    Every error the text would raise (NaN or +-inf, a value JSON cannot
-    write) is raised by this call, in document order: the C encoder writes
-    everything but the tables at once, each table as a placeholder string
-    once its floats are known to be finite.  The pieces are made as they
-    are taken: the encoded text between the tables, and the tables' rows a
-    step at a time.  A report string equal to the placeholder is told apart
-    by count and a longer placeholder taken.
-    """
-    mark = "\0"
-    while True:
-        tables: list[Table] = []
-
-        def placeholder(value):
-            if isinstance(value, Table):
-                value._check_finite()
-                tables.append(value)
-                return mark
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-        text = json.JSONEncoder(
-            sort_keys=True, allow_nan=False, separators=(",", ":"), default=placeholder
-        ).encode(report)
-        token = json.dumps(mark)
-        if text.count(token) == len(tables):
-            return _spliced(text, token, tables)
-        mark += "\0"
-
-
-def _spliced(text: str, token: str, tables: list[Table]) -> Iterator[str]:
-    """`text` with each `token` in turn replaced by the JSON of the next of
-    `tables`, as pieces, and a newline."""
-    at, current = 0, -1
-    for i, piece in _tables_json(tables):
-        if i != current:
-            end = text.index(token, at)
-            yield text[at:end]
-            at, current = end + len(token), i
-        yield piece
-    yield text[at:] + "\n"
-
-
-def report_to_json(report: dict) -> str:
-    """The report as compact, strict JSON (no NaN or Infinity) with sorted
-    keys, so equal reports give equal bytes.
-
-    The text equals json.dumps(report, sort_keys=True, allow_nan=False,
-    separators=(",", ":")) with every `Table` read as its list of rows, and
-    a newline; the floats of each run of same-column tables are formatted
-    in one pass.
-    """
-    return "".join(_report_pieces(report))
-
-
-def write_report(report: dict, path) -> None:
-    """Write `report_to_json(report)` to the file at `path` piece by piece,
-    never holding the whole text.  Every error of the text is raised before
-    the file is opened, so a report that cannot be written leaves no
-    truncated file."""
-    pieces = _report_pieces(report)
-    with open(path, "w") as out:
-        out.writelines(pieces)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from circgeo import _floattext
 from circgeo.cli import main
-from circgeo.core import load_spec
-from circgeo.expr import unparse
+from circgeo.core import AdmissibilityError, load_spec, metric_at
+from circgeo.expr import DomainError, unparse
 from circgeo.verify import run_suite
 
 from conftest import fixture_path
@@ -243,6 +243,51 @@ def test_malformed_spec_exits_2(capsys, tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "domain, says",
+    [
+        ({"min": [math.nan, -1, -1, -1], "max": [1] * 4}, "domain min must be four finite numbers"),
+        ({"min": [-1] * 4, "max": [1, 1, math.inf, 1]}, "domain max must be four finite numbers"),
+        ({"min": [[0, 0], [0, 0]], "max": [1] * 4}, "domain min must be four finite numbers"),
+        ({"min": [-1] * 4, "max": [1, 1, 1]}, "domain max must be four finite numbers"),
+        ({"min": ["a", 0, 0, 0], "max": [1] * 4}, "domain min must be four finite numbers"),
+        ({"min": [-(10**400), 0, 0, 0], "max": [1] * 4}, "domain min must be four finite numbers"),
+        ({"min": [-1e308] * 4, "max": [1e308] * 4}, "domain extent max - min overflows"),
+    ],
+)
+def test_a_bad_domain_is_one_line_and_exit_2(tmp_path, capsys, domain, says):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "x", "A": "4", "B": "1", "C": "2", "domain": domain}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", str(spec), "--grid", "3"]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: malformed manifold spec: {says}")
+
+
+def test_validate_records_what_metric_at_raises_at_each_point(tmp_path):
+    # Points where log(x1 + 0.5) or 1/(x2 - 0.5) fails (DomainError) and
+    # where 0 < B < C < A fails (AdmissibilityError), among admissible ones.
+    spec = tmp_path / "spec.json"
+    fields = {"A": "10 + log(x1 + 0.5)", "B": "1 + 0.1/(x2 - 0.5)", "C": "2 + 1.5*x3"}
+    spec.write_text(json.dumps({"name": "mixed", **fields, "domain": {"min": [-1] * 4, "max": [1] * 4}}))
+    loaded = load_spec(spec)
+    bad = []
+    for p in loaded.domain.grid(5):
+        try:
+            metric_at(loaded, p)
+        except (AdmissibilityError, DomainError) as exc:
+            bad.append({"point": p.tolist(), "reason": str(exc)})
+    kinds = {b["reason"].split(" ")[0] for b in bad}
+    assert 0 < len(bad) < 625 and kinds == {"log", "division", "0"}, kinds
+    out = tmp_path / "report.json"
+    assert main(["validate", str(spec), "--grid", "5", "--json", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["inadmissible"] == bad and report["points_checked"] == 625
+
+
 def test_out_of_domain_point_exits_3(capsys):
     assert main(["metric", CURVED, "--point", "5,0,0,0"]) == 3
     assert main(["verify", CURVED, "--point", "9,9,9,9"]) == 3
@@ -461,9 +506,9 @@ def test_a_spec_name_like_the_table_placeholder_reaches_the_report(tmp_path):
 
 
 def test_a_write_that_fails_midway_leaves_the_error_report(tmp_path, capsys, monkeypatch):
-    import circgeo.verify as verify
+    from circgeo import _table
 
-    pieces = verify._report_pieces
+    pieces = _table._report_pieces
     written = []
 
     def failing(report):
@@ -479,7 +524,7 @@ def test_a_write_that_fails_midway_leaves_the_error_report(tmp_path, capsys, mon
 
         return partway()
 
-    monkeypatch.setattr(verify, "_report_pieces", failing)
+    monkeypatch.setattr(_table, "_report_pieces", failing)
     out = tmp_path / "report.json"
     assert main(["verify", CURVED, "--grid", "2", "--json", str(out)]) == 2
     assert len(written) == 3

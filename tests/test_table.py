@@ -56,7 +56,7 @@ def tables(draw, max_rows=6):
 def test_table_json_equals_json_dumps_of_its_rows(table):
     rows = list(table)
     assert len(rows) == len(table)
-    assert table.to_json() == reference(rows)
+    assert report_to_json(table) == reference(rows) + "\n"
     assert report_to_json({"t": table, "rows": [table]}) == report_to_json_reference(
         {"t": table, "rows": [table]}
     )
@@ -76,7 +76,7 @@ def test_non_finite_values_raise_like_json_dumps(table, data):
     bad = Table({**table.columns, key: column})
     with pytest.raises(ValueError) as expected:
         reference(list(bad))
-    for write in (bad.to_json, lambda: report_to_json({"cases": bad})):
+    for write in (lambda: report_to_json(bad), lambda: report_to_json({"cases": bad})):
         with pytest.raises(ValueError) as raised:
             write()
         assert str(raised.value) == str(expected.value)
@@ -119,7 +119,7 @@ def test_rows_are_plain_typed_dicts():
     with pytest.raises(IndexError):
         table[2]
     assert isinstance(table[::-1], Table) and table[::-1] == [table[1], table[0]]
-    assert table[5:] == [] and table[:1].to_json() == reference(list(table)[:1])
+    assert table[5:] == [] and report_to_json(table[:1]) == reference(list(table)[:1]) + "\n"
     (row,) = Table({"a": np.array([2.0])})  # unpacks as a sequence
     assert row == {"a": 2.0}
 
@@ -139,7 +139,7 @@ def test_text_writes_rows_by_layout():
     text = table.text(["<[", "p", "] ", "ok", ">\n"])
     assert text == "<[0.0, -0.0] True>\n<[1e+16, 5e-324] False>\n"
     assert Table({"a": np.zeros(0)}).text(["", "a", "\n"]) == ""
-    assert Table({"a": np.zeros(0)}).to_json() == "[]"
+    assert report_to_json(Table({"a": np.zeros(0)})) == "[]\n"
     # As `print(f"{value!r}")` writes them; only the JSON writer rejects them.
     assert Table({"a": np.array([math.nan, -math.inf])}).text(["", "a", "\n"]) == "nan\n-inf\n"
 
@@ -200,10 +200,45 @@ def test_tables_with_the_same_columns_are_written_in_one_pass(monkeypatch, step_
 
     report = {"a": [table(n) for n in (3, 0, 40, 1, 0, 7)], "b": table(5), "c": table(0)}
     assert report_to_json(report) == report_to_json_reference(report)
-    assert [t.to_json() for t in report["a"]] == [reference(list(t)) for t in report["a"]]
+    assert [report_to_json(t) for t in report["a"]] == [reference(list(t)) + "\n" for t in report["a"]]
     # Runs of tables whose columns alternate: A, B, A, then B, A, B.
     mixed = {"m": [table(4), other(3), table(30), other(0), table(2), other(20)]}
     assert report_to_json(mixed) == report_to_json_reference(mixed)
+
+
+def test_every_step_size_from_one_to_twelve_rows_writes_the_same_text(monkeypatch):
+    rng = np.random.default_rng(12)
+
+    def table(n):
+        columns = {"x": rng.standard_normal(n), "v": rng.standard_normal((n, 2)) * 1e-300}
+        return Table({**columns, "ok": rng.random(n) < 0.5, "none": None})
+
+    # Bounds 0, 0, 1, 4, 4, 44, 44, 45, 48, 48: empty tables first, last and
+    # at cuts of 1, 2, 4 and 11 rows.
+    report = {"t": [table(n) for n in (0, 1, 3, 0, 40, 0, 1, 3, 0)], "one": table(3)}
+    # The widest a row can be: the layout's text, the comma between the two
+    # values of "v", the row separator, each float WIDTH bytes, "false" for
+    # the flag and "null" for the null.
+    layout = _table._json_layout(report["one"])
+    width = len("".join(layout[0::2]) + ",,") + 3 * _floattext.WIDTH + len("false") + len("null")
+    expected = report_to_json_reference(report)
+    for rows in range(1, 13):
+        monkeypatch.setattr(_table, "_ROWS_BYTES", rows * width + rows % 2)  # not a multiple
+        assert report_to_json(report) == expected
+
+
+@pytest.mark.parametrize("step_bytes", [1, 60, 200, 1 << 17])
+def test_text_with_non_ascii_layout_and_words_is_cut_at_rows_not_characters(
+    monkeypatch, step_bytes
+):
+    # Offsets count bytes: "é" and "¦" are two bytes each, "–" three.
+    monkeypatch.setattr(_table, "_ROWS_BYTES", step_bytes)
+    table = Table({"a": np.array([0.5, -0.0, 1e16, 3.0, 2.5]), "ok": np.arange(5) % 3 != 1})
+    assert table.text(["é<", "a", ">"], row_sep="¦") == "é<0.5>¦é<-0.0>¦é<1e+16>¦é<3.0>¦é<2.5>"
+    words = ("ja", "ñein", "–")
+    text = table.text(["", "ok", "·", "a", "–"], words=words, row_sep="¦\n")
+    rows = [f"{words[1 - row['ok']]}·{row['a']!r}–" for row in table]
+    assert text == "¦\n".join(rows)
 
 
 @pytest.mark.parametrize("name", ["\0", "\0\0", '"\0', "\0\\"])
