@@ -34,6 +34,9 @@ def command_lines() -> list[list[str]]:
         lines.append(["verify", name, "--grid", "3", "--seed", "7"])
         lines.append(["scan", name, "--check", "parallel", "--grid", "6"])
     lines.append(["verify", "curved-par", "--grid", "5", "--seed", "3"])
+    lines.append(["verify", "nonpar", "--grid", "5", "--seed", "3"])
+    for checks in ("integrability", "parallel-condition,isometry", "mu-law"):
+        lines.append(["verify", "curved-par", "--grid", "3", "--checks", checks])
     lines.append(["scan", "curved-par", "--check", "parallel", "--grid", "8"])
     for name in ALL:
         for grid in ("3", "5"):
@@ -43,6 +46,10 @@ def command_lines() -> list[list[str]]:
         for command in ("metric", "christoffel", "curvature", "basis"):
             for point in ("0,0,0,0", "-1,-1,-1,-1"):
                 lines.append([command, name, f"--point={point}"])
+    # bad-order is inadmissible at the origin: each of these exits 3.
+    for command in ("metric", "christoffel", "curvature", "basis"):
+        lines.append([command, "bad-order", "--point=0,0,0,0"])
+    lines.append(["verify", "bad-order", "--grid", "3"])
     return lines
 
 

@@ -39,7 +39,6 @@ from .tensor import (
     ChristoffelAtPoint,
     DegeneratePlaneError,
     NablaQ,
-    RiemannAtPoint,
     christoffel_at,
     christoffel_from_metric,
     metric_compatibility_residual,

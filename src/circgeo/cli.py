@@ -42,7 +42,7 @@ from .core import (
     load_spec,
     metric_at,
 )
-from .expr import DomainError, ParseError
+from .expr import DomainError, ParseError, _error_at
 from .tensor import christoffel_from_metric, nabla_q, riemann_from_christoffel
 from .verify import _BLOCK, convention_text, run_suite, write_report
 
@@ -187,8 +187,7 @@ def _cmd_validate(args) -> int:
         block = points[start : start + _BLOCK]
         _, failures = _metric_jets(spec, block)
         for i, p in enumerate(block):
-            # What `metric_at(spec, p)` would raise: its first failure set at p.
-            exc = next((make(i) for mask, make in failures if i < len(mask) and mask[i]), None)
+            exc = _error_at(failures, i)  # what `metric_at(spec, p)` would raise
             if isinstance(exc, (AdmissibilityError, DomainError)):
                 bad.append({"point": [float(v) for v in p], "reason": str(exc)})
             elif exc is not None:

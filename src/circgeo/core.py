@@ -20,14 +20,16 @@ callers; no code in the package contracts with it.
 The domain check, the field jets, admissibility and the inverse are
 computed for many points at once (`_metric_jets`, `_inverse_factors`,
 `_orthogonal_q_bases`); `metric_at`, `inverse_metric` and
-`find_orthogonal_q_basis` are their one-point case.
+`find_orthogonal_q_basis` are their one-point case.  `MetricAtPoint` and
+`InverseMetricAtPoint` are one type over any leading axis: the same class
+holds the metric at one point or at a block of points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -131,16 +133,20 @@ def q_apply(x, k: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned domain box in R^4."""
+    """Axis-aligned domain box in R^4 with a finite extent; a ValueError names a bad domain."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = as_point(self.lo)
-        hi = as_point(self.hi)
+        lo, hi = _domain_bound(self.lo, "min"), _domain_bound(self.hi, "max")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(hi - lo).all():
+                raise ValueError(
+                    f"domain extent max - min overflows from {lo.tolist()} to {hi.tolist()}"
+                )
         if np.any(lo > hi):
-            raise ValueError("box min exceeds max")
+            raise ValueError("domain min exceeds max")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -155,6 +161,20 @@ class Box:
         axes = [np.linspace(self.lo[i], self.hi[i], n) for i in range(4)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 4)
+
+
+def _domain_bound(value, key: str) -> np.ndarray:
+    """A domain bound (a list, tuple or array) as four finite floats, or a
+    ValueError naming the bound."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    numbers = isinstance(items, (list, tuple)) and all(isinstance(v, (int, float)) for v in items)
+    try:
+        bound = np.array(items, float) if numbers else None
+    except OverflowError:  # an integer beyond the largest float
+        bound = None
+    if bound is None or bound.shape != (4,) or not np.isfinite(bound).all():
+        raise ValueError(f"domain {key} must be four finite numbers, got {value!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -172,31 +192,14 @@ class ManifoldSpec:
         try:
             name = str(data["name"])
             fields = {key: parse(str(data[key])) for key in ("A", "B", "C")}
-            lo, hi = (_domain_bound(data["domain"], key) for key in ("min", "max"))
+            lo, hi = (data["domain"][key] for key in ("min", "max"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed manifold spec: {exc}") from exc
-        with np.errstate(over="ignore"):
-            if not np.isfinite(hi - lo).all():
-                raise ValueError(
-                    f"malformed manifold spec: domain extent max - min overflows "
-                    f"from {lo.tolist()} to {hi.tolist()}"
-                )
-        return cls(name, fields["A"], fields["B"], fields["C"], Box(lo, hi))
-
-
-def _domain_bound(domain: dict, key: str) -> np.ndarray:
-    """domain[key] as four finite floats, or a ValueError naming the bound."""
-    value = domain[key]
-    numbers = isinstance(value, (list, tuple)) and all(isinstance(v, (int, float)) for v in value)
-    try:
-        bound = np.array(value, float) if numbers else None
-    except OverflowError:  # an integer beyond the largest float
-        bound = None
-    if bound is None or bound.shape != (4,) or not np.isfinite(bound).all():
-        raise ValueError(
-            f"malformed manifold spec: domain {key} must be four finite numbers, got {value!r}"
-        )
-    return bound
+        try:
+            domain = Box(lo, hi)
+        except ValueError as exc:
+            raise ValueError(f"malformed manifold spec: {exc}") from None
+        return cls(name, fields["A"], fields["B"], fields["C"], domain)
 
 
 def load_spec(path) -> ManifoldSpec:
@@ -233,27 +236,29 @@ def admissibility(a: float, b: float, c: float) -> tuple[bool, tuple[float, floa
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Circulant metric realized at one point, with entry-wise jets.
+    """Circulant metric realized at one point or at n points, with entry-wise jets.
 
-    `d1[k, i, j]` holds the first partial of entry (i, j) along coordinate k,
-    `d2[l, k, i, j]` the second partial along (l, k); both are assembled from
-    the jets of A, B, C through the circulant entry pattern.
+    At one point `a`, `b`, `c` are floats and `point` has shape (4,); at n
+    points each carries a leading axis, as do the jets (see `FieldJet`) and
+    every array below.  `d1[..., k, i, j]` holds the first partial of entry
+    (i, j) along coordinate k, `d2[..., l, k, i, j]` the second partial
+    along (l, k); both are assembled from the jets of A, B, C through the
+    circulant entry pattern, `d2` anew on each use.
     """
 
-    a: float
-    b: float
-    c: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
     jet_a: FieldJet
     jet_b: FieldJet
     jet_c: FieldJet
     point: np.ndarray | None = None
 
     @classmethod
-    def from_constants(cls, a: float, b: float, c: float, check: bool = True) -> "MetricAtPoint":
-        if check:
-            ordered, _ = admissibility(a, b, c)
-            if not ordered:
-                raise AdmissibilityError(f"0 < B < C < A fails for ({a}, {b}, {c})")
+    def from_constants(cls, a: float, b: float, c: float) -> "MetricAtPoint":
+        ordered, _ = admissibility(a, b, c)
+        if not ordered:
+            raise AdmissibilityError(f"0 < B < C < A fails for ({a}, {b}, {c})")
         zero4, zero10 = np.zeros(4), np.zeros(10)
         return cls(
             float(a),
@@ -272,17 +277,17 @@ class MetricAtPoint:
     def d1(self) -> np.ndarray:
         return circulant_matrix(self.jet_a.grad, self.jet_b.grad, self.jet_c.grad)
 
-    @cached_property
+    @property
     def d2(self) -> np.ndarray:
         return circulant_matrix(self.jet_a.hess, self.jet_b.hess, self.jet_c.hess)
 
     @cached_property
     def _inverse(self) -> "InverseMetricAtPoint":
-        inverse, singular = _inverse_factors(*(np.array([v]) for v in (self.a, self.b, self.c)))
+        inverse, singular = _inverse_factors(*np.atleast_1d(self.a, self.b, self.c))
         _raise_first([_naming_points(singular, self.point)])
-        return InverseMetricAtPoint(
-            *(float(f[0]) for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
-        )
+        if np.ndim(self.a):
+            return inverse
+        return InverseMetricAtPoint(*(float(f[0]) for f in astuple(inverse)))
 
 
 def _metric_jets(
@@ -565,7 +570,6 @@ def find_orthogonal_q_basis(m: MetricAtPoint, seed: int | np.random.Generator = 
     (1 + eps, 0.5, 1), for some draws from eps = 5e-7 down).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    abc = (np.array([v]) for v in (m.a, m.b, m.c))
-    x, failure = _orthogonal_q_bases(*abc, *_basis_draws(rng)[:, None])
+    x, failure = _orthogonal_q_bases(*np.atleast_1d(m.a, m.b, m.c), *_basis_draws(rng)[:, None])
     _raise_first([_naming_points(failure, m.point)])
     return x[0]

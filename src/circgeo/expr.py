@@ -455,16 +455,20 @@ def _first_failing(failures: list[_Failure]) -> int | None:
     return min((int(np.argmax(mask)) for mask, _ in failures if mask.any()), default=None)
 
 
-def _raise_first(failures: list[_Failure]) -> None:
-    """Raise what a point-by-point walk over the failures would raise first.
+def _error_at(failures: list[_Failure], i: int) -> Exception | None:
+    """What a point-by-point walk over the failures would raise at point i:
+    the error of the first failure (in list order) whose mask is set there,
+    or None.  Masks may be shorter than the walk: a point past a mask's end
+    does not fail it."""
+    return next((make(i) for mask, make in failures if i < len(mask) and mask[i]), None)
 
-    The walk stops at the first point where any mask is set, and there at
-    the first failure (in list order) whose mask is set.  Masks may be
-    shorter than the walk: a point past a mask's end does not fail it.
-    """
+
+def _raise_first(failures: list[_Failure]) -> None:
+    """Raise what a point-by-point walk over the failures would raise first:
+    the error at the first point where any mask is set (`_error_at`)."""
     i = _first_failing(failures)
     if i is not None:
-        raise next(make(i) for mask, make in failures if i < len(mask) and mask[i])
+        raise _error_at(failures, i)
 
 
 def _check_finite(jet: FieldJet, node: Node, failures: list[_Failure] | None) -> None:

@@ -15,9 +15,10 @@ Conventions, fixed once for the whole package:
     R_ijkl = g(R(e_i, e_j) e_k, e_l).
 
 The Christoffel, curvature and nabla q computations take any leading axes,
-so one call covers a block of points (`_christoffel_block`, whose `_Block`
-holds the metric, Gamma and the curvature of every point with a leading
-point axis); the per-point functions are their case without a leading axis.
+and so does their one container, `ChristoffelAtPoint`: over a
+`MetricAtPoint` of n points (`_christoffel_block`) every array carries a
+leading point axis, and at one point it has none.  The public functions
+work on both.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    InverseMetricAtPoint,
     ManifoldSpec,
     MetricAtPoint,
     _DOWN,
@@ -36,7 +36,6 @@ from .core import (
     _inverse_factors,
     _metric_jets,
     _naming_points,
-    circulant_matrix,
     inner,
     inverse_metric,
     metric_at,
@@ -47,7 +46,6 @@ __all__ = [
     "ChristoffelAtPoint",
     "DegeneratePlaneError",
     "NablaQ",
-    "RiemannAtPoint",
     "christoffel_at",
     "christoffel_from_metric",
     "metric_compatibility_residual",
@@ -97,89 +95,80 @@ def _riemann(g: np.ndarray, gamma: np.ndarray, dgamma: np.ndarray) -> tuple[np.n
     return r_mixed, np.einsum("...al,...aijk->...ijkl", g, r_mixed)
 
 
+def _max_abs(a: np.ndarray, ndim: int) -> float | np.ndarray:
+    """max |a| over its last `ndim` axes: a float without a leading axis,
+    else one value per leading index."""
+    found = np.abs(a).max(axis=tuple(range(-ndim, 0)))
+    return float(found) if found.ndim == 0 else found
+
+
 @dataclass(frozen=True)
 class ChristoffelAtPoint:
-    """Gamma^s_ij (symmetric in i, j) and its analytic derivatives.
+    """Gamma^s_ij (symmetric in i, j), its analytic derivatives and the curvature.
 
-    `gamma[s, i, j]` is Gamma^s_ij; `dgamma[l, s, i, j]` is d_l Gamma^s_ij,
-    computed on first use (only the curvature needs it) with
+    `gamma[..., s, i, j]` is Gamma^s_ij of `metric`, at one point or with
+    the metric's leading point axis.  Computed on first use:
+    `dgamma[..., l, s, i, j]`, d_l Gamma^s_ij, from
     d_l g^{as} = -g^{ab} (d_l g_bc) g^{cs} and the entry Hessians, never by
-    differencing.
+    differencing; the curvature `r_mixed[..., l, i, j, k]`, R^l_ijk with
+    (i, j) the plane slots and k the argument, and `r_low[..., i, j, k, l]`,
+    the covariant tensor with the upper index lowered into the last slot.
+    Only the curvature needs d Gamma; `riemann_from_christoffel` builds it.
+    `max_abs` and `norm_inf` are max |Gamma| and max |R_ijkl|: floats at one
+    point, one value per point over a block.
     """
 
     gamma: np.ndarray
     metric: MetricAtPoint
 
-    @cached_property
-    def dgamma(self) -> np.ndarray:
-        m = self.metric
-        return _dgamma(inverse_metric(m).matrix, m.d1, m.d2)
+    @property
+    def ginv(self) -> np.ndarray:
+        """g^-1, (..., 4, 4)."""
+        return inverse_metric(self.metric).matrix
 
     @cached_property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.gamma)))
+    def dgamma(self) -> np.ndarray:
+        return _dgamma(self.ginv, self.metric.d1, self.metric.d2)
+
+    @cached_property
+    def _curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        return _riemann(self.metric.matrix, self.gamma, self.dgamma)
+
+    @property
+    def r_mixed(self) -> np.ndarray:
+        return self._curvature[0]
+
+    @property
+    def r_low(self) -> np.ndarray:
+        return self._curvature[1]
+
+    @cached_property
+    def max_abs(self) -> float | np.ndarray:
+        return _max_abs(self.gamma, 3)
+
+    @cached_property
+    def norm_inf(self) -> float | np.ndarray:
+        return _max_abs(self.r_low, 4)
 
 
 def christoffel_from_metric(m: MetricAtPoint) -> ChristoffelAtPoint:
     return ChristoffelAtPoint(_gamma(inverse_metric(m).matrix, m.d1), m)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """The geometry of n points, each array with a leading point axis.
-
-    `jets` are those of A, B, C (values (n,), gradients (n, 4)); `ginv`,
-    `dg` and `gamma` are g^-1 (n, 4, 4), d_k g_ij (n, 4, 4, 4) and
-    Gamma^s_ij (n, 4, 4, 4).  Row i holds what `metric_at`,
-    `christoffel_from_metric` and `riemann_from_christoffel` give at the
-    i-th point.  The metric, d Gamma and the curvature are computed on
-    first use, so a caller that needs only Gamma does not pay for them.
-    """
-
-    points: np.ndarray
-    jets: tuple[FieldJet, FieldJet, FieldJet]
-    ginv: np.ndarray
-    dg: np.ndarray
-    gamma: np.ndarray
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        return circulant_matrix(*(jet.value for jet in self.jets))
-
-    @cached_property
-    def dgamma(self) -> np.ndarray:
-        """d_l Gamma^s_ij, (n, l, s, i, j)."""
-        return _dgamma(self.ginv, self.dg, circulant_matrix(*(jet.hess for jet in self.jets)))
-
-    @cached_property
-    def _curvature(self) -> tuple[np.ndarray, np.ndarray]:
-        return _riemann(self.g, self.gamma, self.dgamma)
-
-    @property
-    def r_mixed(self) -> np.ndarray:
-        """R^l_ijk, (n, l, i, j, k)."""
-        return self._curvature[0]
-
-    @property
-    def r_low(self) -> np.ndarray:
-        """R_ijkl, (n, i, j, k, l)."""
-        return self._curvature[1]
-
-
-def _christoffel_block(spec: ManifoldSpec, xs: np.ndarray) -> tuple[_Block, list[_Failure]]:
-    """The geometry of the rows of xs (n, 4) up to the first one where
-    `metric_at` or then `christoffel_from_metric` would fail, and the
-    failures over all rows, unraised and in that order."""
+def _christoffel_block(
+    spec: ManifoldSpec, xs: np.ndarray
+) -> tuple[ChristoffelAtPoint, list[_Failure]]:
+    """The connection of the rows of xs (n, 4) up to the first one where
+    `metric_at` or then `christoffel_from_metric` would fail, over a
+    `MetricAtPoint` of those rows, and the failures over all rows, unraised
+    and in that order."""
     jets, failures = _metric_jets(spec, xs)
-    inverse, singular = _inverse_factors(*(jet.value for jet in jets))
+    _, singular = _inverse_factors(*(jet.value for jet in jets))
     failures.append(_naming_points(singular, xs))
     keep = slice(_first_failing(failures))
     jets = tuple(FieldJet(j.value[keep], j.grad[keep], j.hess_packed[keep]) for j in jets)
-    ginv = InverseMetricAtPoint(
-        *(f[keep] for f in (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d))
-    ).matrix
-    dg = circulant_matrix(*(jet.grad for jet in jets))
-    return _Block(xs[keep], jets, ginv, dg, _gamma(ginv, dg)), failures
+    m = MetricAtPoint(*(jet.value for jet in jets), *jets, point=xs[keep])
+    return christoffel_from_metric(m), failures
 
 
 def christoffel_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
@@ -187,35 +176,21 @@ def christoffel_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
     return christoffel_from_metric(metric_at(spec, p))
 
 
-@dataclass(frozen=True)
-class RiemannAtPoint:
-    """Curvature tensors at a point, in (1,3) and (0,4) form.
-
-    `r_mixed[l, i, j, k]` is R^l_ijk with (i, j) the plane slots and k the
-    argument; `r_low[i, j, k, l]` is the fully covariant tensor with the
-    upper index lowered into the last slot.
-    """
-
-    r_mixed: np.ndarray
-    r_low: np.ndarray
-    metric: MetricAtPoint
-
-    @cached_property
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.r_low)))
+def riemann_from_christoffel(m: MetricAtPoint, ch: ChristoffelAtPoint) -> ChristoffelAtPoint:
+    """Build the curvature of `ch`, the connection of `m`, and return `ch`."""
+    if m is not ch.metric:
+        raise ValueError("the connection is not that of this metric")
+    ch._curvature  # computed here, once, and kept
+    return ch
 
 
-def riemann_from_christoffel(m: MetricAtPoint, ch: ChristoffelAtPoint) -> RiemannAtPoint:
-    return RiemannAtPoint(*_riemann(m.matrix, ch.gamma, ch.dgamma), m)
-
-
-def riemann_at(spec: ManifoldSpec, p) -> RiemannAtPoint:
+def riemann_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
     """Riemann curvature of the spec's metric at a point."""
     m = metric_at(spec, p)
     return riemann_from_christoffel(m, christoffel_from_metric(m))
 
 
-def sectional_curvature(r: RiemannAtPoint, m: MetricAtPoint, x, y) -> float:
+def sectional_curvature(r: ChristoffelAtPoint, m: MetricAtPoint, x, y) -> float:
     """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -233,16 +208,17 @@ def sectional_curvature(r: RiemannAtPoint, m: MetricAtPoint, x, y) -> float:
 class NablaQ:
     """Covariant derivative of the shift structure.
 
-    `components[i, s, j]` holds Gamma^s_ik q^k_j - Gamma^k_ij q^s_k (the
-    partial-derivative term drops since q is constant).  Its vanishing is a
-    check on the metric, not an invariant of the type.
+    `components[..., i, s, j]` holds Gamma^s_ik q^k_j - Gamma^k_ij q^s_k
+    (the partial-derivative term drops since q is constant), with the
+    leading axes of the connection.  Its vanishing is a check on the
+    metric, not an invariant of the type.
     """
 
     components: np.ndarray
 
     @cached_property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
+    def max_abs(self) -> float | np.ndarray:
+        return _max_abs(self.components, 3)
 
 
 def _nabla_q(gamma: np.ndarray) -> np.ndarray:

@@ -23,8 +23,10 @@ points where the identity itself does not hold.
 `run_suite(spec, [p], checks=[name])`.  It evaluates its points in blocks
 of `_BLOCK`: the geometry of a block (jets, metric, inverse, Christoffel
 symbols, and the curvature where a selected check needs it) is computed
-once with a leading point axis, and each check is one array pass over the
-block, the closed-form orthonormal q-bases of `mu-law` included; the three
+once with a leading point axis, in the types and by the functions that give
+it at one point (`christoffel_from_metric`, `riemann_from_christoffel`,
+`nabla_q`), and each check is one array pass over the block, the
+closed-form orthonormal q-bases of `mu-law` included; the three
 sampled checks draw and contract their samples over runs of a few points
 (`_SAMPLE_BYTES`), so their transient arrays do not grow with the block.
 A check's pass gives arrays: residuals (n, k), their scales and payload
@@ -64,7 +66,13 @@ from .core import (
     _q_basis_criterion,
 )
 from .expr import _as_points, _Failure, _raise_first
-from .tensor import DegeneratePlaneError, RiemannAtPoint, _christoffel_block, _nabla_q
+from .tensor import (
+    ChristoffelAtPoint,
+    DegeneratePlaneError,
+    _christoffel_block,
+    nabla_q,
+    riemann_from_christoffel,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -347,24 +355,23 @@ def _parallel_residuals(
 
 
 def _equivalence_rows(
-    points: np.ndarray,
     values: np.ndarray,
     scale: np.ndarray,
-    gamma: np.ndarray,
+    geo: ChristoffelAtPoint,
     f4_tol: float,
     nq_tol: float,
 ) -> dict[str, np.ndarray]:
     """Both parallelism predicates at each of n points, evaluated independently.
 
-    `values` and `scale` come from `_parallel_residuals`; `gamma` is
-    Gamma (n, 4, 4, 4).  Returns the columns of the points' scan rows.
+    `values` and `scale` come from `_parallel_residuals`; `geo` is the
+    connection of the n points.  Returns the columns of the points' scan rows.
     """
     gradient = values.max(axis=1)
     f4_scaled = gradient / np.maximum(1.0, scale)
-    nq = _point_max(_nabla_q(gamma))
-    nq_scaled = nq / np.maximum(1.0, _point_max(gamma))
+    nq = nabla_q(geo).max_abs
+    nq_scaled = nq / np.maximum(1.0, geo.max_abs)
     return {
-        "point": points,
+        "point": geo.metric.point,
         "gradient_residual": gradient,
         "gradient_residual_scaled": f4_scaled,
         "nabla_q_residual": nq,
@@ -542,7 +549,7 @@ def _mu_law_cases(
 
 
 def mu_law_cases(
-    r: RiemannAtPoint, basis: np.ndarray, coeffs: np.ndarray
+    r: ChristoffelAtPoint, basis: np.ndarray, coeffs: np.ndarray
 ) -> tuple[Table, float]:
     """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
 
@@ -589,8 +596,10 @@ def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
     return lifted
 
 
-# The checks that read the curvature identity: itself, and the two it gates.
+# The checks that read the curvature identity: itself, and the two it gates;
+# and the checks that read the curvature: those and integrability.
 _NEEDS_IDENTITY = frozenset({"curvature-identity", "sectional-relations", "mu-law"})
+_NEEDS_CURVATURE = _NEEDS_IDENTITY | {"integrability"}
 
 
 def _suite_block(
@@ -619,7 +628,8 @@ def _suite_block(
         return np.random.default_rng([seed, index, k])
 
     geo, failures = _christoffel_block(spec, xs)
-    n = len(geo.points)
+    m = geo.metric
+    n = len(m.point)
     if n == 0:
         _raise_first(failures)  # the first point fails, before any check
 
@@ -639,17 +649,16 @@ def _suite_block(
 
     def add(name: str, labels, resid, scale, payload: dict, **masks) -> None:
         """Append the entries of check `name`, each with a point list of its own."""
-        points = geo.points.tolist()
+        points = m.point.tolist()
         columns.append(_entries(name, points, labels, resid, scale, tols[name], payload, **masks))
 
-    grads = tuple(jet.grad for jet in geo.jets)
+    grads = (m.jet_a.grad, m.jet_b.grad, m.jet_c.grad)
     values, scale = _parallel_residuals(*grads)
-    rows = _equivalence_rows(
-        geo.points, values, scale, geo.gamma, tols["parallel-condition"], tols["nabla-q"]
-    )
+    rows = _equivalence_rows(values, scale, geo, tols["parallel-condition"], tols["nabla-q"])
+    if _NEEDS_CURVATURE.intersection(selected):
+        # A selection without a curvature check never builds the curvature.
+        riemann_from_christoffel(m, geo)
     if _NEEDS_IDENTITY.intersection(selected):
-        # `geo.r_low` builds the curvature on first use; a selection without
-        # these checks or integrability never builds it.
         identity, norm = _identity_residuals(geo.r_low)
         holds = ~_fails(identity, norm, tols["curvature-identity"])
         sel = np.flatnonzero(holds)
@@ -660,7 +669,7 @@ def _suite_block(
             pairs = np.array(
                 [stream(start + i, 0).uniform(-1.0, 1.0, (2, isometry_samples, 4)) for i in sub]
             )
-            return *_isometry_residuals(geo.g[sub], pairs), []
+            return *_isometry_residuals(m.matrix[sub], pairs), []
 
         # The widest array is the sample pairs, (2, S, 4) a point.
         resid, iso_scale = sampled(np.arange(n), 8 * isometry_samples, isometry_run)
@@ -687,7 +696,7 @@ def _suite_block(
             vectors = np.array(
                 [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sub]
             ).reshape(len(sub), sectional_samples, 4)
-            *found, failure = _sectional_residuals(geo.g[sub], geo.r_low[sub], vectors)
+            *found, failure = _sectional_residuals(m.matrix[sub], geo.r_low[sub], vectors)
             return *found, [failure]
 
         # The widest array is the plane products, (6 V, 16) a point.
@@ -705,13 +714,13 @@ def _suite_block(
 
         def mu_law_run(sub):
             draws = np.array([_basis_draws(stream(start + i, 2)) for i in sub])
-            abc = (jet.value[sub] for jet in geo.jets)
+            abc = (m.a[sub], m.b[sub], m.c[sub])
             bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sub), 3).T)
             coeffs = np.array(
                 [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sub]
             ).reshape(len(sub), mu_samples, 4)
             cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sub], bases, coeffs)
-            basis_failure = _naming_points(basis_failure, geo.points[sub])
+            basis_failure = _naming_points(basis_failure, m.point[sub])
             return bases, cases, worst, [basis_failure, *cosine_failures]
 
         # The widest array is the case products, (S, 16) a point.

@@ -136,9 +136,8 @@ def test_criterion_06_curvature_sanity(all_fixture_specs, const_spec, flat_par, 
         rng = np.random.default_rng(106)
         for spec in all_fixture_specs:
             for p in interior_points(spec, rng, 25):
-                r = riemann_from_christoffel(
-                    metric_at(spec, p), christoffel_from_metric(metric_at(spec, p))
-                )
+                m = metric_at(spec, p)
+                r = riemann_from_christoffel(m, christoffel_from_metric(m))
                 low = r.r_low
                 scale = max(1.0, r.norm_inf)
                 assert np.max(np.abs(low + np.einsum("ijkl->jikl", low))) <= 1e-9 * scale

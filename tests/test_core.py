@@ -1,6 +1,8 @@
 """Circulant metric construction, inverse, q action, angles and orthonormal q-bases."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from circgeo.core import (
     AdmissibilityError,
+    Box,
     MetricAtPoint,
     OutsideDomainError,
     Q,
@@ -83,6 +86,32 @@ def test_metric_jets_follow_entry_pattern(curved_par):
     assert np.array_equal(m.d2, np.swapaxes(m.d2, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "lo, hi, says",
+    [
+        ([math.nan, 0, 0, 0], [1] * 4, "domain min must be four finite numbers"),
+        (np.zeros(4), np.array([1, 1, np.inf, 1]), "domain max must be four finite numbers"),
+        (np.zeros((2, 2)), [1] * 4, "domain min must be four finite numbers"),
+        ([0, 0, 0], [1] * 4, "domain min must be four finite numbers"),
+        ([0, 0, 0, 0], np.array(5.0), "domain max must be four finite numbers"),
+        (np.full(4, -1e308), np.full(4, 1e308), "domain extent max - min overflows"),
+        ([1, 0, 0, 0], [0] * 4, "domain min exceeds max"),
+    ],
+)
+def test_a_box_built_directly_rejects_a_bad_domain_without_warnings(lo, hi, says):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{says}"):
+            Box(lo, hi)
+
+
+def test_a_box_takes_lists_and_arrays_alike():
+    box = Box(np.full(4, -1e307), [1e307, 1, 2.5, np.float64(3)])
+    assert box.lo.dtype == box.hi.dtype == float
+    assert box.hi.tolist() == [1e307, 1.0, 2.5, 3.0]
+    assert np.isfinite(box.grid(3)).all()
+
+
 # ---------------------------------------------------------------------------
 # Admissibility and minors
 # ---------------------------------------------------------------------------
@@ -148,7 +177,7 @@ def test_inverse_pinned_312():
 
 def test_inverse_singular_when_a_equals_c():
     with pytest.raises(SingularMetricError):
-        inverse_metric(MetricAtPoint.from_constants(4, 1, 4, check=False))
+        inverse_metric(dataclasses.replace(MetricAtPoint.from_constants(4, 1, 2), c=4.0))
 
 
 def test_inverse_rejects_overflowing_factors():

@@ -146,7 +146,7 @@ def test_block_geometry_matches_sympy(all_fixture_specs):
     for spec in all_fixture_specs:
         points = rng.uniform(spec.domain.lo, spec.domain.hi, size=(16, 4))
         geo, failures = _christoffel_block(spec, points)  # all 16 points in one call
-        assert len(geo.points) == 16 and not any(mask.any() for mask, _ in failures)
+        assert len(geo.metric.point) == 16 and not any(mask.any() for mask, _ in failures)
         gamma, dgamma, r_low = exact_geometry(spec, points)
         assert_close(geo.gamma, gamma)
         assert_close(geo.dgamma, dgamma)

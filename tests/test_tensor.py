@@ -6,6 +6,7 @@ import pytest
 from circgeo.core import MetricAtPoint, circulant_matrix, metric_at, q_apply
 from circgeo.tensor import (
     DegeneratePlaneError,
+    _christoffel_block,
     _nabla_q,
     christoffel_at,
     christoffel_from_metric,
@@ -147,6 +148,36 @@ def test_riemann_symmetries_and_bianchi(all_fixture_specs):
             assert np.max(np.abs(low - np.einsum("ijkl->klij", low))) <= 1e-9 * scale
             bianchi = low + np.einsum("jkil->ijkl", low) + np.einsum("kijl->ijkl", low)
             assert np.max(np.abs(bianchi)) <= 1e-9 * scale
+
+
+def test_riemann_from_christoffel_returns_its_connection(curved_par):
+    m = metric_at(curved_par, [0.3, -0.2, 0.1, 0.4])
+    ch = christoffel_from_metric(m)
+    assert riemann_from_christoffel(m, ch) is ch
+    with pytest.raises(ValueError, match="not that of this metric"):
+        riemann_from_christoffel(metric_at(curved_par, [0.3, -0.2, 0.1, 0.4]), ch)
+
+
+def test_block_rows_equal_the_one_point_geometry(all_fixture_specs):
+    # One type holds a block and a point: row i of the block is the
+    # geometry at its i-th point.
+    rng = np.random.default_rng(12)
+    for spec in all_fixture_specs:
+        points = np.concatenate((spec.domain.grid(2), interior_points(spec, rng, 8)))
+        geo, failures = _christoffel_block(spec, points)
+        assert not any(mask.any() for mask, _ in failures)
+        m = geo.metric
+        assert riemann_from_christoffel(m, geo) is geo
+        assert np.array_equal(m.point, points)
+        for i, x in enumerate(points):
+            one = riemann_at(spec, x)
+            pairs = [(m.matrix, one.metric.matrix), (m.d1, one.metric.d1), (m.d2, one.metric.d2)]
+            for name in ("ginv", "gamma", "dgamma", "r_mixed", "r_low", "max_abs", "norm_inf"):
+                pairs.append((getattr(geo, name), getattr(one, name)))
+            pairs.append((nabla_q(geo).max_abs, nabla_q(one).max_abs))
+            for block, point in pairs:
+                assert np.abs(block[i] - point).max() <= 1e-12 * np.abs(point).max()
+            assert isinstance(one.norm_inf, float) and isinstance(one.metric.a, float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The functions the benchmark's traced run wraps must exist in circgeo.
 
 `perfbench/spans.py` looks each traced function up by name in its defining
-module; a missing one would break `perfbench/run.py --trace 1`.  This test
-reads that table and leaves perfbench untouched.
+module; a missing one would break `perfbench/run.py --trace 1`, and a
+layer the commands reach without calling its traced function reads 0 in
+that run.  These tests read that table and use its `Tracer`, and leave
+perfbench untouched.
 """
 
 import importlib
@@ -10,7 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module(monkeypatch):
@@ -31,3 +36,27 @@ def test_every_traced_function_exists(monkeypatch):
     assert not missing
     assert set(spans.MODULES) >= {home for home, _ in spans.FUNCTIONS.values()}
     assert callable(importlib.import_module("circgeo.expr").ScalarField.jet)
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["verify", "--grid", "2"], ("tensor.christoffel", "tensor.riemann", "tensor.nabla_q")),
+        (["scan", "--grid", "3", "--check", "parallel"], ("tensor.christoffel", "tensor.nabla_q")),
+    ],
+)
+def test_a_traced_command_reaches_the_tensor_layer(monkeypatch, capsys, argv, layers):
+    spans = _spans_module(monkeypatch)
+    modules = {name: importlib.import_module(f"circgeo.{name}") for name in spans.MODULES}
+    tracer = spans.Tracer(modules)
+    tracer.install()
+    try:
+        spec = str(ROOT / "fixtures" / "curved-par.json")
+        assert tracer.call("cli.main", modules["cli"].main, [argv[0], spec, *argv[1:]]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: totals.calls for name, totals in spans.summarize(tracer.spans).items()}
+    assert all(calls.get(name, 0) > 0 for name in layers), calls
+    if "tensor.riemann" not in layers:
+        assert "tensor.riemann" not in calls  # a scan builds no curvature
