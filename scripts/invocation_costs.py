@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Print the per-process costs of one `circgeo` command line.
+
+    python3 scripts/invocation_costs.py [--runs N] ARGS...
+
+ARGS is the command line after `circgeo`, for example
+`verify fixtures/curved-par.json --grid 3`.  Each round starts five fresh
+interpreters, one after the other, in an order that rotates from round to
+round:
+
+  python    `python -c pass`: interpreter start and exit
+  numpy     `python -c "import numpy"`
+  circgeo   `python -c "import circgeo"`
+  command   `python -m circgeo ARGS`
+  teardown  the command once more, timed from the return of `cli.main`
+            to the end of the process
+
+and after N rounds prints the median wall time and CPU time (user plus
+system, of all threads) of each, in ms.  These are the costs an in-process
+timing of `cli.main` (`perfbench/run.py --trace 1`) cannot see.  The
+children run this checkout's `src` with the rest of the environment as
+given, so `PYTHONDONTWRITEBYTECODE` and `OPENBLAS_NUM_THREADS` apply to
+them; their output is discarded, and their exit codes are printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs `cli.app()` as `python -m circgeo` does, with `cli.main` wrapped to
+# write the monotonic clock and the process CPU time when it returns.
+_TEARDOWN = """
+import os, sys, time
+from circgeo import cli
+fd = os.open(sys.argv.pop(1), os.O_WRONLY)
+main = cli.main
+def timed_main(argv=None):
+    code = main(argv)
+    os.write(fd, f"{time.monotonic()!r} {time.process_time()!r}".encode())
+    return code
+cli.main = timed_main
+cli.app()
+"""
+
+
+def spawn(argv: list[str], env: dict) -> tuple[float, float, float, int]:
+    """Run `python argv` to its end: (wall s, end on the monotonic clock,
+    CPU s, exit code)."""
+    actions = [
+        (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+        (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+        (os.POSIX_SPAWN_DUP2, 1, 2),
+    ]
+    start = time.monotonic()
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], env, file_actions=actions)
+    _, status, usage = os.wait4(pid, 0)
+    end = time.monotonic()
+    return end - start, end, usage.ru_utime + usage.ru_stime, os.waitstatus_to_exitcode(status)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=21, metavar="N", help="rounds (default 21)")
+    parser.add_argument("args", nargs=argparse.REMAINDER, help="command line after `circgeo`")
+    options = parser.parse_args()
+    if options.runs < 1 or not options.args:
+        parser.error("needs --runs >= 1 and a command line")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    kinds = {
+        "python": ["-c", "pass"],
+        "numpy": ["-c", "import numpy"],
+        "circgeo": ["-c", "import circgeo"],
+        "command": ["-m", "circgeo", *options.args],
+    }
+    names = [*kinds, "teardown"]
+    wall = {name: [] for name in names}
+    cpu = {name: [] for name in names}
+    codes = {name: set() for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        stamp = Path(tmp) / "main-returned"
+        for k in range(options.runs):
+            for name in names[k % len(names):] + names[: k % len(names)]:
+                if name != "teardown":
+                    seconds, _, used, code = spawn(kinds[name], env)
+                else:
+                    stamp.write_bytes(b"")
+                    _, end, used, code = spawn(["-c", _TEARDOWN, str(stamp), *options.args], env)
+                    if not stamp.read_text():
+                        sys.exit(f"cli.main did not return (exit code {code}): {' '.join(options.args)}")
+                    returned, cpu_then = map(float, stamp.read_text().split())
+                    seconds, used = end - returned, used - cpu_then
+                wall[name].append(seconds)
+                cpu[name].append(used)
+                codes[name].add(code)
+
+    def flag(var: str) -> str:
+        return f"{var}={os.environ[var]}" if var in os.environ else f"{var} unset"
+
+    print(f"circgeo {' '.join(options.args)}")
+    print(f"medians of {options.runs} interleaved runs; "
+          f"{flag('PYTHONDONTWRITEBYTECODE')}, {flag('OPENBLAS_NUM_THREADS')}")
+    print(f"  {'':<10} {'wall ms':>9} {'cpu ms':>9}  exit codes")
+    for name in names:
+        print(f"  {name:<10} {statistics.median(wall[name]) * 1e3:9.1f} "
+              f"{statistics.median(cpu[name]) * 1e3:9.1f}  {sorted(codes[name])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

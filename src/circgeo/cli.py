@@ -11,17 +11,18 @@ Subcommands:
   scan         one named scan over a grid (currently: parallel)
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-parse error, 3 inadmissible, singular or ill-conditioned metric, or domain
-error.  Every error is one line on stderr, and with --json PATH it is also
-written to PATH as {"error": {"type", "message"}} (the line says so where
-PATH cannot be written).  Otherwise --json PATH writes the same report
-that drives the human-readable output, so every printed number is also in
-the file.
+parse error or out of memory, 3 inadmissible, singular or ill-conditioned
+metric, or domain error.  Every error is one line on stderr, and with
+--json PATH it is also written to PATH as {"error": {"type", "message"}}
+(the line says so where PATH cannot be written).  Otherwise --json PATH
+writes the same report that drives the human-readable output, so every
+printed number is also in the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     json_path = getattr(args, "json_path", None)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, json.JSONDecodeError, ParseError, MemoryError) as exc:
         _report_error(exc, json_path)
         return _EXIT_USAGE
     except (AdmissibilityError, OutsideDomainError, SingularMetricError, DomainError) as exc:
@@ -431,7 +432,17 @@ def _report_error(exc: Exception, json_path: str | None) -> None:
 
 
 def app() -> None:
-    sys.exit(main())
+    """Process entry point: run `main`, then exit with its code.
+
+    Freezing the heap first moves every object alive by then out of the
+    collector's reach, so the collections the interpreter forces at
+    shutdown skip the numpy and circgeo heap (20 to 30 ms of a `verify` or
+    `scan` run).  `gc.disable()` does not stop those collections, and
+    `os._exit` would skip atexit handlers and the flush of stdout and stderr.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

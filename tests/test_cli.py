@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circgeo import _floattext
+from circgeo import _floattext, cli
 from circgeo.cli import main
-from circgeo.core import AdmissibilityError, load_spec, metric_at
+from circgeo.core import AdmissibilityError, Box, load_spec, metric_at
 from circgeo.expr import DomainError, unparse
 from circgeo.verify import run_suite
 
@@ -443,6 +443,75 @@ def test_module_entrypoint_runs():
     )
     assert result.returncode == 0
     assert "pass" in result.stdout
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_app_exits_with_mains_code_after_freezing_the_heap(code, monkeypatch):
+    # The recorder stands in for gc.freeze, so the test process is never frozen.
+    events = []
+
+    def fake_main():
+        events.append("main called")
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.app()
+    assert exit_info.value.code == code
+    assert events == ["main called", "freeze"]
+
+
+def test_app_does_not_freeze_when_main_raises(monkeypatch):
+    events = []
+
+    def failing_main():
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "main", failing_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(RuntimeError):
+        cli.app()
+    assert events == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", CURVED, "--grid", "2"], 0),
+        (["verify", NONPAR, "--grid", "2"], 1),
+        (["verify", CURVED, "--grid", "2", "--checks", "no-such-check"], 2),
+        (["verify", BAD_ORDER, "--grid", "2"], 3),
+    ],
+)
+def test_a_process_run_gives_the_outputs_of_an_in_process_main(argv, code, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [*argv, "--json", str(out)]
+    done = subprocess.run([sys.executable, "-m", "circgeo", *argv], capture_output=True)
+    process = (done.returncode, done.stdout, done.stderr, out.read_bytes())
+    out.unlink()
+    returned = main(argv)
+    stdout, stderr = capsys.readouterr()
+    in_process = (returned, stdout.encode(), stderr.encode(), out.read_bytes())
+    assert process == in_process
+    assert returned == code
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "scan"])
+def test_an_allocation_failure_is_one_line_and_exit_2(command, monkeypatch, tmp_path, capsys):
+    message = "Unable to allocate 116. TiB for an array with shape (2000, 2000, 2000, 2000)"
+
+    def failing_grid(self, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(Box, "grid", failing_grid)
+    argv = [command, CURVED, "--grid", "2000"] + (["--check", "parallel"] if command == "scan" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    out = tmp_path / "err.json"
+    assert main([*argv, "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": "MemoryError", "message": message}}
 
 
 def _write_spec(tmp_path, A):
