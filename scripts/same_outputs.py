@@ -50,13 +50,17 @@ def command_lines() -> list[list[str]]:
     for command in ("metric", "christoffel", "curvature", "basis"):
         lines.append([command, "bad-order", "--point=0,0,0,0"])
     lines.append(["verify", "bad-order", "--grid", "3"])
+    # bad-field has a malformed literal in B: each of these exits 2.
+    lines.append(["validate", "bad-field", "--grid", "3"])
+    lines.append(["verify", "bad-field", "--grid", "2"])
+    lines.append(["metric", "bad-field", "--point=0,0,0,0"])
     # Usage errors, each exit 2; no fixture is named no-such-spec.
     lines.append(["verify", "curved-par", "--grid", "3", "--checks", "no-such-check"])
     lines.append(["verify", "curved-par", "--grid", "3", "--tol", "no-such-tol=1"])
     lines.append(["validate", "no-such-spec", "--grid", "3"])
     lines.append(["metric", "curved-par", "--point=1,2,3"])
     lines.append(["verify", "curved-par", "--grid", "0"])
-    # A grid of 1.1 EiB, more than any address space holds: the allocation
+    # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])
     return lines

@@ -85,6 +85,16 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(values)
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _parse_checks(text: str) -> list[str]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
@@ -112,7 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("spec", help="path to a manifold spec JSON file")
         p.add_argument("--json", dest="json_path", metavar="PATH", help="write the report as JSON")
-        p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
+        p.add_argument(
+            "--seed", type=_parse_seed, default=0, help="seed for all sampling (default 0)"
+        )
 
     p = sub.add_parser("validate", help="check admissibility over a grid")
     add_common(p)
@@ -187,11 +199,12 @@ def _cmd_validate(args) -> int:
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         _, failures = _metric_jets(spec, block)
-        for i, p in enumerate(block):
-            exc = _error_at(failures, i)  # what `metric_at(spec, p)` would raise
+        # Only the points where some failure's mask is set can fail.
+        for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in failures])):
+            exc = _error_at(failures, i)  # what `metric_at(spec, block[i])` would raise
             if isinstance(exc, (AdmissibilityError, DomainError)):
-                bad.append({"point": [float(v) for v in p], "reason": str(exc)})
-            elif exc is not None:
+                bad.append({"point": [float(v) for v in block[i]], "reason": str(exc)})
+            else:
                 raise exc
     report = {
         "command": "validate",

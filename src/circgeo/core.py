@@ -38,6 +38,7 @@ import numpy as np
 
 from .expr import (
     FieldJet,
+    ParseError,
     ScalarField,
     _Failure,
     _field_jets,
@@ -159,8 +160,19 @@ class Box:
         if n < 1:
             raise ValueError("grid resolution must be >= 1")
         axes = [np.linspace(self.lo[i], self.hi[i], n) for i in range(4)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        # Broadcast views of the sparse mesh: only the stacked points are allocated.
+        mesh = np.broadcast_arrays(*np.meshgrid(*axes, indexing="ij", sparse=True))
         return np.stack(mesh, axis=-1).reshape(-1, 4)
+
+
+def _spec_field(data: dict, key: str) -> ScalarField:
+    """Field `key` of a spec; a ParseError names the field, its offset
+    still counted in the field's own text."""
+    try:
+        return parse(str(data[key]))
+    except ParseError as exc:
+        message = f"malformed manifold spec: field {key}: {exc.message}"
+        raise ParseError(message, exc.offset) from None
 
 
 def _domain_bound(value, key: str) -> np.ndarray:
@@ -191,7 +203,7 @@ class ManifoldSpec:
     def from_dict(cls, data: dict) -> "ManifoldSpec":
         try:
             name = str(data["name"])
-            fields = {key: parse(str(data[key])) for key in ("A", "B", "C")}
+            fields = {key: _spec_field(data, key) for key in ("A", "B", "C")}
             lo, hi = (data["domain"][key] for key in ("min", "max"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed manifold spec: {exc}") from exc

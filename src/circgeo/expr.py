@@ -25,7 +25,13 @@ Grammar (whitespace insignificant, identifiers case-sensitive):
 
 Binary +, -, *, / are left-associative, "^" binds tighter than unary minus
 and takes a (possibly signed) integer literal exponent.  Numbers are decimal
-literals, optionally with an exponent part (e.g. ``2.5e-3``).  Parentheses
+literals: at least one digit and at most one point (``3``, ``1.``, ``.5``,
+``2.25``), then an optional exponent part (``2.5e-3``, ``1E+16``); any
+Unicode decimal digit counts as a digit.  A second point starts a new
+token, so ``1.2.3`` is an error at ``.3``.  An identifier is a run of
+letters, digits and "_" that does not start with a decimal digit; the only
+ones known are x1..x4 and the function names.  Every source that does not
+parse raises `ParseError` with the offset of the offending token.  Parentheses
 and function calls nest at most `MAX_DEPTH` levels, and the syntax tree is at
 most `MAX_DEPTH` nodes deep (a sum of n terms is n deep); deeper input
 is a `ParseError` at the token that goes past the limit.  The evaluator and
@@ -35,6 +41,7 @@ is a `ParseError` at the token that goes past the limit.  The evaluator and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -64,10 +71,12 @@ MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
-    """Source text does not match the grammar; `offset` is a byte position."""
+    """Source text does not match the grammar; `offset` is a character
+    position in it and `message` the text before " (offset N)"."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -125,49 +134,28 @@ Node = Union[Const, Var, Neg, BinOp, Pow, Call]
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUM, _IDENT, _OP, _LPAREN, _RPAREN, _EOF = range(6)
+# One match per token: optional whitespace, then a decimal literal, an
+# identifier, an operator or parenthesis, the end of the source, or (the
+# last resort) any other character.  `\d` is a Unicode decimal digit, as
+# `float` and `int` read them, and `[^\W\d]` a word character that is not one.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
+_BINARY = ("+-", "*/")  # binary operators, loosest binding first
 
 
-def _tokenize(src: str) -> list[tuple[int, str, int]]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, ending with ("eof", "", len(src))."""
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^":
-            toks.append((_OP, ch, i))
-            i += 1
-        elif ch == "(":
-            toks.append((_LPAREN, ch, i))
-            i += 1
-        elif ch == ")":
-            toks.append((_RPAREN, ch, i))
-            i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            toks.append((_NUM, src[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append((_IDENT, src[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append((_EOF, "", n))
-    return toks
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        toks.append((kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            return toks
 
 
 class _Parser:
@@ -189,7 +177,7 @@ class _Parser:
     def parse(self) -> Node:
         node, _ = self.expr()
         kind, text, off = self.peek()
-        if kind != _EOF:
+        if kind != "eof":
             raise ParseError(f"unexpected {text!r} after expression", off)
         return node
 
@@ -200,90 +188,78 @@ class _Parser:
         return node, depth
 
     def nested(self, off: int) -> tuple[Node, int]:
-        """An expression inside parentheses or a call opened at `off`."""
+        """An expression and its closing ')' inside parentheses or a call
+        opened at `off`."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise ParseError(f"parentheses nested deeper than {MAX_DEPTH} levels", off)
         inner = self.expr()
         self.nesting -= 1
+        _, text, off = self.advance()
+        if text != ")":
+            raise ParseError("expected ')'", off)
         return inner
 
-    def expr(self) -> tuple[Node, int]:
-        left = self.term()
+    def expr(self, level: int = 0) -> tuple[Node, int]:
+        """A left-associative chain over the operators `_BINARY[level]`: a
+        sum of terms at level 0, a term (a product of factors) at level 1."""
+        last = level == len(_BINARY) - 1
+        left = self.factor() if last else self.expr(level + 1)
         while True:
             kind, text, off = self.peek()
-            if kind == _OP and text in "+-":
-                self.advance()
-                right = self.term()
-                left = self.node(BinOp(text, left[0], right[0]), off, left, right)
-            else:
+            if kind != "op" or text not in _BINARY[level]:
                 return left
-
-    def term(self) -> tuple[Node, int]:
-        left = self.factor()
-        while True:
-            kind, text, off = self.peek()
-            if kind == _OP and text in "*/":
-                self.advance()
-                right = self.factor()
-                left = self.node(BinOp(text, left[0], right[0]), off, left, right)
-            else:
-                return left
+            self.advance()
+            right = self.factor() if last else self.expr(level + 1)
+            left = self.node(BinOp(text, left[0], right[0]), off, left, right)
 
     def factor(self) -> tuple[Node, int]:
-        kind, text, neg_off = self.peek()
-        negate = False
-        if kind == _OP and text == "-":
+        _, text, neg_off = self.peek()
+        negate = text == "-"
+        if negate:
             self.advance()
-            negate = True
         base = self.base()
-        kind, text, off = self.peek()
-        if kind == _OP and text == "^":
+        _, text, off = self.peek()
+        if text == "^":
             self.advance()
             base = self.node(Pow(base[0], self.integer()), off, base)
         return self.node(Neg(base[0]), neg_off, base) if negate else base
 
     def integer(self) -> int:
-        kind, text, off = self.peek()
+        _, text, off = self.peek()
         sign = 1
-        if kind == _OP and text == "-":
+        if text == "-":
             self.advance()
             sign = -1
-            kind, text, off = self.peek()
-        if kind != _NUM:
+        kind, text, off = self.advance()
+        if kind != "num":
             raise ParseError("expected an integer exponent", off)
-        self.advance()
         if any(c in text for c in ".eE"):
             raise ParseError(f"non-integer exponent {text!r}", off)
-        return sign * int(text)
+        try:
+            return sign * int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"exponent of {len(text)} digits is too long", off) from None
 
     def base(self) -> tuple[Node, int]:
         kind, text, off = self.advance()
-        if kind == _NUM:
+        if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(f"number literal {text!r} overflows", off)
             return Const(value), 1
-        if kind == _IDENT:
+        if kind == "ident":
             if text in VARIABLES:
                 return Var(int(text[1])), 1
             if text in FUNCTIONS:
-                func_off = off
-                kind, _, off = self.advance()
-                if kind != _LPAREN:
-                    raise ParseError(f"expected '(' after {text}", off)
-                arg = self.nested(off)
-                kind, _, off = self.advance()
-                if kind != _RPAREN:
-                    raise ParseError("expected ')'", off)
-                return self.node(Call(text, arg[0]), func_off, arg)
+                _, paren, paren_off = self.advance()
+                if paren != "(":
+                    raise ParseError(f"expected '(' after {text}", paren_off)
+                arg = self.nested(paren_off)
+                return self.node(Call(text, arg[0]), off, arg)
             raise ParseError(f"unknown identifier {text!r}", off)
-        if kind == _LPAREN:
-            inner = self.nested(off)
-            kind, _, off = self.advance()
-            if kind != _RPAREN:
-                raise ParseError("expected ')'", off)
-            return inner
+        if text == "(":
+            return self.nested(off)
         raise ParseError("expected a number, coordinate, function or '('", off)
 
 

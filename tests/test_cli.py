@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from circgeo import _floattext, cli
 from circgeo.cli import main
 from circgeo.core import AdmissibilityError, Box, load_spec, metric_at
-from circgeo.expr import DomainError, unparse
+from circgeo.expr import DomainError, ParseError, unparse
 from circgeo.verify import run_suite
 
 from conftest import fixture_path
@@ -26,6 +26,7 @@ from test_expr import _ast_strategy
 CURVED = str(fixture_path("curved-par"))
 NONPAR = str(fixture_path("nonpar"))
 BAD_ORDER = str(fixture_path("bad-order"))
+BAD_FIELD = str(fixture_path("bad-field"))
 CONST = str(fixture_path("const"))
 FLAT = str(fixture_path("flat-par"))
 
@@ -241,6 +242,51 @@ def test_malformed_spec_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "A": "x1 +", "B": "1", "C": "2", "domain": {"min": [0,0,0,0], "max": [1,1,1,1]}}')
     assert main(["validate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, source, says",
+    [
+        ("B", "0.5 +", "expected a number, coordinate, function or '(' (offset 5)"),
+        ("A", "10 - 1.2.3*x1", "unexpected '.3' after expression (offset 8)"),
+        ("C", "x1^" + "9" * 5000, "exponent of 5000 digits is too long (offset 3)"),
+    ],
+    ids=["B", "A", "C"],
+)
+def test_a_malformed_field_is_a_parse_error_naming_the_field(tmp_path, capsys, key, source, says):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    fields = {"A": "4", "B": "1", "C": "2", key: source}
+    spec.write_text(json.dumps({"name": "x", **fields, "domain": {"min": [-1] * 4, "max": [1] * 4}}))
+    assert main(["validate", str(spec), "--json", str(out)]) == 2
+    message = f"malformed manifold spec: field {key}: {says}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": "ParseError", "message": message}}
+
+
+def test_the_bad_field_fixture_exits_2(capsys):
+    assert main(["verify", BAD_FIELD, "--grid", "2"]) == 2
+    message = "malformed manifold spec: field B: unexpected '.5' after expression (offset 3)"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(ParseError) as err:
+        load_spec(BAD_FIELD)
+    assert err.value.offset == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", CONST, "--point=0,0,0,0"],
+        ["basis", CONST, "--point=0,0,0,0"],
+        ["scan", CONST, "--grid", "2", "--check", "parallel"],
+    ],
+)
+def test_a_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--seed", "-1", "--json", str(out)]) == 2
+    message = "argument --seed: expected an integer >= 0, got '-1'"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert json.loads(out.read_text()) == {"error": {"type": "UsageError", "message": message}}
+    assert main([*argv, "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -652,7 +698,7 @@ def _command_lines(draw):
         "verify": draw(st.sampled_from([["--point", point], ["--grid", "2"]])),
         "scan": ["--grid", draw(st.sampled_from(["2", "3"])), "--check", "parallel"],
     }.get(command, ["--point", point])
-    argv = [command, "<spec>", *words, "--seed", str(draw(st.integers(-3, 3)))]
+    argv = [command, "<spec>", *words, "--seed", str(draw(st.integers(-1, 3)))]
     if command == "verify" and draw(st.booleans()):
         argv += ["--checks", draw(st.sampled_from(["mu-law,isometry", "parallel-equivalence", "nope"]))]
     if command == "verify" and draw(st.booleans()):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circgeo.expr import (
+    FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -64,11 +65,60 @@ def test_precedence_and_associativity(source, expected):
 
 @pytest.mark.parametrize(
     "source",
-    ["x5", "foo(x1)", "x1^2.5", "x1^x2", "x1 * * x2", "(x1", "x1)", "", "   ", "x1^2^3", "--x1"],
+    [
+        "x5", "foo(x1)", "x1^2.5", "x1^x2", "x1 * * x2", "(x1", "x1)", "", "   ", "x1^2^3", "--x1",
+        "1.2.3", "1..2", ".5.", "\u00b2", pytest.param("x1^" + "9" * 5000, id="x1^9...9"),
+    ],
 )
 def test_rejects_bad_sources(source):
     with pytest.raises(ParseError):
         parse(source)
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("1.2.3", "unexpected '.3' after expression (offset 3)"),
+        ("x1 + .", "unexpected character '.' (offset 5)"),
+        ("x1 + 2.e", "unexpected 'e' after expression (offset 7)"),
+        ("x1 $ 2", "unexpected character '$' (offset 3)"),
+        ("\u00e9", "unknown identifier '\u00e9' (offset 0)"),
+        pytest.param(
+            "x1^-" + "9" * 5000, "exponent of 5000 digits is too long (offset 4)", id="x1^-9...9"
+        ),
+    ],
+)
+def test_malformed_sources_name_the_offending_token(source, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "source,value",
+    [("1.", 1.0), (".5", 0.5), ("2.5e-3", 0.0025), ("1E+16", 1e16), ("\u0663", 3.0)],
+)
+def test_literal_forms(source, value):
+    assert parse(source).ast == Const(value)
+
+
+# Digits, points, exponent letters, signs, operators, parentheses, spaces,
+# the letters of x1..x4 and of the function names, and a superscript digit,
+# an Arabic-Indic digit, a vulgar fraction and an accented letter.
+_SOURCE_CHARS = sorted(set("0123456789.eE+-*/^() x" + "".join(FUNCTIONS))) + [
+    "\u00b2", "\u0663", "\u00bd", "\u00e9"
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(_SOURCE_CHARS), max_size=30))
+def test_parse_returns_a_tree_or_raises_parse_error(source):
+    try:
+        field = parse(source)
+    except ParseError as err:
+        assert 0 <= err.offset <= len(source)
+    else:
+        assert parse(unparse(field.ast)).ast == field.ast
 
 
 def test_unknown_identifier_offset():

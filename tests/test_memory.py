@@ -36,3 +36,10 @@ def test_verify_transient_memory_stays_bounded(curved_par, tmp_path):
     assert (tmp_path / "report.json").read_text() == report_to_json(report)
     assert suite_peak < RUN_SUITE_PEAK_MB, suite_peak
     assert write_peak < WRITE_PEAK_MB, write_peak
+
+
+def test_grid_allocates_only_its_points(curved_par):
+    # Broadcast views of a sparse mesh: no full copy of a coordinate is made.
+    points, peak = _traced(lambda: curved_par.domain.grid(20))
+    assert points.shape == (20**4, 4)
+    assert peak <= 1.2 * points.nbytes / 1e6, peak
