@@ -21,7 +21,7 @@ from circgeo.expr import DomainError
 from circgeo.verify import run_suite, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ["const", "flat-par", "curved-par", "nonpar"]
+FIXTURES = ["const", "flat-par", "curved-par", "nonpar", "cone"]
 GRID = 3
 SEED = 0
 

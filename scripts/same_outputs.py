@@ -60,6 +60,12 @@ def command_lines() -> list[list[str]]:
     lines.append(["validate", "no-such-spec", "--grid", "3"])
     lines.append(["metric", "curved-par", "--point=1,2,3"])
     lines.append(["verify", "curved-par", "--grid", "0"])
+    lines.append(["validate", "curved-par", "--grid", "-2"])
+    lines.append(["scan", "curved-par", "--check", "parallel", "--grid", "0"])
+    # An integer exponent whose jet coefficient n(n - 1) overflows a float: exit 2.
+    lines.append(["metric", "huge-exponent", "--point=0.5,0,0,0"])
+    # cone's q is not parallel: parallel-condition fails everywhere, exit 1.
+    lines.append(["verify", "cone", "--grid", "3", "--seed", "7"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])

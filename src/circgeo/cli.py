@@ -10,6 +10,9 @@ Subcommands:
   verify       full residual-check suite at a point or over a grid
   scan         one named scan over a grid (currently: parallel)
 
+`--grid N` takes N >= 1 samples per axis and `--seed` an integer >= 0;
+anything else is a usage error naming the option.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parse error or out of memory, 3 inadmissible, singular or ill-conditioned
 metric, or domain error.  Every error is one line on stderr, and with
@@ -85,14 +88,19 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _int_at_least(least: int):
+    """An argparse type: an integer that is at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+
+    return parse
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -118,32 +126,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Circulant 4D metrics: curvature computation and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = _int_at_least(1)
 
     def add_common(p):
         p.add_argument("spec", help="path to a manifold spec JSON file")
         p.add_argument("--json", dest="json_path", metavar="PATH", help="write the report as JSON")
         p.add_argument(
-            "--seed", type=_parse_seed, default=0, help="seed for all sampling (default 0)"
+            "--seed", type=_int_at_least(0), default=0, help="seed for all sampling (default 0)"
         )
 
     p = sub.add_parser("validate", help="check admissibility over a grid")
     add_common(p)
-    p.add_argument("--grid", type=int, default=3, metavar="N", help="samples per axis (default 3)")
+    p.add_argument("--grid", type=grid, default=3, metavar="N", help="samples per axis (default 3)")
 
-    for name in ("metric", "christoffel", "curvature"):
-        p = sub.add_parser(name, help=f"print the {name} at a point")
+    for name in _POINT_COMMANDS:
+        what = "orthogonal q-basis" if name == "basis" else f"print the {name}"
+        p = sub.add_parser(name, help=f"{what} at a point")
         add_common(p)
         p.add_argument("--point", type=_parse_point, required=True, metavar="X1,X2,X3,X4")
-
-    p = sub.add_parser("basis", help="orthogonal q-basis at a point")
-    add_common(p)
-    p.add_argument("--point", type=_parse_point, required=True, metavar="X1,X2,X3,X4")
 
     p = sub.add_parser("verify", help="run the residual-check suite")
     add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", type=_parse_point, metavar="X1,X2,X3,X4")
-    group.add_argument("--grid", type=int, metavar="N")
+    group.add_argument("--grid", type=grid, metavar="N")
     p.add_argument(
         "--checks", type=_parse_checks, metavar="LIST", help="comma-separated check names"
     )
@@ -158,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan one named check over a grid")
     add_common(p)
-    p.add_argument("--grid", type=int, required=True, metavar="N")
+    p.add_argument("--grid", type=grid, required=True, metavar="N")
     p.add_argument("--check", required=True, choices=["parallel"])
     return parser
 
@@ -167,12 +173,6 @@ def _emit(report: dict, json_path: str | None, render) -> None:
     render(report)
     if json_path:
         write_report(report, json_path)
-
-
-def _render_matrix(name: str, matrix) -> None:
-    print(f"{name}:")
-    for row in matrix:
-        print("  " + "  ".join(repr(float(v)) for v in row))
 
 
 def _render_verify(report: dict) -> None:
@@ -186,14 +186,7 @@ def _render_verify(report: dict) -> None:
         )
 
 
-def _grid_or_point(args, spec):
-    if getattr(args, "grid", None) is not None:
-        return spec.domain.grid(args.grid)
-    return [args.point]
-
-
-def _cmd_validate(args) -> int:
-    spec = load_spec(args.spec)
+def _cmd_validate(args, spec) -> int:
     points = spec.domain.grid(args.grid)
     bad = []
     for start in range(0, len(points), _BLOCK):
@@ -225,15 +218,14 @@ def _cmd_validate(args) -> int:
     return _EXIT_OK if not bad else _EXIT_DOMAIN
 
 
-def _cmd_metric(args) -> int:
-    spec = load_spec(args.spec)
-    m = metric_at(spec, args.point)
+def _matrix_lines(name: str, matrix) -> list[str]:
+    return [f"{name}:", *("  " + "  ".join(repr(float(v)) for v in row) for row in matrix)]
+
+
+def _metric_fields(m, seed) -> tuple[dict, list[str]]:
     gi = inverse_metric(m)
     ordered, minors = admissibility(m.a, m.b, m.c)
-    report = {
-        "command": "metric",
-        "spec": spec.name,
-        "point": [float(v) for v in args.point],
+    fields = {
         "a": m.a,
         "b": m.b,
         "c": m.c,
@@ -248,79 +240,42 @@ def _cmd_metric(args) -> int:
             "matrix": gi.matrix.tolist(),
         },
     }
-
-    def render(rep):
-        print(f"spec: {rep['spec']}  point: {rep['point']!r}")
-        print(f"A={rep['a']!r} B={rep['b']!r} C={rep['c']!r}  ordered={rep['ordered']}")
-        print(f"minors: {rep['minors']!r}")
-        _render_matrix("g", rep["matrix"])
-        inv = rep["inverse"]
-        print(
-            f"inverse factors: a_bar={inv['a_bar']!r} b_bar={inv['b_bar']!r} "
-            f"c_bar={inv['c_bar']!r} d={inv['d']!r}"
-        )
-        _render_matrix("g^-1", inv["matrix"])
-
-    _emit(report, args.json_path, render)
-    return _EXIT_OK
+    lines = [
+        f"A={m.a!r} B={m.b!r} C={m.c!r}  ordered={ordered}",
+        f"minors: {fields['minors']!r}",
+        *_matrix_lines("g", fields["matrix"]),
+        f"inverse factors: a_bar={gi.a_bar!r} b_bar={gi.b_bar!r} c_bar={gi.c_bar!r} d={gi.d!r}",
+        *_matrix_lines("g^-1", fields["inverse"]["matrix"]),
+    ]
+    return fields, lines
 
 
-def _cmd_christoffel(args) -> int:
-    spec = load_spec(args.spec)
-    m = metric_at(spec, args.point)
+def _christoffel_fields(m, seed) -> tuple[dict, list[str]]:
     ch = christoffel_from_metric(m)
-    nq = nabla_q(ch)
-    report = {
-        "command": "christoffel",
-        "spec": spec.name,
-        "point": [float(v) for v in args.point],
+    fields = {
         "gamma": ch.gamma.tolist(),
         "dgamma": ch.dgamma.tolist(),
         "max_abs_gamma": ch.max_abs,
-        "nabla_q_max_abs": nq.max_abs,
+        "nabla_q_max_abs": nabla_q(ch).max_abs,
     }
-
-    def render(rep):
-        print(f"spec: {rep['spec']}  point: {rep['point']!r}")
-        print(f"max |Gamma| = {rep['max_abs_gamma']!r}, max |nabla q| = {rep['nabla_q_max_abs']!r}")
-        gamma = rep["gamma"]
-        for s in range(4):
-            _render_matrix(f"Gamma^{s + 1}_ij", gamma[s])
-
-    _emit(report, args.json_path, render)
-    return _EXIT_OK
+    lines = [f"max |Gamma| = {ch.max_abs!r}, max |nabla q| = {fields['nabla_q_max_abs']!r}"]
+    for s in range(4):
+        lines += _matrix_lines(f"Gamma^{s + 1}_ij", fields["gamma"][s])
+    return fields, lines
 
 
-def _cmd_curvature(args) -> int:
-    spec = load_spec(args.spec)
-    m = metric_at(spec, args.point)
+def _curvature_fields(m, seed) -> tuple[dict, list[str]]:
     r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    report = {
-        "command": "curvature",
-        "spec": spec.name,
-        "point": [float(v) for v in args.point],
-        "convention": convention_text(),
-        "r_low": r.r_low.tolist(),
-        "norm_inf": r.norm_inf,
-    }
-
-    def render(rep):
-        print(f"spec: {rep['spec']}  point: {rep['point']!r}")
-        print(f"convention: {rep['convention']}")
-        print(f"max |R_ijkl| = {rep['norm_inf']!r}")
-        low = np.asarray(rep["r_low"])
-        for i in range(4):
-            for j in range(i + 1, 4):
-                _render_matrix(f"R_{i + 1}{j + 1}kl", low[i, j])
-
-    _emit(report, args.json_path, render)
-    return _EXIT_OK
+    fields = {"convention": convention_text(), "r_low": r.r_low.tolist(), "norm_inf": r.norm_inf}
+    lines = [f"convention: {fields['convention']}", f"max |R_ijkl| = {r.norm_inf!r}"]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            lines += _matrix_lines(f"R_{i + 1}{j + 1}kl", fields["r_low"][i][j])
+    return fields, lines
 
 
-def _cmd_basis(args) -> int:
-    spec = load_spec(args.spec)
-    m = metric_at(spec, args.point)
-    x = find_orthogonal_q_basis(m, seed=args.seed)
+def _basis_fields(m, seed) -> tuple[dict, list[str]]:
+    x = find_orthogonal_q_basis(m, seed=seed)
     angles = basis_angles(m, x)
     shifts = x[_SHIFTS]
     products = {
@@ -328,30 +283,48 @@ def _cmd_basis(args) -> int:
         for i in range(4)
         for j in range(i + 1, 4)
     }
-    report = {
-        "command": "basis",
-        "spec": spec.name,
-        "point": [float(v) for v in args.point],
+    fields = {
         "x": [float(v) for v in x],
         "cos_phi": angles.cos_phi,
         "cos_theta": angles.cos_theta,
         "pairwise_products": products,
     }
+    lines = [
+        f"x = {fields['x']!r}",
+        f"cos_phi={angles.cos_phi!r} cos_theta={angles.cos_theta!r}",
+        *(f"  {k} = {v!r}" for k, v in sorted(products.items())),
+    ]
+    return fields, lines
 
-    def render(rep):
-        print(f"spec: {rep['spec']}  point: {rep['point']!r}")
-        print(f"x = {rep['x']!r}")
-        print(f"cos_phi={rep['cos_phi']!r} cos_theta={rep['cos_theta']!r}")
-        for k, v in sorted(rep["pairwise_products"].items()):
-            print(f"  {k} = {v!r}")
 
-    _emit(report, args.json_path, render)
+# Each point command's own report fields and output lines, from the metric
+# at the point and the seed.
+_POINT_COMMANDS = {
+    "metric": _metric_fields,
+    "christoffel": _christoffel_fields,
+    "curvature": _curvature_fields,
+    "basis": _basis_fields,
+}
+
+
+def _cmd_point(args, spec) -> int:
+    fields, lines = _POINT_COMMANDS[args.command](metric_at(spec, args.point), args.seed)
+    report = {
+        "command": args.command,
+        "spec": spec.name,
+        "point": [float(v) for v in args.point],
+        **fields,
+    }
+    _emit(
+        report,
+        args.json_path,
+        lambda rep: print(f"spec: {rep['spec']}  point: {rep['point']!r}", *lines, sep="\n"),
+    )
     return _EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    points = _grid_or_point(args, spec)
+def _cmd_verify(args, spec) -> int:
+    points = spec.domain.grid(args.grid) if args.grid is not None else [args.point]
     # run_suite rejects an unknown check or tolerance name with a ValueError (exit 2).
     report = run_suite(spec, points, checks=args.checks, seed=args.seed, tolerances=dict(args.tol))
     _emit(report, args.json_path, _render_verify)
@@ -359,8 +332,7 @@ def _cmd_verify(args) -> int:
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    spec = load_spec(args.spec)
+def _cmd_scan(args, spec) -> int:
     points = spec.domain.grid(args.grid)
     (entry,) = run_suite(spec, points, checks=["parallel-equivalence"])["checks"]
     report = {
@@ -391,10 +363,7 @@ def _cmd_scan(args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "metric": _cmd_metric,
-    "christoffel": _cmd_christoffel,
-    "curvature": _cmd_curvature,
-    "basis": _cmd_basis,
+    **dict.fromkeys(_POINT_COMMANDS, _cmd_point),
     "verify": _cmd_verify,
     "scan": _cmd_scan,
 }
@@ -419,7 +388,7 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     json_path = getattr(args, "json_path", None)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, load_spec(args.spec))
     except (OSError, json.JSONDecodeError, ParseError, MemoryError) as exc:
         _report_error(exc, json_path)
         return _EXIT_USAGE

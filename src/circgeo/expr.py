@@ -24,7 +24,8 @@ Grammar (whitespace insignificant, identifiers case-sensitive):
     func   := "sin" | "cos" | "exp" | "log" | "sqrt"
 
 Binary +, -, *, / are left-associative, "^" binds tighter than unary minus
-and takes a (possibly signed) integer literal exponent.  Numbers are decimal
+and takes a (possibly signed) integer literal exponent n such that n(n - 1)
+fits a float (any exponent of up to 154 digits does).  Numbers are decimal
 literals: at least one digit and at most one point (``3``, ``1.``, ``.5``,
 ``2.25``), then an optional exponent part (``2.5e-3``, ``1E+16``); any
 Unicode decimal digit counts as a digit.  A second point starts a new
@@ -237,9 +238,14 @@ class _Parser:
         if any(c in text for c in ".eE"):
             raise ParseError(f"non-integer exponent {text!r}", off)
         try:
-            return sign * int(text)
+            n = sign * int(text)
         except ValueError:  # more digits than int() converts
             raise ParseError(f"exponent of {len(text)} digits is too long", off) from None
+        try:
+            float(n * (n - 1))  # the largest coefficient `_pow_jet` turns into a float
+        except OverflowError:
+            raise ParseError(f"exponent of {len(text)} digits is too large", off) from None
+        return n
 
     def base(self) -> tuple[Node, int]:
         kind, text, off = self.advance()

@@ -18,6 +18,7 @@ from circgeo.core import (
     induces_q_basis,
     inner,
     inverse_metric,
+    load_spec,
     metric_at,
     q_apply,
 )
@@ -258,3 +259,25 @@ def test_criterion_11_determinism(tmp_path):
         assert main(argv + ["--json", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         json.loads(out1.read_text())  # well-formed
+
+
+def test_criterion_12_cone_is_curved_and_not_parallel(tmp_path):
+    with criterion(12, "cone: identity, sectional relations, mu-law, isometry hold at 81 points; q not parallel"):
+        out = tmp_path / "cone.json"
+        argv = ["verify", str(fixture_path("cone")), "--grid", "3", "--seed", "7", "--json", str(out)]
+        assert main(argv) == 1
+        statuses = {}
+        for entry in json.loads(out.read_text())["checks"]:
+            if entry["point"] is not None:
+                statuses.setdefault(entry["name"], []).append(entry["status"])
+        expected = {
+            "isometry": "pass",
+            "parallel-condition": "fail",
+            "curvature-identity": "pass",
+            "integrability": "skipped",
+            "sectional-relations": "pass",
+            "mu-law": "pass",
+        }
+        assert statuses == {name: [status] * 81 for name, status in expected.items()}
+        m = metric_at(load_spec(fixture_path("cone")), ORIGIN)
+        assert riemann_from_christoffel(m, christoffel_from_metric(m)).norm_inf > 1e-4  # 1/4800

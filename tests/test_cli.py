@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from circgeo import _floattext, cli
@@ -212,9 +212,14 @@ def test_help_still_exits_0(capsys):
     assert "--checks" in capsys.readouterr().out
 
 
-def test_zero_grid_exits_2(capsys):
-    assert main(["verify", CURVED, "--grid", "0"]) == 2
-    assert "grid resolution" in capsys.readouterr().err
+def test_zero_grid_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for command in (["validate"], ["verify"], ["scan", "--check", "parallel"]):
+        for grid in ("0", "-2"):
+            assert main([command[0], CURVED, *command[1:], "--grid", grid, "--json", str(out)]) == 2
+            message = f"argument --grid: expected an integer >= 1, got '{grid}'"
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert json.loads(out.read_text()) == {"error": {"type": "UsageError", "message": message}}
 
 
 def test_missing_spec_exits_2(capsys, tmp_path):
@@ -250,8 +255,9 @@ def test_malformed_spec_exits_2(capsys, tmp_path):
         ("B", "0.5 +", "expected a number, coordinate, function or '(' (offset 5)"),
         ("A", "10 - 1.2.3*x1", "unexpected '.3' after expression (offset 8)"),
         ("C", "x1^" + "9" * 5000, "exponent of 5000 digits is too long (offset 3)"),
+        ("A", "4 + 0*x1^" + "9" * 155, "exponent of 155 digits is too large (offset 9)"),
     ],
-    ids=["B", "A", "C"],
+    ids=["B", "A", "C", "A-exponent"],
 )
 def test_a_malformed_field_is_a_parse_error_naming_the_field(tmp_path, capsys, key, source, says):
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
@@ -653,6 +659,18 @@ def test_a_write_that_fails_midway_leaves_the_error_report(tmp_path, capsys, mon
 # ---------------------------------------------------------------------------
 
 _JSON = "<json>"  # stands for the --json path, filled in per example
+# Constants and integer exponents at and past the edges of a double.
+_EXTREME_CONSTANTS = ["0", "5e-324", "2.2e-308", "1e154", "1.7976931348623157e308", "1e400"]
+_EXTREME_EXPONENTS = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([int("9" * 154), int("9" * 155), 10**154, -(10**154), int("9" * 309)]),
+)
+# 155 nines: the shortest all-nines exponent n whose n(n - 1) overflows a float.
+_HUGE_EXPONENT = {"A": "4 + 0*x1^" + "9" * 155, "B": "1", "C": "2"}
+_HUGE_EXPONENT_LINE = (
+    json.dumps({"name": "probe", **_HUGE_EXPONENT, "domain": {"min": [-1] * 4, "max": [1] * 4}}),
+    ["metric", "<spec>", "--point", "0.5,0,0,0", "--json", _JSON],
+)
 _TOKENS = ["--bogus", "--point", "--grid", "--json", "--seed", "-1", "", "x", "0,0,0", "nan", "--"]
 
 
@@ -669,13 +687,16 @@ def _mutated(draw, text: str) -> str:
 @st.composite
 def _command_lines(draw):
     """A spec's file text and a command line naming it.  The fields are near
-    an admissible metric, from `_ast_strategy`; at most one of a field's
-    text, the file's text or the words of the line is mutated."""
+    an admissible metric, from `_ast_strategy`, or add to it an extreme
+    constant times a tree to an extreme integer power; at most one of a
+    field's text, the file's text or the words of the line is mutated."""
     mutate = draw(st.sampled_from([None] * 4 + ["A", "B", "C", "file", "argv"]))
     fields = {}
     for key, base in (("A", 10), ("B", 1), ("C", 2)):
         tree = unparse(draw(_ast_strategy()))
-        near = [f"{base} + 0.01*({tree})", f"{base} + 1e150*({tree})", tree, str(base)]
+        constant, exponent = draw(st.sampled_from(_EXTREME_CONSTANTS)), draw(_EXTREME_EXPONENTS)
+        extreme = f"{base} + {constant}*({tree})^{exponent}"
+        near = [f"{base} + 0.01*({tree})", f"{base} + 1e150*({tree})", tree, str(base), extreme]
         field = draw(st.sampled_from(near))
         fields[key] = _mutated(draw, field) if mutate == key else field
     odd = [[0.3] * 4, [1, 0, 0, 0], ["a", 0, 0, 0], [math.nan] * 4, [-math.inf, 0, 0, 0]]
@@ -713,6 +734,7 @@ def _command_lines(draw):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_command_lines(), st.booleans())
+@example(_HUGE_EXPONENT_LINE, False)
 def test_every_command_line_ends_in_a_documented_exit_code(capsys, line, missing_dir):
     text, argv = line
     capsys.readouterr()

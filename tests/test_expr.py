@@ -1,5 +1,7 @@
 """Expression language: grammar, jets, and their agreement with finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +94,21 @@ def test_malformed_sources_name_the_offending_token(source, message):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert str(err.value) == message
+
+
+def test_an_exponent_is_rejected_exactly_where_its_jet_coefficients_overflow():
+    # n(n - 1), the Hessian's coefficient, must round to a finite double:
+    # 2**1024 - 2**970 is the least integer that does not.
+    n = (1 + math.isqrt(4 * (2**1024 - 2**970) - 3)) // 2  # the largest n with n(n - 1) below it
+    assert len(str(n)) == 155 and math.isfinite(float(n * (n - 1)))
+    for exponent, x1 in ((n, 0.5), (-(n - 1), 2.0)):  # the last that parse, both evaluate
+        jet = parse(f"x1^{exponent}").jet([x1, 0, 0, 0])
+        assert (jet.value, *jet.grad, *jet.hess.ravel()) == (0.0,) * 21
+    for source, offset in ((f"x1^{n + 1}", 3), (f"x1^-{n}", 4), ("x1^" + "9" * 310, 3)):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        digits = len(source) - offset
+        assert str(err.value) == f"exponent of {digits} digits is too large (offset {offset})"
 
 
 @pytest.mark.parametrize(
