@@ -9,6 +9,7 @@ orthonormal q-basis on the curved parallel fixture, compare:
   angle law   R(x, qx, x, qx), i.e. mu(phi) = mu(pi/2) / (1 - cos^2 phi)
               converted to the same contraction
 
+The cases are those of the suite's `mu-law` check at the origin, seed 2.
 The measured ratio direct / angle-law tracks (1 - cos theta)^2, so the
 expansion is the prediction the tensor actually satisfies; the angle law
 only matches it on the cos theta = 0 slice.
@@ -16,11 +17,8 @@ only matches it on the cos theta = 0 slice.
 
 from pathlib import Path
 
-import numpy as np
-
-from circgeo.core import find_orthogonal_q_basis, load_spec, metric_at
-from circgeo.tensor import christoffel_from_metric, riemann_from_christoffel
-from circgeo.verify import QBasisCoefficients, mu_law_cases
+from circgeo.core import load_spec
+from circgeo.verify import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 POINT = [0.0, 0.0, 0.0, 0.0]
@@ -30,15 +28,14 @@ SEED = 2
 
 def main() -> None:
     spec = load_spec(ROOT / "fixtures" / "curved-par.json")
-    m = metric_at(spec, POINT)
-    r = riemann_from_christoffel(m, christoffel_from_metric(m))
-    basis = find_orthogonal_q_basis(m, seed=SEED)
-    rng = np.random.default_rng(SEED)
-    coeffs = np.array([QBasisCoefficients.random_unit(rng).as_array() for _ in range(SAMPLES)])
-    cases, _ = mu_law_cases(r, basis, coeffs)
+    (entry,) = run_suite(spec, [POINT], checks=["mu-law"], seed=SEED, mu_samples=SAMPLES)["checks"]
+    cases = entry["payload"]["cases"]
     rho = cases[0]["angle_law_prediction"]
     print(f"spec={spec.name}  point={POINT}  R(x,qx,x,qx) = {rho:.10g}")
-    header = f"{'cos_phi':>9s} {'cos_theta':>9s} {'direct':>13s} {'expansion':>13s} {'angle law':>13s} {'ratio':>9s} {'(1-ct)^2':>9s}"
+    header = (
+        f"{'cos_phi':>9s} {'cos_theta':>9s} {'direct':>13s} {'expansion':>13s} "
+        f"{'angle law':>13s} {'ratio':>9s} {'(1-ct)^2':>9s}"
+    )
     print(header)
     for case in cases:
         cos_theta = case["cos_theta"]

@@ -21,7 +21,7 @@ from circgeo.expr import DomainError
 from circgeo.verify import run_suite, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ["const", "flat-par", "curved-par", "nonpar", "cone"]
+FIXTURES = ["const", "flat-par", "curved-par", "nonpar", "cone", "cone-bent"]
 GRID = 3
 SEED = 0
 

@@ -66,6 +66,10 @@ def command_lines() -> list[list[str]]:
     lines.append(["metric", "huge-exponent", "--point=0.5,0,0,0"])
     # cone's q is not parallel: parallel-condition fails everywhere, exit 1.
     lines.append(["verify", "cone", "--grid", "3", "--seed", "7"])
+    # cone-bent is admissible, but its lambda0 depends on x1 - x3: the
+    # curvature identity fails everywhere and the checks it gates are skipped.
+    lines.append(["verify", "cone-bent", "--grid", "3", "--seed", "7"])
+    lines.append(["validate", "cone-bent", "--grid", "5"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])

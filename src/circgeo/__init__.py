@@ -47,10 +47,6 @@ from .tensor import (
     riemann_from_christoffel,
     sectional_curvature,
 )
-from .verify import (
-    QBasisCoefficients,
-    coeff_angles,
-    run_suite,
-)
+from .verify import run_suite
 
 __version__ = "0.1.0"

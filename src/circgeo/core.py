@@ -429,21 +429,12 @@ def inner(m: MetricAtPoint, x, y) -> float:
     return float(np.asarray(x, float) @ m.matrix @ np.asarray(y, float))
 
 
-def _cosine_beyond(value: np.ndarray) -> np.ndarray:
-    """Where a cosine lies outside [-1, 1] by more than rounding."""
-    return np.abs(value) > 1.0 + 1e-12
-
-
-def _cosine_error(value) -> ValueError:
-    return ValueError(f"cosine {value} out of [-1, 1] beyond rounding")
-
-
 def _clamp_cosine(value):
     """Clip cosines (a float or an array) to [-1, 1]; raise beyond rounding."""
     value = np.asarray(value, dtype=float)
-    beyond = _cosine_beyond(value)
+    beyond = np.abs(value) > 1.0 + 1e-12
     if beyond.any():
-        raise _cosine_error(value[beyond].flat[0])
+        raise ValueError(f"cosine {value[beyond].flat[0]} out of [-1, 1] beyond rounding")
     return np.clip(value, -1.0, 1.0)
 
 

@@ -118,8 +118,18 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Pow:
+    """base^exponent for an integer exponent n whose n(n - 1), the largest
+    coefficient of the jet (`_pow_jet`), fits a float; else ValueError."""
+
     base: "Node"
     exponent: int
+
+    def __post_init__(self):
+        n = self.exponent
+        try:
+            float(n * (n - 1))
+        except OverflowError:
+            raise ValueError(f"exponent of {n.bit_length()} bits is too large") from None
 
 
 @dataclass(frozen=True)
@@ -223,10 +233,11 @@ class _Parser:
         _, text, off = self.peek()
         if text == "^":
             self.advance()
-            base = self.node(Pow(base[0], self.integer()), off, base)
+            base = self.node(self.power(base[0]), off, base)
         return self.node(Neg(base[0]), neg_off, base) if negate else base
 
-    def integer(self) -> int:
+    def power(self, base: Node) -> Pow:
+        """`base` to the signed integer literal that follows "^"."""
         _, text, off = self.peek()
         sign = 1
         if text == "-":
@@ -242,10 +253,9 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             raise ParseError(f"exponent of {len(text)} digits is too long", off) from None
         try:
-            float(n * (n - 1))  # the largest coefficient `_pow_jet` turns into a float
-        except OverflowError:
+            return Pow(base, n)
+        except ValueError:
             raise ParseError(f"exponent of {len(text)} digits is too large", off) from None
-        return n
 
     def base(self) -> tuple[Node, int]:
         kind, text, off = self.advance()

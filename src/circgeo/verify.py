@@ -47,20 +47,16 @@ tensor components through `core`'s index maps (`_SHIFTS`, `_UP`, `_DOWN`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._table import Table, report_to_json, write_report
 from .core import (
-    BasisAngles,
     ManifoldSpec,
     _DOWN,
     _SHIFTS,
     _UP,
     _basis_draws,
-    _cosine_beyond,
-    _cosine_error,
     _naming_points,
     _orthogonal_q_bases,
     _q_basis_criterion,
@@ -70,6 +66,7 @@ from .tensor import (
     ChristoffelAtPoint,
     DegeneratePlaneError,
     _christoffel_block,
+    _max_abs,
     nabla_q,
     riemann_from_christoffel,
 )
@@ -77,11 +74,8 @@ from .tensor import (
 __all__ = [
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
-    "QBasisCoefficients",
     "Table",
-    "coeff_angles",
     "convention_text",
-    "mu_law_cases",
     "report_to_json",
     "run_suite",
     "sample_q_basis_vectors",
@@ -214,8 +208,9 @@ def sample_q_basis_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # A stacked row-by-row dot product goes through the same kernel as
-    # np.linalg.norm of one row, so block draws normalise bit for bit like
-    # single draws.
+    # np.linalg.norm of one row, so the unit rows, which the report lists as
+    # the mu-law cases' coefficients, keep the bits of normalising each row
+    # by np.linalg.norm.
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
@@ -225,62 +220,6 @@ def _unit_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
     return rows / _row_norms(rows)[:, None]
 
 
-@dataclass(frozen=True)
-class QBasisCoefficients:
-    """Components of a vector in an orthonormal q-basis; must be unit norm."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma, self.delta])
-
-    @classmethod
-    def random_unit(cls, rng: np.random.Generator) -> "QBasisCoefficients":
-        return cls(*_unit_coefficients(rng, 1)[0].tolist())
-
-
-def _case_failure(bad: np.ndarray, values: np.ndarray, make) -> _Failure:
-    """Fails each point (a row of `bad`, (n, S)) where one of its cases is
-    bad; the error names the first such case's value."""
-    return bad.any(axis=1), lambda i: make(values[i, np.argmax(bad[i])])
-
-
-def _coeff_cosines(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[_Failure]]:
-    """cos(phi) and cos(theta) for each row (alpha, beta, gamma, delta) of
-    coeffs (n, S, 4), clipped to [-1, 1], and the failures per point in the
-    order they are tested: a row off unit norm, then a cosine beyond
-    [-1, 1] by more than rounding."""
-    norm2 = np.einsum("...i,...i->...", coeffs, coeffs)
-    a, b, g, d = np.moveaxis(coeffs, -1, 0)
-    cos_phi = a * b + a * d + b * g + d * g
-    cos_theta = 2.0 * a * g + 2.0 * b * d
-    failures = [
-        _case_failure(
-            np.abs(norm2 - 1.0) > 1e-12,
-            norm2,
-            lambda v: ValueError(f"coefficients must be unit norm, got |u|^2 = {v}"),
-        ),
-        _case_failure(_cosine_beyond(cos_phi), cos_phi, _cosine_error),
-        _case_failure(_cosine_beyond(cos_theta), cos_theta, _cosine_error),
-    ]
-    return np.clip(cos_phi, -1.0, 1.0), np.clip(cos_theta, -1.0, 1.0), failures
-
-
-def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
-    """Basis angles of u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
-
-    Valid when {x, qx, q^2 x, q^3 x} is orthonormal:
-    cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
-    cos(theta) = 2 alpha gamma + 2 beta delta.
-    """
-    cos_phi, cos_theta, failures = _coeff_cosines(c.as_array()[None, None])
-    _raise_first(failures)
-    return BasisAngles(float(cos_phi[0, 0]), float(cos_theta[0, 0]))
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 #
@@ -288,11 +227,6 @@ def coeff_angles(c: QBasisCoefficients) -> BasisAngles:
 # point axis, giving residuals (n, k), their scales and payload values per
 # point; `_suite_block` makes them entries (`_entries`) once per block.
 # ---------------------------------------------------------------------------
-
-
-def _point_max(a: np.ndarray) -> np.ndarray:
-    """max |a| over every axis but the first, (n,)."""
-    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
 def _isometry_residuals(g: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,13 +349,13 @@ def _sub_blocks(sel: np.ndarray, floats_per_point: int) -> list[np.ndarray]:
     return np.array_split(sel, max(1, len(sel) // size))
 
 
-def _identity_residuals(r_low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _identity_residuals(r_low: np.ndarray) -> np.ndarray:
     """R(e_i, e_j, q e_k, q e_l) = R(e_i, e_j, e_k, e_l) at n points, from
     R_ijkl (n, 4, 4, 4, 4): all 256 combinations, which multilinearity makes
-    sufficient.  Returns the largest |residual| and the scale max |R_ijkl|,
-    each (n, 1)."""
+    sufficient.  Returns the largest |residual|, (n, 1); its scale is
+    max |R_ijkl|, the curvature's `norm_inf`."""
     shifted = r_low[..., _DOWN, :][..., _DOWN]
-    return _point_max(shifted - r_low)[:, None], _point_max(r_low)[:, None]
+    return _max_abs(shifted - r_low, 4)[:, None]
 
 
 def _integrability_residuals(
@@ -441,12 +375,12 @@ def _integrability_residuals(
     # q R(x, y) z against R(x, y) q z, on the output slot l and the argument k
     # of R^l_ijk.
     lhs, rhs = r_mixed[:, _UP], r_mixed[..., _DOWN]
-    scale = np.maximum(1.0, _point_max(r_mixed))
+    scale = np.maximum(1.0, _max_abs(r_mixed, 4))
     # Alternate raising: classical component order puts the plane slots last,
     # so lift the first slot of R_(ajkl) = r_low[k, l, a, j].
     alt = np.einsum("...ab,...klbj->...ajkl", ginv, r_low)
     lhs_alt, rhs_alt = alt[:, _UP], alt[:, :, _DOWN]
-    return _point_max(lhs - rhs)[:, None], scale[:, None], _point_max(lhs_alt - rhs_alt)
+    return _max_abs(lhs - rhs, 4)[:, None], scale[:, None], _max_abs(lhs_alt - rhs_alt, 4)
 
 
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
@@ -465,10 +399,11 @@ _SECTIONAL_LABELS = ("ring_spread", "mu_x_q2x", "mu_qx_q3x")
 
 
 def _sectional_residuals(
-    g: np.ndarray, r_low: np.ndarray, xs: np.ndarray
+    g: np.ndarray, r_low: np.ndarray, norm: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Failure]:
     """Sectional curvatures of the six q-basis planes of each vector at n
-    points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) and vectors xs (n, V, 4).
+    points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) with max |R_ijkl| (n,), and
+    vectors xs (n, V, 4).
 
     Ring planes share one curvature and diagonal planes are flat where the
     curvature identity holds (the suite gates on it) and each vector
@@ -503,26 +438,44 @@ def _sectional_residuals(
         ),
         axis=1,
     )
-    norm = _point_max(r_low)
     scale = np.stack((np.max(np.abs(ring), axis=(1, 2), initial=1.0), norm, norm), axis=1)
     return resid, scale, mu[:, :1], failure
 
 
 def _mu_law_cases(
     r_low: np.ndarray, basis: np.ndarray, coeffs: np.ndarray
-) -> tuple[list[Table], np.ndarray, list[_Failure]]:
-    """The mu-law cases of n points: R_ijkl (n, 4, 4, 4, 4), the q-basis
-    vector x (n, 4) and the unit coefficient rows (n, S, 4) of each point.
+) -> tuple[list[Table], np.ndarray]:
+    """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x at
+    n points: R_ijkl (n, 4, 4, 4, 4), the vector x (n, 4) that spans each
+    point's orthonormal q-basis and the unit rows (alpha, beta, gamma,
+    delta) of each point, (n, S, 4).  All rows are contracted at once.
 
-    Returns the case table of each point, the largest |direct - expansion|
-    over each point's cases whose u induces a q-basis (n,), 0 where none
-    does, and the failures of `_coeff_cosines`.
+    Each case compares R(u, qu, u, qu) against two closed-form predictions:
+    (i) the direct tensor contraction is ground truth; (ii) the coefficient
+    expansion predicts (1 - cos theta)^2 R(x, qx, x, qx); (iii) the angle law
+    mu(phi) = mu(pi/2) / (1 - cos^2 phi) predicts plain R(x, qx, x, qx) for
+    the same contraction.  The suite's verdict compares (i) with (ii) only;
+    (iii) and the measured ratio are recorded as data because the two
+    printed forms disagree whenever cos theta is nonzero, and the
+    contraction adjudicates.  In an orthonormal q-basis
+    cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
+    cos(theta) = 2 alpha gamma + 2 beta delta; both are at most |c|^2 = 1
+    in size, so clipping them to [-1, 1] only removes rounding.
+
+    Returns the cases of each point as a `Table` with one row per
+    coefficient row (keys coefficients, cos_phi, cos_theta, direct,
+    expansion_prediction, angle_law_prediction, ratio_direct_to_angle_law
+    and q_basis), and the largest |direct - expansion| over each point's
+    cases whose u induces a q-basis, (n,), 0 where none does.  The ratio to
+    the angle law is None in every row where R(x, qx, x, qx) = 0.
     """
     shifts = basis[:, _SHIFTS]  # (n, 4, 4): shifts[p, k] = q^k x_p
     rho = _r_xyxy(r_low, shifts[:, 0], shifts[:, 1])
     u = coeffs @ shifts
     direct = _r_xyxy(r_low, u, u[..., _SHIFTS[1]])
-    cos_phi, cos_theta, failures = _coeff_cosines(coeffs)
+    a, b, g, d = np.moveaxis(coeffs, -1, 0)
+    cos_phi = np.clip(a * b + a * d + b * g + d * g, -1.0, 1.0)
+    cos_theta = np.clip(2.0 * a * g + 2.0 * b * d, -1.0, 1.0)
     expansion = (1.0 - cos_theta) ** 2 * rho[:, None]
     q_basis = _q_basis_criterion(u)[0]
     worst = np.max(np.abs(direct - expansion), axis=1, initial=0.0, where=q_basis)
@@ -545,37 +498,7 @@ def _mu_law_cases(
         )
         for i in range(len(rho))
     ]
-    return cases, worst, failures
-
-
-def mu_law_cases(
-    r: ChristoffelAtPoint, basis: np.ndarray, coeffs: np.ndarray
-) -> tuple[Table, float]:
-    """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x.
-
-    `basis` is x, spanning an orthonormal q-basis; each row of `coeffs` is a
-    unit (alpha, beta, gamma, delta).  All rows are contracted at once.
-    Each case compares R(u, qu, u, qu) against two closed-form predictions:
-    (i) the direct tensor contraction is ground truth; (ii) the coefficient
-    expansion predicts (1 - cos theta)^2 R(x, qx, x, qx); (iii) the angle law
-    mu(phi) = mu(pi/2) / (1 - cos^2 phi) predicts plain R(x, qx, x, qx) for
-    the same contraction.  The suite's verdict compares (i) with (ii) only;
-    (iii) and the measured ratio are recorded as data because the two
-    printed forms disagree whenever cos theta is nonzero, and the
-    contraction adjudicates.
-
-    Returns the cases as a `Table` with one row per coefficient row (keys
-    coefficients, cos_phi, cos_theta, direct, expansion_prediction,
-    angle_law_prediction, ratio_direct_to_angle_law and q_basis) and the
-    largest |direct - expansion| over the cases whose u induces a q-basis
-    (0 if none does).  The ratio to the angle law is None in every row where
-    R(x, qx, x, qx) = 0.
-    """
-    (cases,), worst, failures = _mu_law_cases(
-        r.r_low[None], np.asarray(basis, float)[None], np.asarray(coeffs, float)[None]
-    )
-    _raise_first(failures)
-    return cases, float(worst[0])
+    return cases, worst
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +543,7 @@ def _suite_block(
     size of its widest array a point); the random streams stay per point.
     Raises what running the points one at a time would raise first: at
     each point a geometry error, then a degenerate sectional plane, then an
-    inaccurate q-basis, then the cosines.
+    inaccurate q-basis.
     """
     isometry_samples, sectional_samples, mu_samples = samples
 
@@ -659,7 +582,7 @@ def _suite_block(
         # A selection without a curvature check never builds the curvature.
         riemann_from_christoffel(m, geo)
     if _NEEDS_IDENTITY.intersection(selected):
-        identity, norm = _identity_residuals(geo.r_low)
+        identity, norm = _identity_residuals(geo.r_low), geo.norm_inf[:, None]
         holds = ~_fails(identity, norm, tols["curvature-identity"])
         sel = np.flatnonzero(holds)
 
@@ -696,7 +619,9 @@ def _suite_block(
             vectors = np.array(
                 [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sub]
             ).reshape(len(sub), sectional_samples, 4)
-            *found, failure = _sectional_residuals(m.matrix[sub], geo.r_low[sub], vectors)
+            *found, failure = _sectional_residuals(
+                m.matrix[sub], geo.r_low[sub], norm[sub, 0], vectors
+            )
             return *found, [failure]
 
         # The widest array is the plane products, (6 V, 16) a point.
@@ -719,9 +644,8 @@ def _suite_block(
             coeffs = np.array(
                 [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sub]
             ).reshape(len(sub), mu_samples, 4)
-            cases, worst, cosine_failures = _mu_law_cases(geo.r_low[sub], bases, coeffs)
-            basis_failure = _naming_points(basis_failure, m.point[sub])
-            return bases, cases, worst, [basis_failure, *cosine_failures]
+            cases, worst = _mu_law_cases(geo.r_low[sub], bases, coeffs)
+            return bases, cases, worst, [_naming_points(basis_failure, m.point[sub])]
 
         # The widest array is the case products, (S, 16) a point.
         bases, cases, worst = sampled(sel, 16 * mu_samples, mu_law_run)

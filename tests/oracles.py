@@ -370,7 +370,7 @@ def run_suite_pointwise(
             if holds:
                 basis = core.find_orthogonal_q_basis(m, seed=streams[2])
                 coeffs = v._unit_coefficients(streams[3], mu_samples)
-                cases, worst = v.mu_law_cases(r, basis, coeffs)
+                (cases,), (worst,) = v._mu_law_cases(r.r_low[None], basis[None], coeffs[None])
                 reports.append(
                     _entry(
                         "mu-law",

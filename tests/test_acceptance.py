@@ -27,9 +27,10 @@ from circgeo.tensor import (
     metric_compatibility_residual,
     riemann_from_christoffel,
 )
-from circgeo.verify import QBasisCoefficients, coeff_angles, run_suite, sample_q_basis_vectors
+from circgeo.verify import run_suite, sample_q_basis_vectors
 
 from conftest import fixture_path, interior_points
+from oracles import sequential_unit_coefficients
 
 ORIGIN = [0.0, 0.0, 0.0, 0.0]
 
@@ -175,7 +176,8 @@ def test_criterion_07_parallel_equivalence(curved_par, flat_par, nonpar):
 
 
 def test_criterion_08_subclass_chain(curved_par):
-    with criterion(8, "curved-par: curvature identity, equal ring curvatures, flat diagonal planes to 1e-9"):
+    with criterion(8, "curved-par: curvature identity, equal ring curvatures, flat diagonal planes to 1e-9; "
+                      "cone keeps the identity where nabla q != 0, cone-bent fails it everywhere"):
         m = metric_at(curved_par, ORIGIN)
         r = riemann_from_christoffel(m, christoffel_from_metric(m))
         assert single_entry(curved_par, [ORIGIN], "curvature-identity")["status"] == "pass"
@@ -195,6 +197,14 @@ def test_criterion_08_subclass_chain(curved_par):
             for k in (0, 1):
                 diag = sectional_curvature(r, m, shifts[k], shifts[k + 2])
                 assert abs(diag) <= 1e-9 * max(1.0, r.norm_inf)
+        # Down the chain: cone is in the subclass but its q is not parallel;
+        # cone-bent (lambda0 also depends on x1 - x3) is in neither.
+        checks = ["parallel-equivalence", "curvature-identity"]
+        for name, identity in (("cone", "pass"), ("cone-bent", "fail")):
+            spec = load_spec(fixture_path(name))
+            *entries, scan = run_suite(spec, spec.domain.grid(3), checks=checks)["checks"]
+            assert [entry["status"] for entry in entries] == [identity] * 81
+            assert all(row["nabla_q_residual_scaled"] > 1e-4 for row in scan["payload"]["points"])
 
 
 def test_criterion_09_orthogonal_basis_existence():
@@ -224,23 +234,17 @@ def test_criterion_10_mu_law_adjudication(curved_par):
         rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, shifts[0], shifts[1], shifts[0], shifts[1]))
         rng = np.random.default_rng(110)
         logged = []
-        for _ in range(100):
-            coeff = QBasisCoefficients.random_unit(rng)
-            u = (
-                coeff.alpha * shifts[0]
-                + coeff.beta * shifts[1]
-                + coeff.gamma * shifts[2]
-                + coeff.delta * shifts[3]
-            )
+        for alpha, beta, gamma, delta in sequential_unit_coefficients(rng, 100):
+            u = alpha * shifts[0] + beta * shifts[1] + gamma * shifts[2] + delta * shifts[3]
             qu = q_apply(u, 1)
             direct = float(np.einsum("ijkl,i,j,k,l->", r.r_low, u, qu, u, qu))
-            angles = coeff_angles(coeff)
-            expansion = (1.0 - angles.cos_theta) ** 2 * rho
+            cos_theta = 2.0 * alpha * gamma + 2.0 * beta * delta
+            expansion = (1.0 - cos_theta) ** 2 * rho
             assert abs(direct - expansion) <= 1e-9 * max(1.0, r.norm_inf)
-            if abs(angles.cos_theta) > 1e-12:
+            if abs(cos_theta) > 1e-12:
                 logged.append(
                     {
-                        "cos_theta": angles.cos_theta,
+                        "cos_theta": cos_theta,
                         "angle_law_prediction": rho,
                         "measured_ratio": direct / rho,
                     }

@@ -111,6 +111,15 @@ def test_an_exponent_is_rejected_exactly_where_its_jet_coefficients_overflow():
         assert str(err.value) == f"exponent of {digits} digits is too large (offset {offset})"
 
 
+@pytest.mark.parametrize("zeros", [200, 5000])
+def test_a_built_power_node_obeys_the_parsed_exponent_bound(zeros):
+    # The bound lives in the node, so no tree reaches the jets or `unparse`
+    # with such an exponent: 10**200 would overflow `_pow_jet`, and 10**5000
+    # has more digits than `int` converts to text.
+    with pytest.raises(ValueError, match="bits is too large"):
+        Pow(Var(1), 10**zeros)
+
+
 @pytest.mark.parametrize(
     "source,value",
     [("1.", 1.0), (".5", 0.5), ("2.5e-3", 0.0025), ("1E+16", 1e16), ("\u0663", 3.0)],

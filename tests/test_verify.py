@@ -21,15 +21,13 @@ from circgeo.tensor import DegeneratePlaneError, christoffel_from_metric, rieman
 from circgeo.verify import (
     DEFAULT_TOLERANCES,
     KNOWN_CHECKS,
-    QBasisCoefficients,
     _SECTIONAL_LABELS,
     _draw_rows,
     _entries,
     _isometry_residuals,
+    _mu_law_cases,
     _sectional_residuals,
     _unit_coefficients,
-    coeff_angles,
-    mu_law_cases,
     report_to_json,
     run_suite,
     sample_q_basis_vectors,
@@ -292,7 +290,7 @@ def test_integrability_residual_reported_on_nonpar(nonpar):
 def sectional_passes(spec, p, x) -> bool:
     m, r = riemann_of(spec, p)
     [resid], [scale], _, (bad, _) = _sectional_residuals(
-        m.matrix[None], r.r_low[None], np.asarray(x, float)[None, None]
+        m.matrix[None], r.r_low[None], np.array([r.norm_inf]), np.asarray(x, float)[None, None]
     )
     assert not bad.any()
     return _passes(dict(zip(_SECTIONAL_LABELS, zip(resid, scale))), "sectional-relations")
@@ -313,19 +311,36 @@ def test_sectional_relations_flat(flat_par):
 # ---------------------------------------------------------------------------
 
 
-def test_coeff_angles_pinned():
-    plain = coeff_angles(QBasisCoefficients(1, 0, 0, 0))
-    assert (plain.cos_phi, plain.cos_theta) == (0.0, 0.0)
-    degenerate = coeff_angles(QBasisCoefficients(0.5, 0.5, 0.5, 0.5))
-    assert (degenerate.cos_phi, degenerate.cos_theta) == (1.0, 1.0)
-    mixed = coeff_angles(QBasisCoefficients(0.8, 0.6, 0, 0))
-    assert abs(mixed.cos_phi - 0.48) <= 1e-15
-    assert mixed.cos_theta == 0.0
+def mu_cases(r, basis, coeffs) -> tuple:
+    """The case table of coefficient rows at one point, and their largest
+    |direct - expansion|, as the suite computes them (`_mu_law_cases`)."""
+    (cases,), (worst,) = _mu_law_cases(
+        r.r_low[None], np.asarray(basis, float)[None], np.asarray(coeffs, float)[None]
+    )
+    return cases, float(worst)
 
 
-def test_coeff_angles_requires_unit_norm():
-    with pytest.raises(ValueError):
-        coeff_angles(QBasisCoefficients(1, 1, 0, 0))
+def test_coeff_angles_pinned(curved_par):
+    m, r = riemann_of(curved_par, ORIGIN)
+    coeffs = [[1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.8, 0.6, 0, 0]]
+    plain, degenerate, mixed = mu_cases(r, find_orthogonal_q_basis(m, seed=3), coeffs)[0]
+    assert (plain["cos_phi"], plain["cos_theta"]) == (0.0, 0.0)
+    assert (degenerate["cos_phi"], degenerate["cos_theta"]) == (1.0, 1.0)
+    assert abs(mixed["cos_phi"] - 0.48) <= 1e-15
+    assert mixed["cos_theta"] == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_unit_coefficients_keep_the_cosines_in_range(seed):
+    # No check in the suite tests a coefficient row: each comes from
+    # `_unit_coefficients`, unit to rounding, and then |cos phi| and
+    # |cos theta| are at most |c|^2.
+    rows = _unit_coefficients(np.random.default_rng(seed), 100)
+    assert np.all(np.abs(np.einsum("si,si->s", rows, rows) - 1.0) <= 1e-15)
+    a, b, g, d = rows.T
+    for cosine in (a * b + a * d + b * g + d * g, 2.0 * a * g + 2.0 * b * d):
+        assert np.all(np.abs(cosine) <= 1.0 + 1e-15)
 
 
 def test_coeff_angles_cross_checked_against_metric_angle():
@@ -354,18 +369,18 @@ def test_expansion_bracket_equals_angle_factor(raw):
     assert abs(bracket - (1 - cos_theta) ** 2) <= 1e-12
 
 
-def pinned_mu_case(spec, p, c: QBasisCoefficients) -> dict:
+def pinned_mu_case(spec, p, c) -> dict:
     """The mu-law case of the pinned coefficients c in the q-basis of seed
     3; asserts that it passes as the suite would judge it."""
     m, r = riemann_of(spec, p)
-    (case,), worst = mu_law_cases(r, find_orthogonal_q_basis(m, seed=3), c.as_array()[None])
+    (case,), worst = mu_cases(r, find_orthogonal_q_basis(m, seed=3), [c])
     assert case["q_basis"]
     assert _passes({"expansion_max": (worst, r.norm_inf)}, "mu-law")
     return case
 
 
 def test_mu_law_identity_coefficients(curved_par):
-    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(1, 0, 0, 0))
+    case = pinned_mu_case(curved_par, ORIGIN, (1, 0, 0, 0))
     rep = single_entry(curved_par, [ORIGIN], "mu-law", mu_samples=5)
     assert rep["status"] == "pass"
     assert rep["residuals"].keys() == {"expansion_max"}  # the suite's residual name
@@ -374,7 +389,7 @@ def test_mu_law_identity_coefficients(curved_par):
 
 
 def test_mu_law_cos_theta_zero(curved_par):
-    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(0.8, 0.6, 0, 0))
+    case = pinned_mu_case(curved_par, ORIGIN, (0.8, 0.6, 0, 0))
     # cos theta = 0: the expansion predicts exactly the base plane value.
     assert case["cos_theta"] == 0.0
     assert case["expansion_prediction"] == pytest.approx(case["angle_law_prediction"], rel=1e-12)
@@ -383,7 +398,7 @@ def test_mu_law_cos_theta_zero(curved_par):
 def test_mu_law_adjudication_case(curved_par):
     # cos theta = 0.96 separates the two predictions by (1 - cos theta)^2;
     # the direct contraction sides with the coefficient expansion.
-    case = pinned_mu_case(curved_par, ORIGIN, QBasisCoefficients(0.8, 0, 0.6, 0))
+    case = pinned_mu_case(curved_par, ORIGIN, (0.8, 0, 0.6, 0))
     assert abs(case["cos_theta"] - 0.96) <= 1e-12
     assert case["expansion_prediction"] == pytest.approx(
         0.0016 * case["angle_law_prediction"], rel=1e-9
@@ -546,34 +561,44 @@ def test_suite_raises_the_pointwise_first_geometry_error(spec, points):
 
 
 def _failing_checks(
-    monkeypatch, basis_at: int | None, degenerate_at: int | None, unit_at: int | None = None
+    monkeypatch, basis_at: int | None, degenerate_at: int | None, mu_at: int | None = None
 ):
-    """Make the q-basis of one point index fail its acceptance test, the
-    sectional vectors of another point span no plane and the mu-law
-    coefficients of a third fail the unit-norm test of the cosines (the
-    k-th call samples point k while the curvature identity holds
-    everywhere).  The failing q-basis is told by its angle, the one point
-    `basis_at`'s stream draws."""
+    """Make the q-basis of one point index fail its acceptance test with a
+    SingularMetricError, the sectional vectors of the degenerate_at-th point
+    the suite samples span no plane, and the q-basis of the mu_at-th point
+    where mu-law runs fail with a plain ValueError (the k-th call is point
+    k while the curvature identity holds everywhere).  A failing q-basis is
+    told by its angle: the one point `basis_at`'s stream draws, or the one
+    drawn at the mu_at-th call."""
     import circgeo.core as core
     import circgeo.verify as verify
 
-    bases, sample = core._orthogonal_q_bases, verify.sample_q_basis_vectors
-    unit = verify._unit_coefficients
+    bases, draws = core._orthogonal_q_bases, core._basis_draws
+    sample = verify.sample_q_basis_vectors
     target = None
     if basis_at is not None:
-        target = core._basis_draws(np.random.default_rng([SMALL["seed"], basis_at, 2]))[0]
-    calls = []
+        target = draws(np.random.default_rng([SMALL["seed"], basis_at, 2]))[0]
+    calls, mu_targets = [], []
 
     def failing_bases(a, b, c, t, s0, s2):
         x, (bad, make) = bases(a, b, c, t, s0, s2)
-        hit = t == target
+        hit, mu_hit = t == target, np.isin(t, mu_targets)
 
         def make_failing(i):
             if hit[i]:
                 return SingularMetricError(f"no orthogonal q-basis at point {basis_at}")
+            if mu_hit[i]:
+                return ValueError(f"no orthogonal q-basis at mu-law point {mu_at}")
             return make(i)
 
-        return x, (bad | hit, make_failing)
+        return x, (bad | hit | mu_hit, make_failing)
+
+    def counted_draws(rng):
+        calls.append("mu-law")
+        drawn = draws(rng)
+        if calls.count("mu-law") - 1 == mu_at:
+            mu_targets.append(drawn[0])
+        return drawn
 
     def degenerate_sample(rng, n):
         calls.append("sectional")
@@ -582,19 +607,12 @@ def _failing_checks(
             xs[-1] = [1.0, 0.0, 1.0, 0.0]  # x = q^2 x
         return xs
 
-    def off_unit_coefficients(rng, n):
-        calls.append("mu-law")
-        rows = unit(rng, n)
-        if calls.count("mu-law") - 1 == unit_at:
-            rows[-1] *= 2.0  # |u|^2 = 4
-        return rows
-
-    # The suite calls the block helper; the pointwise oracle reaches it
+    # The suite calls the block helpers; the pointwise oracle reaches them
     # through `find_orthogonal_q_basis`.
-    monkeypatch.setattr(core, "_orthogonal_q_bases", failing_bases)
-    monkeypatch.setattr(verify, "_orthogonal_q_bases", failing_bases)
+    for module in (core, verify):
+        monkeypatch.setattr(module, "_orthogonal_q_bases", failing_bases)
+        monkeypatch.setattr(module, "_basis_draws", counted_draws)
     monkeypatch.setattr(verify, "sample_q_basis_vectors", degenerate_sample)
-    monkeypatch.setattr(verify, "_unit_coefficients", off_unit_coefficients)
     return calls
 
 
@@ -634,16 +652,16 @@ def test_suite_raises_the_pointwise_first_check_error(
 
 
 @pytest.mark.parametrize(
-    "spec,basis_at,degenerate_at,unit_at,expected",
+    "spec,basis_at,degenerate_at,mu_at,expected",
     [
         # Runs of about 3 isometry points, 2 sectional points and 8 mu-law
         # points: the first failing point lies past the first run of its check.
         (FLAT_UNTIL_X1_02, None, 31, None, DegeneratePlaneError),
-        (FLAT_UNTIL_X1_02, None, None, 41, ValueError),  # coefficients off unit norm
+        (FLAT_UNTIL_X1_02, None, None, 41, ValueError),  # mu-law's q-basis at point 41
         (FLAT_UNTIL_X1_02, None, 41, 31, ValueError),  # the earlier point, another run
         (FLAT_UNTIL_X1_02, None, 31, 41, DegeneratePlaneError),
         (FLAT_UNTIL_X1_02, None, 41, 41, DegeneratePlaneError),  # sectional first at a point
-        (FLAT_UNTIL_X1_02, 41, None, 41, SingularMetricError),  # the q-basis, then cosines
+        (FLAT_UNTIL_X1_02, 41, None, 41, SingularMetricError),  # one q-basis, both marks
         (FLAT_UNTIL_X1_02, None, None, 300, ValueError),  # in the second block
         (FLAT_UNTIL_X1_02, None, None, 400, DomainError),  # the geometry error comes first
         (CUBIC, None, 21, None, DegeneratePlaneError),  # the 22nd point of the identity: 271
@@ -652,11 +670,11 @@ def test_suite_raises_the_pointwise_first_check_error(
     ],
 )
 def test_suite_raises_the_pointwise_first_error_across_sample_runs(
-    monkeypatch, spec, basis_at, degenerate_at, unit_at, expected
+    monkeypatch, spec, basis_at, degenerate_at, mu_at, expected
 ):
     import circgeo.verify as verify
 
-    calls = _failing_checks(monkeypatch, basis_at, degenerate_at, unit_at)
+    calls = _failing_checks(monkeypatch, basis_at, degenerate_at, mu_at)
     with pytest.raises(expected) as want:
         run_suite_pointwise(spec, GRID_5, **SMALL)
     monkeypatch.setattr(verify, "_SAMPLE_BYTES", 1 << 12)
@@ -793,7 +811,7 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         xs = sample_q_basis_vectors(rng, 50)
         [resid], [scales], [first], failure = _sectional_residuals(
-            m.matrix[None], r.r_low[None], xs[None]
+            m.matrix[None], r.r_low[None], np.array([r.norm_inf]), xs[None]
         )
         assert not failure[0].any()
         entries = dict(zip(_SECTIONAL_LABELS, zip(resid, scales)))
@@ -818,7 +836,8 @@ def test_sectional_entries_reject_degenerate_plane(curved_par):
     xs = np.array([[0.3, -0.7, 0.2, 0.9], [1.0, 0.0, 1.0, 0.0]])  # x = q^2 x in row 2
     with pytest.raises(DegeneratePlaneError) as want:
         sectional_planes_loop(m, r, xs)
-    *_, (mask, make) = _sectional_residuals(m.matrix[None], r.r_low[None], xs[None])
+    norm = np.array([r.norm_inf])
+    *_, (mask, make) = _sectional_residuals(m.matrix[None], r.r_low[None], norm, xs[None])
     assert mask.tolist() == [True]
     assert isinstance(make(0), DegeneratePlaneError)
     assert str(make(0)) == str(want.value)  # the Gram determinant is exactly 0 on both
@@ -831,7 +850,7 @@ def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         basis = find_orthogonal_q_basis(m, seed=k)
         coeffs = np.vstack([pinned, sequential_unit_coefficients(rng, 100)])
-        cases, worst = mu_law_cases(r, basis, coeffs)
+        cases, worst = mu_cases(r, basis, coeffs)
         expected = [mu_law_case_scalar(r, basis, c) for c in coeffs]
         assert len(cases) == len(expected)
         for case, want in zip(cases, expected):
@@ -865,9 +884,3 @@ def test_block_draws_equal_sequential_draws():
         half = lambda xs: xs[..., 0] > 0.0  # noqa: E731
         assert np.array_equal(_draw_rows(block_rng, 40, half), sequential_rows(loop_rng, 40, half))
         assert block_rng.uniform() == loop_rng.uniform()
-
-
-def test_random_unit_equals_block_coefficients():
-    one_rng, block_rng = np.random.default_rng(9), np.random.default_rng(9)
-    singles = [QBasisCoefficients.random_unit(one_rng).as_array() for _ in range(100)]
-    assert np.array_equal(np.array(singles), _unit_coefficients(block_rng, 100))
