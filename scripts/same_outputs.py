@@ -70,6 +70,13 @@ def command_lines() -> list[list[str]]:
     # curvature identity fails everywhere and the checks it gates are skipped.
     lines.append(["verify", "cone-bent", "--grid", "3", "--seed", "7"])
     lines.append(["validate", "cone-bent", "--grid", "5"])
+    # The const metric at other scales and an ill-conditioned one: flat and
+    # admissible, so each of these exits 0.
+    point = "--point=0.1,0.2,0.3,0.4"
+    lines.append(["verify", "const-micro", point, "--checks", "sectional-relations"])
+    lines.append(["verify", "const-micro", "--grid", "2"])
+    lines.append(["basis", "near-equal", "--point=0,0,0,0"])
+    lines.append(["basis", "const-tiny", "--point=0,0,0,0"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])

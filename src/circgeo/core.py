@@ -449,11 +449,16 @@ def cos_angle(m: MetricAtPoint, x, y) -> float:
 
 
 def _q_basis_criterion(xs) -> tuple[np.ndarray, np.ndarray]:
-    """`induces_q_basis` over the last axis of xs: (flags, criterion values)."""
-    x1, x2, x3, x4 = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
+    """`induces_q_basis` over the last axis of xs: (flags, criterion values).
+    The flags are those of each vector scaled exactly, by a power of two,
+    into [0.5, 1), so that |x|^4 neither overflows nor underflows."""
+    xs = np.asarray(xs, dtype=float)
+    _, e = np.frexp(np.abs(xs).max(axis=-1))
+    x1, x2, x3, x4 = np.moveaxis(np.ldexp(xs, -e[..., None]), -1, 0)
     value = ((x1 - x3) ** 2 + (x2 - x4) ** 2) * ((x1 + x3) ** 2 - (x2 + x4) ** 2)
     norm4 = (x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4) ** 2
-    return np.abs(value) > 1e-12 * norm4, value
+    with np.errstate(over="ignore"):
+        return np.abs(value) > 1e-12 * norm4, np.ldexp(value, 4 * e)
 
 
 def induces_q_basis(x) -> tuple[bool, float]:
@@ -483,7 +488,9 @@ def basis_angles(m: MetricAtPoint, x) -> BasisAngles:
 
     For any q-basis the four neighbour angles agree and the two diagonal
     angles agree (the shift is an isometry); additionally
-    4 cos(phi) - cos(theta) < 3 must hold.  Violations beyond rounding raise.
+    4 cos(phi) - cos(theta) < 3 must hold.  Violations beyond rounding
+    raise: beyond `_EQUAL_ANGLE_TOL` times the metric's condition number
+    lambda_max / lambda_min, with which the cosines' rounding grows.
     """
     flag, value = induces_q_basis(x)
     if not flag:
@@ -495,7 +502,9 @@ def basis_angles(m: MetricAtPoint, x) -> BasisAngles:
     }
     ring = [cosines[0, 1], cosines[1, 2], cosines[2, 3], cosines[0, 3]]
     diag = [cosines[0, 2], cosines[1, 3]]
-    if max(ring) - min(ring) > _EQUAL_ANGLE_TOL or abs(diag[0] - diag[1]) > _EQUAL_ANGLE_TOL:
+    eigenvalues = _circulant_eigenvalues(m.a, m.b, m.c)
+    tol = _EQUAL_ANGLE_TOL * max(eigenvalues) / min(eigenvalues)
+    if max(ring) - min(ring) > tol or abs(diag[0] - diag[1]) > tol:
         raise ValueError(
             f"q-basis angle symmetry violated beyond rounding: ring={ring}, diag={diag}"
         )

@@ -60,6 +60,16 @@ class DegeneratePlaneError(ValueError):
     """The two vectors do not span a 2-plane."""
 
 
+def _degenerate_planes(det, gxx, gyy):
+    """Where x and y span no 2-plane, elementwise: their Gram determinant under g
+    is at most 1e-12 g(x, x) g(y, y), the squared sine of their angle under g."""
+    return det <= 1e-12 * gxx * gyy
+
+
+def _degenerate_plane_error(det: float) -> DegeneratePlaneError:
+    return DegeneratePlaneError(f"vectors span no 2-plane (Gram determinant {det:.3e})")
+
+
 def _lowered(dg: np.ndarray) -> np.ndarray:
     """T[..., a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij (symmetric in i, j)."""
     return np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg) - dg
@@ -194,12 +204,10 @@ def sectional_curvature(r: ChristoffelAtPoint, m: MetricAtPoint, x, y) -> float:
     """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    gram = inner(m, x, x) * inner(m, y, y) - inner(m, x, y) ** 2
-    scale = float(x @ x) * float(y @ y)
-    if gram <= 1e-12 * scale:
-        raise DegeneratePlaneError(
-            f"vectors span no 2-plane (Gram determinant {gram:.3e})"
-        )
+    gxx, gyy = inner(m, x, x), inner(m, y, y)
+    gram = gxx * gyy - inner(m, x, y) ** 2
+    if _degenerate_planes(gram, gxx, gyy):
+        raise _degenerate_plane_error(gram)
     numerator = float(np.einsum("ijkl,i,j,k,l->", r.r_low, x, y, x, y))
     return numerator / gram
 

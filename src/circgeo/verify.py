@@ -29,6 +29,8 @@ it at one point (`christoffel_from_metric`, `riemann_from_christoffel`,
 closed-form orthonormal q-bases of `mu-law` included; the three
 sampled checks draw and contract their samples over runs of a few points
 (`_SAMPLE_BYTES`), so their transient arrays do not grow with the block.
+A run gives only columns; each failure (the geometry's, a degenerate
+sampled plane, an inaccurate q-basis) is made once over the whole block.
 A check's pass gives arrays: residuals (n, k), their scales and payload
 columns.  One builder, `_entries`, makes them the report's entries, plain
 dicts, with the verdict of a whole check taken at once by the one rule
@@ -61,11 +63,12 @@ from .core import (
     _orthogonal_q_bases,
     _q_basis_criterion,
 )
-from .expr import _as_points, _Failure, _raise_first
+from .expr import _as_points, _raise_first
 from .tensor import (
     ChristoffelAtPoint,
-    DegeneratePlaneError,
     _christoffel_block,
+    _degenerate_plane_error,
+    _degenerate_planes,
     _max_abs,
     nabla_q,
     riemann_from_christoffel,
@@ -400,7 +403,7 @@ _SECTIONAL_LABELS = ("ring_spread", "mu_x_q2x", "mu_qx_q3x")
 
 def _sectional_residuals(
     g: np.ndarray, r_low: np.ndarray, norm: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Failure]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sectional curvatures of the six q-basis planes of each vector at n
     points: g (n, 4, 4), R_ijkl (n, 4, 4, 4, 4) with max |R_ijkl| (n,), and
     vectors xs (n, V, 4).
@@ -411,23 +414,18 @@ def _sectional_residuals(
     the ring curvatures and the largest |curvature| of each diagonal plane,
     (n, 3), with their scales max(1, max |ring curvature|) and max |R_ijkl|,
     (n, 3); the six curvatures of the first vector (n, min(V, 1), 6), rings
-    first; and the points where a plane is degenerate (the error names the
-    first such plane).
+    first; and the Gram determinant of each point's first degenerate plane
+    (`_degenerate_planes`), NaN where no plane is degenerate, (n,).
     """
     n, v = xs.shape[:2]
     shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
     gram = shifts @ g[:, None] @ shifts.swapaxes(-1, -2)
     a, b = _PLANES.T
     det = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
-    euclid = np.einsum("...ki,...ki->...k", shifts, shifts)
-    degenerate = det <= 1e-12 * euclid[..., a] * euclid[..., b]
-    flat_det, flat_bad = det.reshape(n, v * 6), degenerate.reshape(n, v * 6)
-    failure = (
-        flat_bad.any(axis=1),
-        lambda i: DegeneratePlaneError(
-            f"vectors span no 2-plane (Gram determinant {flat_det[i, np.argmax(flat_bad[i])]:.3e})"
-        ),
-    )
+    degenerate = _degenerate_planes(det, gram[..., a, a], gram[..., b, b])
+    # Each point's first degenerate plane, or the NaN column past its last plane.
+    bad = np.c_[degenerate.reshape(n, v * 6), np.ones(n, bool)]
+    dets = np.c_[det.reshape(n, v * 6), np.full(n, np.nan)]
     mu = _r_xyxy(r_low, shifts[..., a, :], shifts[..., b, :]) / np.where(degenerate, 1.0, det)
     ring, diag = mu[..., :4], mu[..., 4:]
     resid = np.stack(
@@ -439,7 +437,7 @@ def _sectional_residuals(
         axis=1,
     )
     scale = np.stack((np.max(np.abs(ring), axis=(1, 2), initial=1.0), norm, norm), axis=1)
-    return resid, scale, mu[:, :1], failure
+    return resid, scale, mu[:, :1], dets[np.arange(n), bad.argmax(axis=1)]
 
 
 def _mu_law_cases(
@@ -506,19 +504,6 @@ def _mu_law_cases(
 # ---------------------------------------------------------------------------
 
 
-def _lift(failures: list[_Failure], sel: np.ndarray, n: int) -> list[_Failure]:
-    """Failures over the points `sel` (increasing indices into n points) as
-    failures over all n points."""
-    lifted = []
-    for mask, make in failures:
-        if not mask.any():
-            continue  # nothing to raise, and its arrays need not stay alive
-        full = np.zeros(n, bool)
-        full[sel] = mask
-        lifted.append((full, lambda i, make=make: make(int(np.searchsorted(sel, i)))))
-    return lifted
-
-
 # The checks that read the curvature identity: itself, and the two it gates;
 # and the checks that read the curvature: those and integrability.
 _NEEDS_IDENTITY = frozenset({"curvature-identity", "sectional-relations", "mu-law"})
@@ -540,7 +525,8 @@ def _suite_block(
 
     The geometry and every check are computed for all points at once, the
     sampled checks over runs of a few points (`_sub_blocks`, each with the
-    size of its widest array a point); the random streams stay per point.
+    size of its widest array a point), their columns joined; the random
+    streams stay per point.  Each failure is made once over the block.
     Raises what running the points one at a time would raise first: at
     each point a geometry error, then a degenerate sectional plane, then an
     inaccurate q-basis.
@@ -558,15 +544,9 @@ def _suite_block(
 
     def sampled(sel: np.ndarray, floats_per_point: int, run) -> list:
         """`run(sub)` over the runs of the points `sel`, each giving values
-        per point of the run (arrays or lists) and then its failures; the
-        values joined over the runs, the failures lifted to the block."""
-        parts = []
-        for sub in _sub_blocks(sel, floats_per_point):
-            *values, run_failures = run(sub)
-            failures.extend(_lift(run_failures, sub, n))
-            parts.append(values)
-        joined = zip(*parts)
-        return [np.concatenate(r) if isinstance(r[0], np.ndarray) else sum(r, []) for r in joined]
+        per point of the run (arrays or lists), joined over the runs."""
+        parts = zip(*(run(sub) for sub in _sub_blocks(sel, floats_per_point)))
+        return [np.concatenate(r) if isinstance(r[0], np.ndarray) else sum(r, []) for r in parts]
 
     columns = []
 
@@ -592,7 +572,7 @@ def _suite_block(
             pairs = np.array(
                 [stream(start + i, 0).uniform(-1.0, 1.0, (2, isometry_samples, 4)) for i in sub]
             )
-            return *_isometry_residuals(m.matrix[sub], pairs), []
+            return _isometry_residuals(m.matrix[sub], pairs)
 
         # The widest array is the sample pairs, (2, S, 4) a point.
         resid, iso_scale = sampled(np.arange(n), 8 * isometry_samples, isometry_run)
@@ -619,13 +599,13 @@ def _suite_block(
             vectors = np.array(
                 [sample_q_basis_vectors(stream(start + i, 1), sectional_samples) for i in sub]
             ).reshape(len(sub), sectional_samples, 4)
-            *found, failure = _sectional_residuals(
-                m.matrix[sub], geo.r_low[sub], norm[sub, 0], vectors
-            )
-            return *found, [failure]
+            return _sectional_residuals(m.matrix[sub], geo.r_low[sub], norm[sub, 0], vectors)
 
         # The widest array is the plane products, (6 V, 16) a point.
-        resid, sec_scale, first = sampled(sel, 96 * sectional_samples, sectional_run)
+        resid, sec_scale, first, gram = sampled(sel, 96 * sectional_samples, sectional_run)
+        dets = np.full(n, np.nan)
+        dets[sel] = gram
+        failures.append((~np.isnan(dets), lambda i: _degenerate_plane_error(dets[i])))
         # `first` holds no row at a point where no vector was drawn.
         payload = {
             "vectors": [sectional_samples] * len(sel),
@@ -636,20 +616,22 @@ def _suite_block(
         add("sectional-relations", _SECTIONAL_LABELS, resid, sec_scale, payload, ran=holds)
 
     if "mu-law" in selected:
+        # A fixed draw where mu-law does not run; that basis is not tested.
+        draws = np.tile([0.0, 1.0, 1.0], (n, 1))
+        for i in sel:
+            draws[i] = _basis_draws(stream(start + i, 2))
+        bases, (bad, make) = _orthogonal_q_bases(m.a, m.b, m.c, *draws.T)
+        failures.append(_naming_points((bad & holds, make), m.point))
 
         def mu_law_run(sub):
-            draws = np.array([_basis_draws(stream(start + i, 2)) for i in sub])
-            abc = (m.a[sub], m.b[sub], m.c[sub])
-            bases, basis_failure = _orthogonal_q_bases(*abc, *draws.reshape(len(sub), 3).T)
             coeffs = np.array(
                 [_unit_coefficients(stream(start + i, 3), mu_samples) for i in sub]
             ).reshape(len(sub), mu_samples, 4)
-            cases, worst = _mu_law_cases(geo.r_low[sub], bases, coeffs)
-            return bases, cases, worst, [_naming_points(basis_failure, m.point[sub])]
+            return _mu_law_cases(geo.r_low[sub], bases[sub], coeffs)
 
         # The widest array is the case products, (S, 16) a point.
-        bases, cases, worst = sampled(sel, 16 * mu_samples, mu_law_run)
-        payload = {"basis": bases.tolist(), "cases": cases}
+        cases, worst = sampled(sel, 16 * mu_samples, mu_law_run)
+        payload = {"basis": bases[sel].tolist(), "cases": cases}
         add("mu-law", ("expansion_max",), worst[:, None], norm[sel], payload, ran=holds)
 
     _raise_first(failures)

@@ -386,6 +386,21 @@ def test_basis_on_ill_conditioned_metric_exits_3(tmp_path, capsys):
     assert json.loads(out.read_text())["error"]["type"] == "SingularMetricError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "const-micro", "--point", "0.1,0.2,0.3,0.4", "--checks", "sectional-relations"],
+        ["basis", "near-equal", "--point", "0,0,0,0"],
+        ["basis", "const-tiny", "--point", "0,0,0,0"],
+    ],
+)
+def test_the_scaled_and_ill_conditioned_fixtures_exit_0(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], str(fixture_path(argv[1])), *argv[2:]]) == 0
+    assert not caught and capsys.readouterr().err == ""
+
+
 def test_scan_parallel(tmp_path):
     out = tmp_path / "scan.json"
     assert main(["scan", CURVED, "--grid", "3", "--check", "parallel", "--json", str(out)]) == 0
@@ -671,6 +686,11 @@ _HUGE_EXPONENT_LINE = (
     json.dumps({"name": "probe", **_HUGE_EXPONENT, "domain": {"min": [-1] * 4, "max": [1] * 4}}),
     ["metric", "<spec>", "--point", "0.5,0,0,0", "--json", _JSON],
 )
+# A q-basis whose components are about 1e80: x^4 overflows a double.
+_TINY_METRIC_BASIS_LINE = (
+    fixture_path("const-tiny").read_text(),
+    ["basis", "<spec>", "--point", "0,0,0,0", "--json", _JSON],
+)
 _TOKENS = ["--bogus", "--point", "--grid", "--json", "--seed", "-1", "", "x", "0,0,0", "nan", "--"]
 
 
@@ -735,6 +755,7 @@ def _command_lines(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_command_lines(), st.booleans())
 @example(_HUGE_EXPONENT_LINE, False)
+@example(_TINY_METRIC_BASIS_LINE, False)
 def test_every_command_line_ends_in_a_documented_exit_code(capsys, line, missing_dir):
     text, argv = line
     capsys.readouterr()

@@ -303,6 +303,19 @@ def test_criterion_sign_flip_invariance(coords):
     assert flag == flag_neg and value == value_neg
 
 
+@pytest.mark.parametrize("k", [-300, -100, 0, 100, 300])
+def test_criterion_flag_does_not_depend_on_the_vector_scale(k):
+    # x^4 overflows a double from about 2^256 on and underflows below 2^-269;
+    # the vectors are scaled by powers of two, so the flags are exact.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flag, value = induces_q_basis(np.ldexp([1.0, 2.0, 3.0, 4.0], k))
+        assert not induces_q_basis(np.ldexp([1.0, 0.0, 1.0, 0.0], k))[0]
+    assert flag
+    with np.errstate(over="ignore"):
+        assert value == np.ldexp(-160.0, 4 * k)  # -inf where it overflows
+
+
 # ---------------------------------------------------------------------------
 # Basis angles
 # ---------------------------------------------------------------------------
@@ -425,6 +438,17 @@ def test_ill_conditioned_metric_raises():
     m = MetricAtPoint.from_constants(1 + 1e-9, 0.5, 1)
     with pytest.raises(SingularMetricError, match="Gram residual"):
         find_orthogonal_q_basis(m, seed=0)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-6])
+def test_basis_angles_allow_the_rounding_of_an_ill_conditioned_metric(gap):
+    # A - C = gap: the condition number lambda0 / lambda1 is about 3 / gap,
+    # and the computed cosines of an accepted basis differ by more than 1e-12.
+    m = MetricAtPoint.from_constants(1 + gap, 0.5, 1)
+    for seed in range(8):
+        x = find_orthogonal_q_basis(m, seed=seed)
+        angles = basis_angles(m, x)  # raises if the equalities fail
+        assert abs(angles.cos_phi) <= 1e-10 and abs(angles.cos_theta) <= 1e-10
 
 
 def test_solver_finds_orthogonal_basis_412():

@@ -217,6 +217,19 @@ def test_sectional_rejects_degenerate_plane(curved_par):
         sectional_curvature(r, m, [1, 2, 0, 1], [2, 4, 0, 2])
 
 
+@pytest.mark.parametrize("scale", [2.0**-60, 1e-7, 1.0, 2.0**60])
+def test_the_degenerate_plane_test_does_not_depend_on_the_metric_scale(scale):
+    # The const metric scaled: flat at every scale.  The plane of e1 and
+    # e1 + t e2 has sin^2 = 15 t^2 / (16 + 8 t + 16 t^2) under g at each scale,
+    # 1e-10 at t = 1e-5 and 1e-14 at t = 1e-7.
+    m = MetricAtPoint.from_constants(4 * scale, scale, 2 * scale)
+    r = riemann_from_christoffel(m, christoffel_from_metric(m))
+    assert sectional_curvature(r, m, [1, 0, 0, 0], [0, 1, 0, 0]) == 0.0
+    assert sectional_curvature(r, m, [1, 0, 0, 0], [1, 1e-5, 0, 0]) == 0.0
+    with pytest.raises(DegeneratePlaneError):
+        sectional_curvature(r, m, [1, 0, 0, 0], [1, 1e-7, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # Covariant derivative of the shift
 # ---------------------------------------------------------------------------

@@ -289,10 +289,10 @@ def test_integrability_residual_reported_on_nonpar(nonpar):
 
 def sectional_passes(spec, p, x) -> bool:
     m, r = riemann_of(spec, p)
-    [resid], [scale], _, (bad, _) = _sectional_residuals(
+    [resid], [scale], _, [degenerate] = _sectional_residuals(
         m.matrix[None], r.r_low[None], np.array([r.norm_inf]), np.asarray(x, float)[None, None]
     )
-    assert not bad.any()
+    assert np.isnan(degenerate)
     return _passes(dict(zip(_SECTIONAL_LABELS, zip(resid, scale))), "sectional-relations")
 
 
@@ -474,7 +474,7 @@ def test_suite_tolerance_override(nonpar):
     assert report["checks"][0]["status"] == "pass"
 
 
-def test_suite_computes_geometry_once_per_block(nonpar, monkeypatch):
+def test_suite_computes_geometry_once_per_block(nonpar, curved_par, monkeypatch):
     import circgeo.tensor as tensor
     import circgeo.verify as verify
 
@@ -484,6 +484,7 @@ def test_suite_computes_geometry_once_per_block(nonpar, monkeypatch):
         (verify, "riemann_from_christoffel"),
         (verify, "nabla_q"),
         (tensor, "_riemann"),
+        (verify, "_orthogonal_q_bases"),
     )
     calls = dict.fromkeys((name for _, name in counted_names), 0)
     for module, name in counted_names:
@@ -495,9 +496,14 @@ def test_suite_computes_geometry_once_per_block(nonpar, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert not hasattr(verify, "metric_at")  # the suite makes no per-point call
-    points = nonpar.domain.grid(5)  # 625 points: three blocks
-    run_suite(nonpar, points, seed=3, mu_samples=5, sectional_samples=5, isometry_samples=10)
-    assert set(calls.values()) == {3}, calls
+    monkeypatch.setattr(verify, "_SAMPLE_BYTES", 1 << 12)  # sampled checks in many runs
+    # The curvature identity fails at every point of nonpar and holds at
+    # every point of curved-par, where the gated checks run.
+    for spec in (nonpar, curved_par):
+        calls.update(dict.fromkeys(calls, 0))
+        points = spec.domain.grid(5)  # 625 points: three blocks
+        run_suite(spec, points, seed=3, mu_samples=5, sectional_samples=5, isometry_samples=10)
+        assert set(calls.values()) == {3}, calls
 
 
 SMALL = dict(seed=1, isometry_samples=20, sectional_samples=4, mu_samples=4)
@@ -810,10 +816,10 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
     for spec, p in oracle_points(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         xs = sample_q_basis_vectors(rng, 50)
-        [resid], [scales], [first], failure = _sectional_residuals(
+        [resid], [scales], [first], [degenerate] = _sectional_residuals(
             m.matrix[None], r.r_low[None], np.array([r.norm_inf]), xs[None]
         )
-        assert not failure[0].any()
+        assert np.isnan(degenerate)  # no plane is degenerate
         entries = dict(zip(_SECTIONAL_LABELS, zip(resid, scales)))
         mu = sectional_planes_loop(m, r, xs)
         ring, diag = mu[:, :4], mu[:, 4:]
@@ -837,10 +843,10 @@ def test_sectional_entries_reject_degenerate_plane(curved_par):
     with pytest.raises(DegeneratePlaneError) as want:
         sectional_planes_loop(m, r, xs)
     norm = np.array([r.norm_inf])
-    *_, (mask, make) = _sectional_residuals(m.matrix[None], r.r_low[None], norm, xs[None])
-    assert mask.tolist() == [True]
-    assert isinstance(make(0), DegeneratePlaneError)
-    assert str(make(0)) == str(want.value)  # the Gram determinant is exactly 0 on both
+    *_, degenerate = _sectional_residuals(m.matrix[None], r.r_low[None], norm, xs[None])
+    # The Gram determinant of the first degenerate plane is exactly 0 on both.
+    assert degenerate.tolist() == [0.0]
+    assert str(want.value) == "vectors span no 2-plane (Gram determinant 0.000e+00)"
 
 
 def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
