@@ -8,12 +8,15 @@ sources and with OTHER_ROOT's (`PYTHONPATH=<root>/src`), both on this
 checkout's fixtures and with the same temporary `--json` path.  Prints each
 command line whose stdout, stderr, exit code or JSON report bytes differ,
 with what differs, and exits 1 if any do; exits 0 when all are the same.
-A refactor that claims byte-identical output runs this against its parent.
+Where both JSON reports parse, it also names the first value that differs,
+in key order, as a path such as `checks[5].payload.cases[0]`.  A refactor
+that claims byte-identical output runs this against its parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -76,7 +79,9 @@ def command_lines() -> list[list[str]]:
     lines.append(["verify", "const-micro", point, "--checks", "sectional-relations"])
     lines.append(["verify", "const-micro", "--grid", "2"])
     lines.append(["basis", "near-equal", "--point=0,0,0,0"])
-    lines.append(["basis", "const-tiny", "--point=0,0,0,0"])
+    for command in ("basis", "metric", "christoffel", "curvature"):
+        lines.append([command, "const-tiny", "--point=0,0,0,0"])
+    lines.append(["verify", "const-tiny", "--grid", "3", "--seed", "7"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])
@@ -98,13 +103,41 @@ def run(root: Path, argv: list[str], json_path: Path) -> tuple:
     return done.returncode, done.stdout, done.stderr, report
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """The path of the first value, in key order, where two parsed JSON
+    documents differ, or None where they are equal."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return where
+            found = first_difference(a[key], b[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if type(a) is type(b) and a == b else path or "(root)"
+
+
 def differences(other: Path, argv: list[str], tmp: Path) -> list[str]:
     """What differs between the two checkouts' runs of one command line."""
     json_path = tmp / "report.json"
     tmp.mkdir()
     ours, theirs = run(ROOT, argv, json_path), run(other, argv, json_path)
     names = ("exit code", "stdout", "stderr", "json")
-    return [name for name, a, b in zip(names, ours, theirs) if a != b]
+    found = [name for name, a, b in zip(names, ours, theirs) if a != b]
+    if "json" in found and ours[3] is not None and theirs[3] is not None:
+        try:
+            where = first_difference(json.loads(ours[3]), json.loads(theirs[3]))
+        except ValueError:
+            return found
+        found[-1] = f"json at {where}" if where else "json bytes only"
+    return found
 
 
 def main() -> int:

@@ -30,10 +30,10 @@ class Table(Sequence):
 
     `columns` maps each key, in sorted order, to an array whose first axis
     runs over the rows: float64 (n,) for a number per row, float64 (n, k)
-    for a list of k numbers, bool (n,) for a flag, or None for null in
-    every row; at least one column is an array, and none is changed after
-    the table is made.  Row dicts are built on demand, a slice is a
-    `Table`, and a table equals any sequence of the same rows.
+    for a list of k numbers, or bool (n,) for a flag; there is at least one
+    column, and none is changed after the table is made.  Row dicts are
+    built on demand, a slice is a `Table`, and a table equals any sequence
+    of the same rows.
 
     `text`, and `report_to_json` for a report holding tables, write all
     rows from the columns as byte matrices, the floats as `repr` writes
@@ -45,21 +45,20 @@ class Table(Sequence):
     def __init__(self, columns: dict):
         self.columns = {key: columns[key] for key in sorted(columns)}
         for key, column in self.columns.items():
-            if column is not None and column.dtype not in (np.float64, np.bool_):
-                raise TypeError(f"column {key!r} is {column.dtype}, not float64 or bool")
-        self._length = next(len(c) for c in self.columns.values() if c is not None)
+            if getattr(column, "dtype", None) not in (np.float64, np.bool_):
+                raise TypeError(f"column {key!r} is {type(column).__name__}, not float64 or bool")
 
     def __len__(self) -> int:
-        return self._length
+        return len(next(iter(self.columns.values())))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Table({k: None if c is None else c[index] for k, c in self.columns.items()})
-        i = range(self._length)[operator.index(index)]
-        return {k: None if c is None else c[i].tolist() for k, c in self.columns.items()}
+            return Table({k: c[index] for k, c in self.columns.items()})
+        i = range(len(self))[operator.index(index)]
+        return {k: c[i].tolist() for k, c in self.columns.items()}
 
     def __iter__(self):
-        values = [[None] * self._length if c is None else c.tolist() for c in self.columns.values()]
+        values = [c.tolist() for c in self.columns.values()]
         return (dict(zip(self.columns, row)) for row in zip(*values))
 
     def __eq__(self, other):
@@ -69,18 +68,17 @@ class Table(Sequence):
 
     __hash__ = None
 
-    def text(self, layout, words=("True", "False", "None"), comma=", ", row_sep="") -> str:
+    def text(self, layout, words=("True", "False"), comma=", ", row_sep="") -> str:
         """All rows written by `layout`, [text, key, text, ..., key, text]:
-        floats by repr, flags and nulls as `words`, the values of a list
-        column joined by `comma`; rows joined by `row_sep`.  No text may
-        hold a NUL character."""
+        floats by repr, flags as `words`, the values of a list column
+        joined by `comma`; rows joined by `row_sep`.  No text may hold a
+        NUL character."""
         cells = _format_floats([self])
         return "".join(p for _, p in _tables_text([self], cells, layout, words, comma, row_sep))
 
     def _check_finite(self) -> None:
         """Raise the C encoder's ValueError if a float is NaN or +-inf."""
-        floats = [c for c in self.columns.values() if c is not None and c.dtype == np.float64]
-        if not all(np.isfinite(c).all() for c in floats):
+        if not all(np.isfinite(c).all() for c in self.columns.values()):
             json.dumps(list(self), sort_keys=True, allow_nan=False)
 
 
@@ -95,7 +93,7 @@ def _format_floats(tables: list[Table]) -> tuple:
     """
     from ._floattext import CHUNK, float_text  # compiled only where a table is written
 
-    keys = [k for k, c in tables[0].columns.items() if c is not None and c.dtype == np.float64]
+    keys = [k for k, c in tables[0].columns.items() if c.dtype == np.float64]
     values = [t.columns[k].ravel() for k in keys for t in tables]
     bits = np.concatenate([np.zeros(0)] + values).view(np.uint64)
     del values
@@ -142,7 +140,7 @@ def _tables_text(
     The rows of all the tables are written in steps of a fixed number of
     rows, about `_ROWS_BYTES` of matrix, wherever the table bounds fall.  A
     step is a byte matrix, filled slot by slot (the texts of `layout`, each
-    float's text cut to the widest in the step, the flags and nulls); the
+    float's text cut to the widest in the step, the flags); the
     byte where each row starts is counted off the matrix, its NULs are
     dropped at once, and each table's share of the step is decoded from its
     own slice of the bytes.  Only the step is held: its pieces are yielded
@@ -160,7 +158,7 @@ def _tables_text(
         raw = np.frombuffer(text.encode(), np.uint8)
         return len(raw), lambda c0, c1: raw
 
-    packed = np.array([w.encode() for w in words[:2]]).view(np.uint8).reshape(2, -1)
+    packed = np.array([w.encode() for w in words]).view(np.uint8).reshape(2, -1)
 
     def flag(key):
         column = np.concatenate([t.columns[key] for t in tables])  # a byte a row
@@ -177,9 +175,7 @@ def _tables_text(
     for j, key in enumerate(layout[1::2]):
         slots.append(literal(layout[2 * j]))
         column = tables[0].columns[key]
-        if column is None:
-            slots.append(literal(words[2]))
-        elif column.dtype == np.bool_:
+        if column.dtype == np.bool_:
             slots.append(flag(key))
         else:
             for m in range(1 if column.ndim == 1 else column.shape[1]):
@@ -219,7 +215,7 @@ def _json_layout(table: Table) -> list:
     """The layout that writes a row of `table` as a JSON object."""
     layout = [""]
     for key, column in table.columns.items():
-        wide = column is not None and column.ndim == 2
+        wide = column.ndim == 2
         layout[-1] += f",{json.dumps(key)}:" + "[" * wide
         layout += [key, "]" * wide]
     layout[0], layout[-1] = "{" + layout[0][1:], layout[-1] + "}"
@@ -267,12 +263,12 @@ def _spliced(text: str, token: str, tables: list[Table]) -> Iterator[str]:
     """
 
     def shape(t: Table) -> list:
-        return [(k, None if c is None else (c.dtype, c.shape[1:])) for k, c in t.columns.items()]
+        return [(k, c.dtype, c.shape[1:]) for k, c in t.columns.items()]
 
     at = 0
     for _, run in itertools.groupby(tables, shape):
         run = list(run)
-        words = ("true", "false", "null")
+        words = ("true", "false")
         pieces = _tables_text(run, _format_floats(run), _json_layout(run[0]), words, ",", ",")
         item = next(pieces, None)
         for j in range(len(run)):

@@ -299,7 +299,8 @@ class MetricAtPoint:
         _raise_first([_naming_points(singular, self.point)])
         if np.ndim(self.a):
             return inverse
-        return InverseMetricAtPoint(*(float(f[0]) for f in astuple(inverse)))
+        *factors, matrix = astuple(inverse)
+        return InverseMetricAtPoint(*(float(f[0]) for f in factors), matrix[0])
 
 
 def _metric_jets(
@@ -360,32 +361,38 @@ class InverseMetricAtPoint:
     b_bar) / d where a_bar = A(A+C) - 2B^2, b_bar = B(C-A),
     c_bar = 2B^2 - C(A+C) and d = (A-C)((A+C)^2 - 4B^2).  The factors are
     floats at one point, or (n,) arrays over n points with `matrix` of shape
-    (n, 4, 4).
+    (n, 4, 4).  The factors are those of the metric as given, so at a tiny
+    scale they underflow (d is cubic in the scale); `matrix` is computed
+    from the factors of the metric scaled exactly, by a power of two, so
+    that A lies in [0.5, 1), and scaled back.
     """
 
     a_bar: float | np.ndarray
     b_bar: float | np.ndarray
     c_bar: float | np.ndarray
     d: float | np.ndarray
+    matrix: np.ndarray
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        d = np.asarray(self.d)[..., None, None]
-        return circulant_matrix(self.a_bar, self.b_bar, self.c_bar) / d
+
+def _factors(a, b, c) -> tuple:
+    """The closed-form inverse factors (a_bar, b_bar, c_bar, d) of (A, B, C)."""
+    d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
+    return a * (a + c) - 2.0 * b * b, b * (c - a), 2.0 * b * b - c * (a + c), d
 
 
 def _inverse_factors(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[InverseMetricAtPoint, _Failure]:
     """The closed-form inverse at n points, and where it is undefined: where
-    the factor d vanishes, or where a factor overflows (d grows like A^3, so
-    from A of about 5.6e102 on)."""
+    the factor d of the scaled metric vanishes, or where a factor of the
+    metric as given overflows (d grows like A^3, so from A of about 5.6e102
+    on)."""
     with np.errstate(all="ignore"):
-        d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
-        inverse = InverseMetricAtPoint(
-            a * (a + c) - 2.0 * b * b, b * (c - a), 2.0 * b * b - c * (a + c), d
-        )
-        finite = np.isfinite([inverse.a_bar, inverse.b_bar, inverse.c_bar, d]).all(axis=0)
+        factors = _factors(a, b, c)
+        _, e = np.frexp(a)
+        *bars, d = _factors(*np.ldexp([a, b, c], -e))
+        matrix = np.ldexp(circulant_matrix(*bars) / d[:, None, None], -e[:, None, None])
+        finite = np.isfinite(factors).all(axis=0)
 
     def make(i: int) -> Exception:
         reason = "determinant factor is zero" if d[i] == 0.0 else "closed-form factors overflow"
@@ -394,7 +401,7 @@ def _inverse_factors(
             + reason
         )
 
-    return inverse, ((d == 0.0) | ~finite, make)
+    return InverseMetricAtPoint(*factors, matrix), ((d == 0.0) | ~finite, make)
 
 
 def _naming_points(failure: _Failure, points: np.ndarray | None) -> _Failure:

@@ -70,6 +70,7 @@ from .tensor import (
     _degenerate_plane_error,
     _degenerate_planes,
     _max_abs,
+    _unit_scaled,
     nabla_q,
     riemann_from_christoffel,
 )
@@ -415,18 +416,23 @@ def _sectional_residuals(
     (n, 3), with their scales max(1, max |ring curvature|) and max |R_ijkl|,
     (n, 3); the six curvatures of the first vector (n, min(V, 1), 6), rings
     first; and the Gram determinant of each point's first degenerate plane
-    (`_degenerate_planes`), NaN where no plane is degenerate, (n,).
+    (`_degenerate_planes`), NaN where no plane is degenerate, (n,).  The
+    Gram determinants are taken under g scaled by a power of two
+    (`_unit_scaled`), so that they neither underflow nor overflow.
     """
     n, v = xs.shape[:2]
     shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
+    g, e = _unit_scaled(g)
+    e2 = 2 * e[:, None, None]  # the Gram determinants' scale
     gram = shifts @ g[:, None] @ shifts.swapaxes(-1, -2)
     a, b = _PLANES.T
     det = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
     degenerate = _degenerate_planes(det, gram[..., a, a], gram[..., b, b])
     # Each point's first degenerate plane, or the NaN column past its last plane.
     bad = np.c_[degenerate.reshape(n, v * 6), np.ones(n, bool)]
-    dets = np.c_[det.reshape(n, v * 6), np.full(n, np.nan)]
-    mu = _r_xyxy(r_low, shifts[..., a, :], shifts[..., b, :]) / np.where(degenerate, 1.0, det)
+    dets = np.c_[np.ldexp(det, e2).reshape(n, v * 6), np.full(n, np.nan)]
+    r_xyxy = _r_xyxy(r_low, shifts[..., a, :], shifts[..., b, :])
+    mu = np.ldexp(r_xyxy / np.where(degenerate, 1.0, det), -e2)
     ring, diag = mu[..., :4], mu[..., 4:]
     resid = np.stack(
         (
@@ -442,7 +448,7 @@ def _sectional_residuals(
 
 def _mu_law_cases(
     r_low: np.ndarray, basis: np.ndarray, coeffs: np.ndarray
-) -> tuple[list[Table], np.ndarray]:
+) -> tuple[list[Table], np.ndarray, np.ndarray]:
     """The mu-law cases u = alpha x + beta qx + gamma q^2 x + delta q^3 x at
     n points: R_ijkl (n, 4, 4, 4, 4), the vector x (n, 4) that spans each
     point's orthonormal q-basis and the unit rows (alpha, beta, gamma,
@@ -453,19 +459,18 @@ def _mu_law_cases(
     expansion predicts (1 - cos theta)^2 R(x, qx, x, qx); (iii) the angle law
     mu(phi) = mu(pi/2) / (1 - cos^2 phi) predicts plain R(x, qx, x, qx) for
     the same contraction.  The suite's verdict compares (i) with (ii) only;
-    (iii) and the measured ratio are recorded as data because the two
-    printed forms disagree whenever cos theta is nonzero, and the
-    contraction adjudicates.  In an orthonormal q-basis
+    (iii) is one number a point, recorded as data because the two printed
+    forms disagree whenever cos theta is nonzero, and the contraction
+    adjudicates.  In an orthonormal q-basis
     cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
     cos(theta) = 2 alpha gamma + 2 beta delta; both are at most |c|^2 = 1
     in size, so clipping them to [-1, 1] only removes rounding.
 
     Returns the cases of each point as a `Table` with one row per
     coefficient row (keys coefficients, cos_phi, cos_theta, direct,
-    expansion_prediction, angle_law_prediction, ratio_direct_to_angle_law
-    and q_basis), and the largest |direct - expansion| over each point's
-    cases whose u induces a q-basis, (n,), 0 where none does.  The ratio to
-    the angle law is None in every row where R(x, qx, x, qx) = 0.
+    expansion_prediction and q_basis); the largest |direct - expansion|
+    over each point's cases whose u induces a q-basis, (n,), 0 where none
+    does; and rho = R(x, qx, x, qx), the angle law's prediction, (n,).
     """
     shifts = basis[:, _SHIFTS]  # (n, 4, 4): shifts[p, k] = q^k x_p
     rho = _r_xyxy(r_low, shifts[:, 0], shifts[:, 1])
@@ -477,10 +482,6 @@ def _mu_law_cases(
     expansion = (1.0 - cos_theta) ** 2 * rho[:, None]
     q_basis = _q_basis_criterion(u)[0]
     worst = np.max(np.abs(direct - expansion), axis=1, initial=0.0, where=q_basis)
-    # The angle law predicts plain rho: the curvature of the u-plane
-    # rescaled by its own Gram factor.  The ratio is None where rho = 0.
-    ratio = direct / np.where(rho == 0.0, 1.0, rho)[:, None]
-    angle_law = np.broadcast_to(rho[:, None], direct.shape)
     cases = [
         Table(
             {
@@ -489,14 +490,12 @@ def _mu_law_cases(
                 "cos_theta": cos_theta[i],
                 "direct": direct[i],
                 "expansion_prediction": expansion[i],
-                "angle_law_prediction": angle_law[i],
-                "ratio_direct_to_angle_law": ratio[i] if rho[i] else None,
                 "q_basis": q_basis[i],
             }
         )
         for i in range(len(rho))
     ]
-    return cases, worst
+    return cases, worst, rho
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +629,9 @@ def _suite_block(
             return _mu_law_cases(geo.r_low[sub], bases[sub], coeffs)
 
         # The widest array is the case products, (S, 16) a point.
-        cases, worst = sampled(sel, 16 * mu_samples, mu_law_run)
+        cases, worst, rho = sampled(sel, 16 * mu_samples, mu_law_run)
         payload = {"basis": bases[sel].tolist(), "cases": cases}
+        payload["angle_law_prediction"] = rho.tolist()
         add("mu-law", ("expansion_max",), worst[:, None], norm[sel], payload, ran=holds)
 
     _raise_first(failures)

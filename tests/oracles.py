@@ -127,13 +127,20 @@ def sectional_planes_loop(m, r, xs) -> np.ndarray:
     return np.array(out)
 
 
+def angle_law_scalar(r_low, basis) -> float:
+    """R(x, qx, x, qx) of the vector x that spans a q-basis, one contraction."""
+    x = np.asarray(basis, float)
+    qx = np.roll(x, -1)
+    return float(np.einsum("ijkl,i,j,k,l->", r_low, x, qx, x, qx))
+
+
 def mu_law_case_scalar(r, basis, coeffs) -> dict:
     """One mu-law case from the scalar formulas, one 4-vector contraction each."""
     a, b, g, d = (float(c) for c in coeffs)
     shifts = [np.roll(np.asarray(basis, float), -k) for k in range(4)]
     u = a * shifts[0] + b * shifts[1] + g * shifts[2] + d * shifts[3]
     qu = np.roll(u, -1)
-    rho = float(np.einsum("ijkl,i,j,k,l->", r.r_low, shifts[0], shifts[1], shifts[0], shifts[1]))
+    rho = angle_law_scalar(r.r_low, basis)
     cos_theta = min(1.0, max(-1.0, 2.0 * a * g + 2.0 * b * d))
     return {
         "coefficients": [a, b, g, d],
@@ -141,7 +148,6 @@ def mu_law_case_scalar(r, basis, coeffs) -> dict:
         "cos_theta": cos_theta,
         "direct": float(np.einsum("ijkl,i,j,k,l->", r.r_low, u, qu, u, qu)),
         "expansion_prediction": (1.0 - cos_theta) ** 2 * rho,
-        "angle_law_prediction": rho,
         "q_basis": abs(stacked_shift_det(u)) > 1e-12 * float(u @ u) ** 2,
     }
 
@@ -370,14 +376,18 @@ def run_suite_pointwise(
             if holds:
                 basis = core.find_orthogonal_q_basis(m, seed=streams[2])
                 coeffs = v._unit_coefficients(streams[3], mu_samples)
-                (cases,), (worst,) = v._mu_law_cases(r.r_low[None], basis[None], coeffs[None])
+                (cases,), (worst,), (rho,) = v._mu_law_cases(
+                    r.r_low[None], basis[None], coeffs[None]
+                )
+                payload = {"basis": basis.tolist(), "cases": cases}
+                payload["angle_law_prediction"] = float(rho)
                 reports.append(
                     _entry(
                         "mu-law",
                         m.point,
                         {"expansion_max": (worst, r.norm_inf)},
                         tols["mu-law"],
-                        {"basis": basis.tolist(), "cases": cases},
+                        payload,
                     )
                 )
             else:

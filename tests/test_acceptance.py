@@ -27,7 +27,7 @@ from circgeo.tensor import (
     metric_compatibility_residual,
     riemann_from_christoffel,
 )
-from circgeo.verify import run_suite, sample_q_basis_vectors
+from circgeo.verify import report_to_json, run_suite, sample_q_basis_vectors
 
 from conftest import fixture_path, interior_points
 from oracles import sequential_unit_coefficients
@@ -253,6 +253,25 @@ def test_criterion_10_mu_law_adjudication(curved_par):
         assert logged
         for entry in logged:
             assert np.isfinite(entry["measured_ratio"])
+
+
+def test_criterion_10_read_from_the_report():
+    with criterion(10, "each ran mu-law entry states R(x, qx, x, qx) once; direct / it = (1 - cos theta)^2 to 1e-9"):
+        for name in ("curved-par", "cone"):
+            spec = load_spec(fixture_path(name))
+            report = json.loads(report_to_json(run_suite(spec, spec.domain.grid(2), seed=3)))
+            ran = [e for e in report["checks"] if e["name"] == "mu-law" and "basis" in e["payload"]]
+            assert len(ran) == 16
+            for entry in ran:
+                m = metric_at(spec, entry["point"])
+                r_low = riemann_from_christoffel(m, christoffel_from_metric(m)).r_low
+                x = np.array(entry["payload"]["basis"])
+                rho = entry["payload"]["angle_law_prediction"]
+                assert abs(rho - np.einsum("ijkl,i,j,k,l->", r_low, x, q_apply(x, 1), x, q_apply(x, 1))) <= 1e-12
+                assert rho != 0.0
+                for case in entry["payload"]["cases"]:
+                    assert "angle_law_prediction" not in case and "ratio_direct_to_angle_law" not in case
+                    assert abs(case["direct"] / rho - (1.0 - case["cos_theta"]) ** 2) <= 1e-9
 
 
 def test_criterion_11_determinism(tmp_path):

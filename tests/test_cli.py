@@ -392,6 +392,12 @@ def test_basis_on_ill_conditioned_metric_exits_3(tmp_path, capsys):
         ["verify", "const-micro", "--point", "0.1,0.2,0.3,0.4", "--checks", "sectional-relations"],
         ["basis", "near-equal", "--point", "0,0,0,0"],
         ["basis", "const-tiny", "--point", "0,0,0,0"],
+        # The inverse and the Gram determinants are taken at a unit scale.
+        ["metric", "const-tiny", "--point", "0,0,0,0"],
+        ["christoffel", "const-tiny", "--point", "0,0,0,0"],
+        ["curvature", "const-tiny", "--point", "0,0,0,0"],
+        ["verify", "const-tiny", "--grid", "2"],
+        ["verify", "const-tiny", "--grid", "3", "--seed", "7"],
     ],
 )
 def test_the_scaled_and_ill_conditioned_fixtures_exit_0(capsys, argv):
@@ -481,7 +487,7 @@ def test_scan_formats_each_distinct_float_once_per_writer(tmp_path, capsys, monk
     assert main(["scan", CURVED, "--grid", "5", "--check", "parallel", "--json", str(tmp_path / "s")]) == 0
     loaded = load_spec(CURVED)
     (entry,) = run_suite(loaded, loaded.domain.grid(5), checks=["parallel-equivalence"])["checks"]
-    floats = [c for c in entry["payload"]["points"].columns.values() if c is not None and c.dtype == float]
+    floats = [c for c in entry["payload"]["points"].columns.values() if c.dtype == float]
     distinct = np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64))
     # One kernel call for the printed rows and one for the JSON; a table keeps no texts.
     assert calls == [len(distinct)] * 2
@@ -493,13 +499,17 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("spec", [FLAT, CONST])
 def test_verify_flat_report_is_strict_json(tmp_path, spec):
-    # On a flat metric R(x, qx, x, qx) = 0, so the mu-law ratio has no value.
+    # On a flat metric R(x, qx, x, qx) = 0: each mu-law entry states it once,
+    # and no case row holds it or a ratio to it.
     out = tmp_path / "report.json"
     assert main(["verify", spec, "--grid", "2", "--json", str(out)]) == 0
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
-    cases = [c for e in report["checks"] if e["name"] == "mu-law" for c in e["payload"]["cases"]]
+    mu = [e["payload"] for e in report["checks"] if e["name"] == "mu-law"]
+    assert [p["angle_law_prediction"] for p in mu] == [0.0] * 16
+    cases = [c for p in mu for c in p["cases"]]
     assert len(cases) == 16 * 100
-    assert all(c["ratio_direct_to_angle_law"] is None for c in cases)
+    keys = {"coefficients", "cos_phi", "cos_theta", "direct", "expansion_prediction", "q_basis"}
+    assert all(c.keys() == keys for c in cases)
 
 
 def test_module_entrypoint_runs():

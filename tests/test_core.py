@@ -188,6 +188,29 @@ def test_inverse_rejects_overflowing_factors():
         inverse_metric(MetricAtPoint.from_constants(1e103, 1, 2))
 
 
+def test_inverse_of_a_tiny_metric_is_taken_at_a_unit_scale():
+    # d is cubic in the scale: at 2^-600 it underflows to 0, as the factors
+    # report it, while the matrix is the unit metric's inverse times 2^600.
+    tiny = 2.0**-600
+    gi = inverse_metric(MetricAtPoint.from_constants(4 * tiny, tiny, 2 * tiny))
+    assert gi.d == 0.0
+    assert gi.matrix[0].tolist() == [v / tiny for v in (0.34375, -0.03125, -0.15625, -0.03125)]
+    gi = inverse_metric(MetricAtPoint.from_constants(4e-160, 1e-160, 2e-160))
+    unit = inverse_metric(MetricAtPoint.from_constants(4, 1, 2)).matrix
+    assert gi.d == 0.0 and np.allclose(gi.matrix * 1e-160, unit, rtol=1e-15, atol=0)
+
+
+def test_inverse_keeps_the_bits_of_the_unscaled_closed_form():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        a, b, c = np.array(random_ordered_triple(rng)) * 10.0 ** rng.uniform(-60, 60)
+        gi = inverse_metric(MetricAtPoint.from_constants(a, b, c))
+        d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
+        bars = a * (a + c) - 2.0 * b * b, b * (c - a), 2.0 * b * b - c * (a + c)
+        assert (gi.a_bar, gi.b_bar, gi.c_bar, gi.d) == (*bars, d)
+        assert np.array_equal(gi.matrix, circulant_matrix(*bars) / d)
+
+
 def test_inverse_matches_generic_inversion():
     rng = np.random.default_rng(17)
     eye = np.eye(4)

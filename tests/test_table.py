@@ -30,24 +30,21 @@ def reference(rows) -> str:
 
 @st.composite
 def tables(draw, max_rows=6):
-    """A Table of float, float-list, bool and all-null columns, at least one
-    of them an array."""
+    """A Table of float, float-list and bool columns."""
     n = draw(st.integers(0, max_rows))
-    kinds = st.sampled_from(["float", "list", "bool", "none"])
+    kinds = st.sampled_from(["float", "list", "bool"])
     keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
     columns = {}
-    for i, key in enumerate(keys):
-        kind = draw(kinds if i else st.sampled_from(["float", "list", "bool"]))
+    for key in keys:
+        kind = draw(kinds)
         if kind == "float":
             columns[key] = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
         elif kind == "list":
             k = draw(st.integers(0, 3))
             flat = draw(st.lists(FLOATS, min_size=n * k, max_size=n * k))
             columns[key] = np.array(flat, dtype=float).reshape(n, k)
-        elif kind == "bool":
-            columns[key] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
         else:
-            columns[key] = None
+            columns[key] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
     return Table(columns)
 
 
@@ -65,7 +62,7 @@ def test_table_json_equals_json_dumps_of_its_rows(table):
 @settings(max_examples=100, deadline=None)
 @given(tables(max_rows=4), st.data())
 def test_non_finite_values_raise_like_json_dumps(table, data):
-    floats = [k for k, c in table.columns.items() if c is not None and c.dtype == float and c.size]
+    floats = [k for k, c in table.columns.items() if c.dtype == float and c.size]
     if not floats:
         return
     key = data.draw(st.sampled_from(floats))
@@ -107,12 +104,11 @@ def test_rows_are_plain_typed_dicts():
             "x": np.array([1.5, -0.0]),
             "flag": np.array([True, False]),
             "v": np.array([[1.0, 2.0], [3.0, 4.0]]),
-            "none": None,
         }
     )
-    assert list(table.columns) == ["flag", "none", "v", "x"]
+    assert list(table.columns) == ["flag", "v", "x"]
     assert len(table) == 2
-    assert table[1] == {"flag": False, "none": None, "v": [3.0, 4.0], "x": -0.0}
+    assert table[1] == {"flag": False, "v": [3.0, 4.0], "x": -0.0}
     assert table[-1] == table[1] and list(table) == [table[0], table[1]]
     assert type(table[0]["flag"]) is bool and type(table[0]["x"]) is float
     assert math.copysign(1.0, table[1]["x"]) == -1.0
@@ -125,10 +121,10 @@ def test_rows_are_plain_typed_dicts():
 
 
 def test_tables_equal_sequences_of_the_same_rows():
-    table = Table({"x": np.array([1.0, -0.0]), "none": None})
-    rows = [{"none": None, "x": 1.0}, {"none": None, "x": -0.0}]
+    table = Table({"x": np.array([1.0, -0.0]), "ok": np.array([True, False])})
+    rows = [{"ok": True, "x": 1.0}, {"ok": False, "x": -0.0}]
     assert table == rows and rows == table and table == tuple(rows)
-    assert table == Table({"x": np.array([1.0, -0.0]), "none": None})
+    assert table == Table({"x": np.array([1.0, -0.0]), "ok": np.array([True, False])})
     assert table != rows[:1] and table != Table({"x": np.array([1.0, 0.5])}) and table != 1.0
     with pytest.raises(TypeError):
         hash(table)
@@ -150,6 +146,14 @@ def test_integer_columns_are_rejected():
         Table({"a": np.array([1, 2])})
 
 
+def test_null_columns_are_rejected():
+    # No report has a column that is null in every row.
+    with pytest.raises(TypeError):
+        Table({"x": None})
+    with pytest.raises(TypeError):
+        Table({"x": np.ones(2), "y": None})
+
+
 def test_unserialisable_values_raise_type_error_like_json_dumps():
     with pytest.raises(TypeError):
         json.dumps({"a": {1, 2}})
@@ -167,7 +171,7 @@ def test_report_formats_the_floats_of_each_run_of_same_column_tables_in_one_pass
     assert tables[81].columns.keys() != tables[0].columns.keys()
     distinct = []
     for run in (tables[:81], tables[81:]):
-        floats = [c for t in run for c in t.columns.values() if c is not None and c.dtype == float]
+        floats = [c for t in run for c in t.columns.values() if c.dtype == float]
         distinct.append(len(np.unique(np.concatenate([c.ravel() for c in floats]).view(np.uint64))))
     calls = []
     kernel = _floattext._kernel
@@ -193,7 +197,7 @@ def test_tables_with_the_same_columns_are_written_in_one_pass(monkeypatch, step_
 
     def table(n):
         columns = {"x": rng.standard_normal(n), "v": rng.standard_normal((n, 2)) * 1e20}
-        return Table({**columns, "ok": rng.random(n) < 0.5, "none": None})
+        return Table({**columns, "ok": rng.random(n) < 0.5})
 
     def other(n):
         return Table({"x": rng.standard_normal(n), "y": rng.standard_normal(n)})
@@ -211,16 +215,16 @@ def test_every_step_size_from_one_to_twelve_rows_writes_the_same_text(monkeypatc
 
     def table(n):
         columns = {"x": rng.standard_normal(n), "v": rng.standard_normal((n, 2)) * 1e-300}
-        return Table({**columns, "ok": rng.random(n) < 0.5, "none": None})
+        return Table({**columns, "ok": rng.random(n) < 0.5})
 
     # Bounds 0, 0, 1, 4, 4, 44, 44, 45, 48, 48: empty tables first, last and
     # at cuts of 1, 2, 4 and 11 rows.
     report = {"t": [table(n) for n in (0, 1, 3, 0, 40, 0, 1, 3, 0)], "one": table(3)}
     # The widest a row can be: the layout's text, the comma between the two
-    # values of "v", the row separator, each float WIDTH bytes, "false" for
-    # the flag and "null" for the null.
+    # values of "v", the row separator, each float WIDTH bytes and "false"
+    # for the flag.
     layout = _table._json_layout(report["one"])
-    width = len("".join(layout[0::2]) + ",,") + 3 * _floattext.WIDTH + len("false") + len("null")
+    width = len("".join(layout[0::2]) + ",,") + 3 * _floattext.WIDTH + len("false")
     expected = report_to_json_reference(report)
     for rows in range(1, 13):
         monkeypatch.setattr(_table, "_ROWS_BYTES", rows * width + rows % 2)  # not a multiple
@@ -235,7 +239,7 @@ def test_text_with_non_ascii_layout_and_words_is_cut_at_rows_not_characters(
     monkeypatch.setattr(_table, "_ROWS_BYTES", step_bytes)
     table = Table({"a": np.array([0.5, -0.0, 1e16, 3.0, 2.5]), "ok": np.arange(5) % 3 != 1})
     assert table.text(["é<", "a", ">"], row_sep="¦") == "é<0.5>¦é<-0.0>¦é<1e+16>¦é<3.0>¦é<2.5>"
-    words = ("ja", "ñein", "–")
+    words = ("ja", "ñein")
     text = table.text(["", "ok", "·", "a", "–"], words=words, row_sep="¦\n")
     rows = [f"{words[1 - row['ok']]}·{row['a']!r}–" for row in table]
     assert text == "¦\n".join(rows)

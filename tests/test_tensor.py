@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circgeo.core import MetricAtPoint, circulant_matrix, metric_at, q_apply
+from circgeo.expr import FieldJet
 from circgeo.tensor import (
     DegeneratePlaneError,
     _christoffel_block,
@@ -217,7 +218,7 @@ def test_sectional_rejects_degenerate_plane(curved_par):
         sectional_curvature(r, m, [1, 2, 0, 1], [2, 4, 0, 2])
 
 
-@pytest.mark.parametrize("scale", [2.0**-60, 1e-7, 1.0, 2.0**60])
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-160, 2.0**-60, 1e-7, 1.0, 2.0**60, 2.0**300])
 def test_the_degenerate_plane_test_does_not_depend_on_the_metric_scale(scale):
     # The const metric scaled: flat at every scale.  The plane of e1 and
     # e1 + t e2 has sin^2 = 15 t^2 / (16 + 8 t + 16 t^2) under g at each scale,
@@ -228,6 +229,25 @@ def test_the_degenerate_plane_test_does_not_depend_on_the_metric_scale(scale):
     assert sectional_curvature(r, m, [1, 0, 0, 0], [1, 1e-5, 0, 0]) == 0.0
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(r, m, [1, 0, 0, 0], [1, 1e-7, 0, 0])
+
+
+def test_sectional_curvature_scales_exactly_with_the_metric(curved_par):
+    # g times 2^-600 leaves the connection and R^l_ijk as they are and scales
+    # R_ijkl by 2^-600, so each sectional curvature is 2^600 times that of g,
+    # bit for bit; unscaled, each Gram determinant would underflow to 0.
+    m, _, r = geometry_at(curved_par, [0.4, 0.1, -0.3, 0.2])
+    s = 2.0**-600
+    jets = [
+        FieldJet(j.value * s, j.grad * s, j.hess_packed * s) for j in (m.jet_a, m.jet_b, m.jet_c)
+    ]
+    tiny = MetricAtPoint(*(j.value for j in jets), *jets, point=m.point)
+    r_tiny = riemann_from_christoffel(tiny, christoffel_from_metric(tiny))
+    assert np.array_equal(r_tiny.r_low, r.r_low * s)
+    for x in sample_q_basis_vectors(np.random.default_rng(10), 10):
+        y = q_apply(x, 1)
+        assert sectional_curvature(r_tiny, tiny, x, y) == sectional_curvature(r, m, x, y) / s
+    with pytest.raises(DegeneratePlaneError, match="Gram determinant 0.000e"):
+        sectional_curvature(r_tiny, tiny, [1, 2, 0, 1], [2, 4, 0, 2])
 
 
 # ---------------------------------------------------------------------------

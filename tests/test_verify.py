@@ -34,6 +34,7 @@ from circgeo.verify import (
 )
 
 from oracles import (
+    angle_law_scalar,
     assert_reports_match,
     equivalence_row_pointwise,
     first_error_pointwise,
@@ -203,10 +204,10 @@ GRID_5 = _spec("4").domain.grid(5)
         (_spec("4 + log(0.2 - x1)"), GRID_5),
         # Admissibility fails (C > A from x4 = 0 on) before the log does.
         (_spec("4 + log(0.2 - x1)", C="2 + 3*(x4 + 1)"), GRID_5),
-        # A field error at a point beats the vanishing inverse there ...
-        (_spec("1e-200*(4 + log(x1 + 0.5))", B="1e-200", C="2e-200"), GRID_5),
-        # ... and the vanishing inverse is found when nothing fails earlier.
-        (_spec("1e-200*(4 + log(x1 + 1.5))", B="1e-200", C="2e-200"), GRID_5),
+        # A field error at a point beats the overflowing inverse there ...
+        (_spec("1e103*(4 + log(x1 + 0.5))", B="1e103", C="2e103"), GRID_5),
+        # ... and the overflowing inverse is found when nothing fails earlier.
+        (_spec("1e103*(4 + log(x1 + 1.5))", B="1e103", C="2e103"), GRID_5),
         # The domain check comes first at a point, and order decides between points.
         (_spec("4 + log(x1 + 0.5)"), [[0, 0, 0, 0], [-0.9, 0, 0, 0], [5, 0, 0, 0]]),
         (_spec("4 + log(x1 + 0.5)"), [[0, 0, 0, 0], [5, 0, 0, 0], [-0.9, 0, 0, 0]]),
@@ -312,12 +313,13 @@ def test_sectional_relations_flat(flat_par):
 
 
 def mu_cases(r, basis, coeffs) -> tuple:
-    """The case table of coefficient rows at one point, and their largest
-    |direct - expansion|, as the suite computes them (`_mu_law_cases`)."""
-    (cases,), (worst,) = _mu_law_cases(
+    """The case table of coefficient rows at one point, their largest
+    |direct - expansion| and R(x, qx, x, qx), as the suite computes them
+    (`_mu_law_cases`)."""
+    (cases,), (worst,), (rho,) = _mu_law_cases(
         r.r_low[None], np.asarray(basis, float)[None], np.asarray(coeffs, float)[None]
     )
-    return cases, float(worst)
+    return cases, float(worst), float(rho)
 
 
 def test_coeff_angles_pinned(curved_par):
@@ -369,42 +371,41 @@ def test_expansion_bracket_equals_angle_factor(raw):
     assert abs(bracket - (1 - cos_theta) ** 2) <= 1e-12
 
 
-def pinned_mu_case(spec, p, c) -> dict:
+def pinned_mu_case(spec, p, c) -> tuple[dict, float]:
     """The mu-law case of the pinned coefficients c in the q-basis of seed
-    3; asserts that it passes as the suite would judge it."""
+    3, and the angle law's prediction there; asserts that the case passes
+    as the suite would judge it."""
     m, r = riemann_of(spec, p)
-    (case,), worst = mu_cases(r, find_orthogonal_q_basis(m, seed=3), [c])
+    (case,), worst, rho = mu_cases(r, find_orthogonal_q_basis(m, seed=3), [c])
     assert case["q_basis"]
     assert _passes({"expansion_max": (worst, r.norm_inf)}, "mu-law")
-    return case
+    return case, rho
 
 
 def test_mu_law_identity_coefficients(curved_par):
-    case = pinned_mu_case(curved_par, ORIGIN, (1, 0, 0, 0))
+    case, rho = pinned_mu_case(curved_par, ORIGIN, (1, 0, 0, 0))
     rep = single_entry(curved_par, [ORIGIN], "mu-law", mu_samples=5)
     assert rep["status"] == "pass"
     assert rep["residuals"].keys() == {"expansion_max"}  # the suite's residual name
     assert case["direct"] == pytest.approx(case["expansion_prediction"], abs=1e-15)
-    assert case["direct"] == pytest.approx(case["angle_law_prediction"], abs=1e-15)
+    assert case["direct"] == pytest.approx(rho, abs=1e-15)
 
 
 def test_mu_law_cos_theta_zero(curved_par):
-    case = pinned_mu_case(curved_par, ORIGIN, (0.8, 0.6, 0, 0))
+    case, rho = pinned_mu_case(curved_par, ORIGIN, (0.8, 0.6, 0, 0))
     # cos theta = 0: the expansion predicts exactly the base plane value.
     assert case["cos_theta"] == 0.0
-    assert case["expansion_prediction"] == pytest.approx(case["angle_law_prediction"], rel=1e-12)
+    assert case["expansion_prediction"] == pytest.approx(rho, rel=1e-12)
 
 
 def test_mu_law_adjudication_case(curved_par):
     # cos theta = 0.96 separates the two predictions by (1 - cos theta)^2;
     # the direct contraction sides with the coefficient expansion.
-    case = pinned_mu_case(curved_par, ORIGIN, (0.8, 0, 0.6, 0))
+    case, rho = pinned_mu_case(curved_par, ORIGIN, (0.8, 0, 0.6, 0))
     assert abs(case["cos_theta"] - 0.96) <= 1e-12
-    assert case["expansion_prediction"] == pytest.approx(
-        0.0016 * case["angle_law_prediction"], rel=1e-9
-    )
+    assert case["expansion_prediction"] == pytest.approx(0.0016 * rho, rel=1e-9)
     assert case["direct"] == pytest.approx(case["expansion_prediction"], abs=1e-12)
-    assert abs(case["ratio_direct_to_angle_law"] - (1 - 0.96) ** 2) <= 1e-9
+    assert abs(case["direct"] / rho - (1 - 0.96) ** 2) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -721,12 +722,12 @@ def test_singular_metric_errors_name_the_point():
         find_orthogonal_q_basis(metric_at(NEAR_EQUAL_A_C, GRID_5[250]), seed=[1, 250, 2])
     assert str(one.value) == str(suite.value)
     # ... and the inverse names it too, in the scan and at one point.
-    vanishing = _spec("1e-200*(4 + log(x1 + 1.5))", B="1e-200", C="2e-200")
-    with pytest.raises(SingularMetricError, match="determinant factor is zero") as scan:
-        run_suite(vanishing, GRID_5, checks=["parallel-equivalence"])
+    huge = _spec("1e103*(4 + log(x1 + 1.5))", B="1e103", C="2e103")
+    with pytest.raises(SingularMetricError, match="closed-form factors overflow") as scan:
+        run_suite(huge, GRID_5, checks=["parallel-equivalence"])
     assert str(scan.value).endswith(f"at point {GRID_5[0].tolist()}")
     with pytest.raises(SingularMetricError) as one:
-        christoffel_from_metric(metric_at(vanishing, GRID_5[0]))
+        christoffel_from_metric(metric_at(huge, GRID_5[0]))
     assert str(one.value) == str(scan.value)
     # A metric built from constants has no point to name.
     with pytest.raises(SingularMetricError) as constant:
@@ -856,13 +857,14 @@ def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
         m, r = riemann_of(spec, p)
         basis = find_orthogonal_q_basis(m, seed=k)
         coeffs = np.vstack([pinned, sequential_unit_coefficients(rng, 100)])
-        cases, worst = mu_cases(r, basis, coeffs)
+        cases, worst, rho = mu_cases(r, basis, coeffs)
         expected = [mu_law_case_scalar(r, basis, c) for c in coeffs]
+        assert rho == pytest.approx(angle_law_scalar(r.r_low, basis), rel=0, abs=1e-12)
         assert len(cases) == len(expected)
         for case, want in zip(cases, expected):
             assert case["coefficients"] == want["coefficients"]
             assert case["q_basis"] == want["q_basis"]
-            want["ratio_direct_to_angle_law"] = want["direct"] / want["angle_law_prediction"]
+            assert case.keys() == want.keys()
             for key in want.keys() - {"coefficients", "q_basis"}:
                 assert case[key] == pytest.approx(want[key], rel=0, abs=1e-12), key
         assert expected[3]["q_basis"] is False  # u = (s, s, s, s) spans no q-basis
