@@ -39,9 +39,12 @@ def main() -> None:
     )
     print(header)
     for case in cases:
-        cos_theta = case["cos_theta"]
+        # In an orthonormal q-basis both cosines follow from the coefficients.
+        a, b, g, d = case["coefficients"]
+        cos_phi = min(1.0, max(-1.0, a * b + a * d + b * g + d * g))
+        cos_theta = min(1.0, max(-1.0, 2.0 * a * g + 2.0 * b * d))
         print(
-            f"{case['cos_phi']:9.4f} {cos_theta:9.4f} {case['direct']:13.6e} "
+            f"{cos_phi:9.4f} {cos_theta:9.4f} {case['direct']:13.6e} "
             f"{case['expansion_prediction']:13.6e} {rho:13.6e} "
             f"{case['direct'] / rho:9.4f} {(1 - cos_theta) ** 2:9.4f}"
         )

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run the full check suite over every shipped fixture and print a summary.
 
-Writes one JSON report per fixture into reports/ (created next to this
-script's repository root).  A fixture whose metric cannot be evaluated on
-the grid (inadmissible, a field outside its domain or not finite, a point
-outside the box, a singular inverse) is reported as such rather than
-crashing the sweep.
+Sweeps every fixtures/*.json in name order and writes one JSON report per
+fixture into reports/ (created next to this script's repository root).  A
+fixture whose spec does not load (a malformed field) or whose metric
+cannot be evaluated on the grid (inadmissible, a field outside its domain
+or not finite, a point outside the box, a singular inverse) is reported as
+such on its own line rather than crashing the sweep.
 """
 
 from collections import Counter
@@ -17,11 +18,10 @@ from circgeo.core import (
     SingularMetricError,
     load_spec,
 )
-from circgeo.expr import DomainError
+from circgeo.expr import DomainError, ParseError
 from circgeo.verify import run_suite, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ["const", "flat-par", "curved-par", "nonpar", "cone", "cone-bent"]
 GRID = 3
 SEED = 0
 
@@ -29,12 +29,19 @@ SEED = 0
 def main() -> None:
     out_dir = ROOT / "reports"
     out_dir.mkdir(exist_ok=True)
-    for name in FIXTURES:
-        spec = load_spec(ROOT / "fixtures" / f"{name}.json")
-        points = spec.domain.grid(GRID)
+    for fixture in sorted((ROOT / "fixtures").glob("*.json")):
+        name = fixture.stem
         try:
+            spec = load_spec(fixture)
+            points = spec.domain.grid(GRID)
             report = run_suite(spec, points, seed=SEED, mu_samples=20, sectional_samples=20)
-        except (AdmissibilityError, DomainError, OutsideDomainError, SingularMetricError) as exc:
+        except (
+            AdmissibilityError,
+            DomainError,
+            OutsideDomainError,
+            ParseError,
+            SingularMetricError,
+        ) as exc:
             print(f"{name:12s} {type(exc).__name__}: {exc}")
             continue
         path = out_dir / f"{name}.json"

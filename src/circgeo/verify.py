@@ -301,11 +301,12 @@ def _equivalence_rows(
 ) -> dict[str, np.ndarray]:
     """Both parallelism predicates at each of n points, evaluated independently.
 
-    `values` and `scale` come from `_parallel_residuals`; `geo` is the
-    connection of the n points.  Returns the columns of the points' scan rows.
+    `values` and `scale` (at least 1) come from `_parallel_residuals`;
+    `geo` is the connection of the n points.  Returns the columns of the
+    points' scan rows.
     """
     gradient = values.max(axis=1)
-    f4_scaled = gradient / np.maximum(1.0, scale)
+    f4_scaled = gradient / scale
     nq = nabla_q(geo).max_abs
     nq_scaled = nq / np.maximum(1.0, geo.max_abs)
     return {
@@ -463,21 +464,21 @@ def _mu_law_cases(
     forms disagree whenever cos theta is nonzero, and the contraction
     adjudicates.  In an orthonormal q-basis
     cos(phi) = alpha beta + alpha delta + beta gamma + delta gamma and
-    cos(theta) = 2 alpha gamma + 2 beta delta; both are at most |c|^2 = 1
-    in size, so clipping them to [-1, 1] only removes rounding.
+    cos(theta) = 2 alpha gamma + 2 beta delta, functions of the
+    coefficients that the cases do not repeat; cos(theta) is at most
+    |c|^2 = 1 in size, so clipping it to [-1, 1] only removes rounding.
 
     Returns the cases of each point as a `Table` with one row per
-    coefficient row (keys coefficients, cos_phi, cos_theta, direct,
-    expansion_prediction and q_basis); the largest |direct - expansion|
-    over each point's cases whose u induces a q-basis, (n,), 0 where none
-    does; and rho = R(x, qx, x, qx), the angle law's prediction, (n,).
+    coefficient row (keys coefficients, direct, expansion_prediction and
+    q_basis); the largest |direct - expansion| over each point's cases
+    whose u induces a q-basis, (n,), 0 where none does; and
+    rho = R(x, qx, x, qx), the angle law's prediction, (n,).
     """
     shifts = basis[:, _SHIFTS]  # (n, 4, 4): shifts[p, k] = q^k x_p
     rho = _r_xyxy(r_low, shifts[:, 0], shifts[:, 1])
     u = coeffs @ shifts
     direct = _r_xyxy(r_low, u, u[..., _SHIFTS[1]])
     a, b, g, d = np.moveaxis(coeffs, -1, 0)
-    cos_phi = np.clip(a * b + a * d + b * g + d * g, -1.0, 1.0)
     cos_theta = np.clip(2.0 * a * g + 2.0 * b * d, -1.0, 1.0)
     expansion = (1.0 - cos_theta) ** 2 * rho[:, None]
     q_basis = _q_basis_criterion(u)[0]
@@ -486,8 +487,6 @@ def _mu_law_cases(
         Table(
             {
                 "coefficients": coeffs[i],
-                "cos_phi": cos_phi[i],
-                "cos_theta": cos_theta[i],
                 "direct": direct[i],
                 "expansion_prediction": expansion[i],
                 "q_basis": q_basis[i],
@@ -582,8 +581,7 @@ def _suite_block(
         add("parallel-condition", _PARALLEL_LABELS, values, scale[:, None], payload)
 
     if "curvature-identity" in selected:
-        payload = {"riemann_norm_inf": norm[:, 0].tolist()}
-        add("curvature-identity", ("max",), identity, norm, payload)
+        add("curvature-identity", ("max",), identity, norm, {})
 
     if "integrability" in selected:
         resid, int_scale, alternate = _integrability_residuals(geo.r_mixed, geo.r_low, geo.ginv)

@@ -30,7 +30,7 @@ from circgeo.tensor import (
 from circgeo.verify import report_to_json, run_suite, sample_q_basis_vectors
 
 from conftest import fixture_path, interior_points
-from oracles import sequential_unit_coefficients
+from oracles import case_cosines, sequential_unit_coefficients
 
 ORIGIN = [0.0, 0.0, 0.0, 0.0]
 
@@ -271,7 +271,8 @@ def test_criterion_10_read_from_the_report():
                 assert rho != 0.0
                 for case in entry["payload"]["cases"]:
                     assert "angle_law_prediction" not in case and "ratio_direct_to_angle_law" not in case
-                    assert abs(case["direct"] / rho - (1.0 - case["cos_theta"]) ** 2) <= 1e-9
+                    cos_theta = case_cosines(case["coefficients"])[1]
+                    assert abs(case["direct"] / rho - (1.0 - cos_theta) ** 2) <= 1e-9
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -36,6 +36,7 @@ from circgeo.verify import (
 from oracles import (
     angle_law_scalar,
     assert_reports_match,
+    case_cosines,
     equivalence_row_pointwise,
     first_error_pointwise,
     mu_law_case_scalar,
@@ -325,11 +326,13 @@ def mu_cases(r, basis, coeffs) -> tuple:
 def test_coeff_angles_pinned(curved_par):
     m, r = riemann_of(curved_par, ORIGIN)
     coeffs = [[1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.8, 0.6, 0, 0]]
-    plain, degenerate, mixed = mu_cases(r, find_orthogonal_q_basis(m, seed=3), coeffs)[0]
-    assert (plain["cos_phi"], plain["cos_theta"]) == (0.0, 0.0)
-    assert (degenerate["cos_phi"], degenerate["cos_theta"]) == (1.0, 1.0)
-    assert abs(mixed["cos_phi"] - 0.48) <= 1e-15
-    assert mixed["cos_theta"] == 0.0
+    cases = mu_cases(r, find_orthogonal_q_basis(m, seed=3), coeffs)[0]
+    # A case states its coefficients; its cosines are functions of them.
+    plain, degenerate, mixed = (case_cosines(case["coefficients"]) for case in cases)
+    assert plain == (0.0, 0.0)
+    assert degenerate == (1.0, 1.0)
+    assert abs(mixed[0] - 0.48) <= 1e-15
+    assert mixed[1] == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -394,7 +397,7 @@ def test_mu_law_identity_coefficients(curved_par):
 def test_mu_law_cos_theta_zero(curved_par):
     case, rho = pinned_mu_case(curved_par, ORIGIN, (0.8, 0.6, 0, 0))
     # cos theta = 0: the expansion predicts exactly the base plane value.
-    assert case["cos_theta"] == 0.0
+    assert case_cosines(case["coefficients"])[1] == 0.0
     assert case["expansion_prediction"] == pytest.approx(rho, rel=1e-12)
 
 
@@ -402,7 +405,7 @@ def test_mu_law_adjudication_case(curved_par):
     # cos theta = 0.96 separates the two predictions by (1 - cos theta)^2;
     # the direct contraction sides with the coefficient expansion.
     case, rho = pinned_mu_case(curved_par, ORIGIN, (0.8, 0, 0.6, 0))
-    assert abs(case["cos_theta"] - 0.96) <= 1e-12
+    assert abs(case_cosines(case["coefficients"])[1] - 0.96) <= 1e-12
     assert case["expansion_prediction"] == pytest.approx(0.0016 * rho, rel=1e-9)
     assert case["direct"] == pytest.approx(case["expansion_prediction"], abs=1e-12)
     assert abs(case["direct"] / rho - (1 - 0.96) ** 2) <= 1e-9
