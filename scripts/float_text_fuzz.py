@@ -8,14 +8,18 @@ with `repr` of the same float.  Exits 1 at the first mismatch, printing the
 value, its bit pattern and both texts; exits 0 when all N match.  Runs
 long for large N, so it is not part of the test suite:
 
-    PYTHONPATH=src python3 scripts/float_text_fuzz.py 10000000 --seed 7
+    python3 scripts/float_text_fuzz.py 10000000 --seed 7
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's circgeo, installed or not
 
 from circgeo._floattext import float_text
 

@@ -16,12 +16,15 @@ expansion is the prediction the tensor actually satisfies; the angle law
 only matches it on the cos theta = 0 slice.
 """
 
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's circgeo, installed or not
 
 from circgeo.core import load_spec
 from circgeo.verify import run_suite
 
-ROOT = Path(__file__).resolve().parent.parent
 POINT = [0.0, 0.0, 0.0, 0.0]
 SAMPLES = 24
 SEED = 2

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the resident memory of one `verify` run, phase by phase.
 
-    PYTHONPATH=src python3 scripts/rss_marks.py fixtures/curved-par.json --grid 3
+    python3 scripts/rss_marks.py fixtures/curved-par.json --grid 3
 
 Runs what `circgeo verify SPEC --grid N --json PATH` runs, in this process,
 and after each phase (import, `run_suite`, rendering the verdict table,
@@ -19,6 +19,10 @@ import os
 import resource
 import sys
 import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's circgeo, installed or not
 
 
 def _mark(phase: str) -> None:

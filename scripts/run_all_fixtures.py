@@ -9,8 +9,12 @@ or not finite, a point outside the box, a singular inverse) is reported as
 such on its own line rather than crashing the sweep.
 """
 
+import sys
 from collections import Counter
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's circgeo, installed or not
 
 from circgeo.core import (
     AdmissibilityError,
@@ -21,7 +25,6 @@ from circgeo.core import (
 from circgeo.expr import DomainError, ParseError
 from circgeo.verify import run_suite, write_report
 
-ROOT = Path(__file__).resolve().parent.parent
 GRID = 3
 SEED = 0
 

@@ -82,6 +82,13 @@ def command_lines() -> list[list[str]]:
     for command in ("basis", "metric", "christoffel", "curvature"):
         lines.append([command, "const-tiny", "--point=0,0,0,0"])
     lines.append(["verify", "const-tiny", "--grid", "3", "--seed", "7"])
+    # tiny-near-equal is admissible, but its g^-1 overflows and no q-basis
+    # is accurate: validate exits 0, and each geometry command 3.
+    lines.append(["validate", "tiny-near-equal", "--grid", "3"])
+    for command in ("metric", "christoffel", "curvature", "basis"):
+        lines.append([command, "tiny-near-equal", "--point=0,0,0,0"])
+    lines.append(["verify", "tiny-near-equal", "--grid", "2"])
+    lines.append(["scan", "tiny-near-equal", "--check", "parallel", "--grid", "2"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])

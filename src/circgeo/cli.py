@@ -47,10 +47,13 @@ from .core import (
     metric_at,
 )
 from .expr import DomainError, ParseError, _error_at
-from .tensor import christoffel_from_metric, nabla_q, riemann_from_christoffel
+from .tensor import DegeneratePlaneError, christoffel_from_metric, nabla_q, riemann_from_christoffel
 from .verify import _BLOCK, convention_text, run_suite, write_report
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE, _EXIT_DOMAIN = 0, 1, 2, 3
+_DOMAIN_ERRORS = (
+    AdmissibilityError, DegeneratePlaneError, DomainError, OutsideDomainError, SingularMetricError
+)
 
 
 class UsageError(Exception):
@@ -225,6 +228,10 @@ def _matrix_lines(name: str, matrix) -> list[str]:
 def _metric_fields(m, seed) -> tuple[dict, list[str]]:
     gi = inverse_metric(m)
     ordered, minors = admissibility(m.a, m.b, m.c)
+    for k, minor in enumerate(minors, 1):
+        if not np.isfinite(minor):
+            where = f"(A, B, C) = ({m.a}, {m.b}, {m.c}) at point {m.point.tolist()}"
+            raise SingularMetricError(f"leading minor {k} overflows for {where}")
     fields = {
         "a": m.a,
         "b": m.b,
@@ -392,7 +399,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ParseError, MemoryError) as exc:
         _report_error(exc, json_path)
         return _EXIT_USAGE
-    except (AdmissibilityError, OutsideDomainError, SingularMetricError, DomainError) as exc:
+    except _DOMAIN_ERRORS as exc:
         _report_error(exc, json_path)
         return _EXIT_DOMAIN
     except ValueError as exc:

@@ -80,7 +80,7 @@ class AdmissibilityError(ValueError):
 
 
 class SingularMetricError(ValueError):
-    """The closed-form inverse is undefined, or the closed-form q-basis inaccurate."""
+    """The closed-form inverse is undefined, q-basis inaccurate, or a minor overflows."""
 
 
 class OutsideDomainError(ValueError):
@@ -363,8 +363,7 @@ class InverseMetricAtPoint:
     floats at one point, or (n,) arrays over n points with `matrix` of shape
     (n, 4, 4).  The factors are those of the metric as given, so at a tiny
     scale they underflow (d is cubic in the scale); `matrix` is computed
-    from the factors of the metric scaled exactly, by a power of two, so
-    that A lies in [0.5, 1), and scaled back.
+    from the factors at unit scale (`_scale_exponent`) and scaled back.
     """
 
     a_bar: float | np.ndarray
@@ -380,28 +379,39 @@ def _factors(a, b, c) -> tuple:
     return a * (a + c) - 2.0 * b * b, b * (c - a), 2.0 * b * b - c * (a + c), d
 
 
+def _scale_exponent(a):
+    """The metric's scale, e with A = f 2^e and f in [0.5, 1): g 2^-e is g at unit scale."""
+    return np.frexp(a)[1]
+
+
 def _inverse_factors(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[InverseMetricAtPoint, _Failure]:
     """The closed-form inverse at n points, and where it is undefined: where
-    the factor d of the scaled metric vanishes, or where a factor of the
-    metric as given overflows (d grows like A^3, so from A of about 5.6e102
-    on)."""
+    an entry is not finite (d of the scaled metric vanishes, or a tiny or
+    ill-conditioned metric overflows it) or a factor of the metric as given
+    overflows (d grows like A^3, so from A of about 5.6e102 on)."""
     with np.errstate(all="ignore"):
         factors = _factors(a, b, c)
-        _, e = np.frexp(a)
+        e = _scale_exponent(a)
         *bars, d = _factors(*np.ldexp([a, b, c], -e))
-        matrix = np.ldexp(circulant_matrix(*bars) / d[:, None, None], -e[:, None, None])
+        matrix = circulant_matrix(*np.ldexp(np.divide(bars, d), -e))
         finite = np.isfinite(factors).all(axis=0)
+        singular = ~(finite & np.isfinite(matrix[:, 0]).all(axis=1))  # row 0 holds every entry
 
     def make(i: int) -> Exception:
-        reason = "determinant factor is zero" if d[i] == 0.0 else "closed-form factors overflow"
+        if d[i] == 0.0:
+            reason = "determinant factor is zero"
+        elif not finite[i]:
+            reason = "closed-form factors overflow"
+        else:
+            reason = "inverse overflows"
         return SingularMetricError(
             f"inverse undefined for (A, B, C) = ({float(a[i])}, {float(b[i])}, {float(c[i])}): "
             + reason
         )
 
-    return InverseMetricAtPoint(*factors, matrix), ((d == 0.0) | ~finite, make)
+    return InverseMetricAtPoint(*factors, matrix), (singular, make)
 
 
 def _naming_points(failure: _Failure, points: np.ndarray | None) -> _Failure:

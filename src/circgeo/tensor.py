@@ -36,6 +36,7 @@ from .core import (
     _inverse_factors,
     _metric_jets,
     _naming_points,
+    _scale_exponent,
     inverse_metric,
     metric_at,
 )
@@ -63,18 +64,6 @@ def _degenerate_planes(det, gxx, gyy):
     """Where x and y span no 2-plane, elementwise: their Gram determinant under g
     is at most 1e-12 g(x, x) g(y, y), the squared sine of their angle under g."""
     return det <= 1e-12 * gxx * gyy
-
-
-def _unit_scaled(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g (..., 4, 4) scaled exactly, by a power of two per leading index, so
-    that max |g| lies in [0.5, 1), and the exponent e with g = scaled * 2^e.
-
-    A Gram determinant under g is quadratic in g's scale: under the scaled
-    metric it neither underflows nor overflows, and in the normal range it
-    is the unscaled one times 2^-2e, bit for bit.
-    """
-    _, e = np.frexp(np.abs(g).max(axis=(-2, -1)))
-    return np.ldexp(g, -e[..., None, None]), e
 
 
 def _degenerate_plane_error(det: float) -> DegeneratePlaneError:
@@ -213,10 +202,11 @@ def riemann_at(spec: ManifoldSpec, p) -> ChristoffelAtPoint:
 
 def sectional_curvature(r: ChristoffelAtPoint, m: MetricAtPoint, x, y) -> float:
     """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2), the Gram
-    determinant taken under g scaled by a power of two (`_unit_scaled`)."""
+    determinant taken under g at unit scale (`_scale_exponent`)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    g, e = _unit_scaled(m.matrix)
+    e = _scale_exponent(m.a)
+    g = np.ldexp(m.matrix, -e)
     gxx, gyy = float(x @ g @ x), float(y @ g @ y)
     gram = gxx * gyy - float(x @ g @ y) ** 2
     if _degenerate_planes(gram, gxx, gyy):

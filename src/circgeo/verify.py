@@ -62,6 +62,7 @@ from .core import (
     _naming_points,
     _orthogonal_q_bases,
     _q_basis_criterion,
+    _scale_exponent,
 )
 from .expr import _as_points, _raise_first
 from .tensor import (
@@ -70,7 +71,6 @@ from .tensor import (
     _degenerate_plane_error,
     _degenerate_planes,
     _max_abs,
-    _unit_scaled,
     nabla_q,
     riemann_from_christoffel,
 )
@@ -272,22 +272,15 @@ def _parallel_residuals(
     from gradients of shape (n, 4).
 
     The conditions tie grad A and grad B to shifted grad C, componentwise
-    A_i = C_(i-2), B_1 = B_3, B_2 = B_4 and 2 B_i = C_(i-1) + C_(i+1),
-    indices cyclic.
+    A_i = C_(i+2), B_i = B_(i+2) and 2 B_i = C_(i+1) + C_(i+3), indices
+    cyclic, each shift a gather with `_SHIFTS`.  Of the B and 2 B conditions
+    only the first two are kept: the other two follow from them.
     """
-    values = np.stack(
-        (
-            ga[:, 0] - gc[:, 2],
-            ga[:, 1] - gc[:, 3],
-            ga[:, 2] - gc[:, 0],
-            ga[:, 3] - gc[:, 1],
-            gb[:, 0] - gb[:, 2],
-            gb[:, 1] - gb[:, 3],
-            2.0 * gb[:, 0] - gc[:, 1] - gc[:, 3],
-            2.0 * gb[:, 1] - gc[:, 0] - gc[:, 2],
-        ),
-        axis=1,
-    )
+    values = np.c_[
+        ga - gc[:, _SHIFTS[2]],
+        (gb - gb[:, _SHIFTS[2]])[:, :2],
+        (2.0 * gb - gc[:, _SHIFTS[1]] - gc[:, _SHIFTS[3]])[:, :2],
+    ]
     scale = np.maximum(1.0, np.abs(np.concatenate((ga, gb, gc), axis=1)).max(axis=1))
     return np.abs(values), scale
 
@@ -417,14 +410,13 @@ def _sectional_residuals(
     (n, 3), with their scales max(1, max |ring curvature|) and max |R_ijkl|,
     (n, 3); the six curvatures of the first vector (n, min(V, 1), 6), rings
     first; and the Gram determinant of each point's first degenerate plane
-    (`_degenerate_planes`), NaN where no plane is degenerate, (n,).  The
-    Gram determinants are taken under g scaled by a power of two
-    (`_unit_scaled`), so that they neither underflow nor overflow.
+    (`_degenerate_planes`), NaN where no plane is degenerate, (n,), each
+    Gram determinant taken under g at unit scale (`_scale_exponent` of g_11 = A).
     """
     n, v = xs.shape[:2]
     shifts = xs[..., _SHIFTS]  # (n, V, 4, 4): shifts[p, v, k] = q^k x_v
-    g, e = _unit_scaled(g)
-    e2 = 2 * e[:, None, None]  # the Gram determinants' scale
+    e = _scale_exponent(g[:, :1, :1])  # (n, 1, 1)
+    g, e2 = np.ldexp(g, -e), 2 * e  # g at unit scale, and the Gram determinants' scale
     gram = shifts @ g[:, None] @ shifts.swapaxes(-1, -2)
     a, b = _PLANES.T
     det = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2

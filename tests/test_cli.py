@@ -399,6 +399,8 @@ def test_basis_on_ill_conditioned_metric_exits_3(tmp_path, capsys):
         ["curvature", "const-tiny", "--point", "0,0,0,0"],
         ["verify", "const-tiny", "--grid", "2"],
         ["verify", "const-tiny", "--grid", "3", "--seed", "7"],
+        # Admissible, though every geometry command exits 3 on it (below).
+        ["validate", "tiny-near-equal", "--grid", "3"],
     ],
 )
 def test_the_scaled_and_ill_conditioned_fixtures_exit_0(capsys, argv):
@@ -406,6 +408,66 @@ def test_the_scaled_and_ill_conditioned_fixtures_exit_0(capsys, argv):
         warnings.simplefilter("always")
         assert main([argv[0], str(fixture_path(argv[1])), *argv[2:]]) == 0
     assert not caught and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--point=0,0,0,0"],
+        ["christoffel", "--point=0,0,0,0"],
+        ["curvature", "--point=0,0,0,0"],
+        ["basis", "--point=0,0,0,0"],
+        ["verify", "--grid", "2"],
+        ["scan", "--grid", "2", "--check", "parallel"],
+    ],
+)
+def test_the_tiny_ill_conditioned_fixture_exits_3(capsys, argv):
+    # A - C is 1e-13 A at A = 1e-300: g^-1 overflows, and no q-basis is accurate.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], str(fixture_path("tiny-near-equal")), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert not caught and out == "" and err.count("\n") == 1
+    assert ("Gram residual" if argv[0] == "basis" else "inverse overflows") in err
+
+
+def test_a_degenerate_sampled_plane_exits_3(tmp_path, capsys):
+    # A - C is one ulp of 2: the suite's sampled planes are degenerate under g.
+    spec = _write_spec(tmp_path, "2.0000000000000004")
+    assert main(["verify", spec, "--grid", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: vectors span no 2-plane (Gram determinant 0.000e+00)\n"
+
+
+_SCALED_COMMANDS = [
+    ["metric", "--point=0.1,0.2,0.3,0.4"],
+    ["christoffel", "--point=0.1,0.2,0.3,0.4"],
+    ["curvature", "--point=0.1,0.2,0.3,0.4"],
+    ["verify", "--grid", "2"],
+    ["scan", "--grid", "2", "--check", "parallel"],
+]
+
+
+@pytest.mark.parametrize("name", ["const", "curved-par", "cone", "nonpar"])
+def test_every_scale_ends_in_a_result_or_one_line(tmp_path, capsys, name):
+    # Each field times 2^k, from subnormal metrics to ones whose minors or
+    # inverse factors overflow: a report with no nan or inf, or exit 3.
+    data = json.loads(fixture_path(name).read_text())
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    failed = []
+    for k in (-1060, -1040, -1030, -1024, -1010, -1000, -700, -300, 0, 300, 330, 340):
+        spec.write_text(json.dumps({**data, **{f: f"{2.0**k!r}*({data[f]})" for f in "ABC"}}))
+        for command, *words in _SCALED_COMMANDS:
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, str(spec), *words, "--json", str(out)])
+            stdout, err = capsys.readouterr()
+            json.loads(out.read_text(), parse_constant=failed.append)  # NaN or Infinity
+            lines_ok = code in (0, 1, 3) and err.count("\n") == (code == 3)
+            if not lines_ok or caught or "nan" in stdout.lower() or "inf" in stdout.lower():
+                failed.append((k, command, code, err, [str(w.message) for w in caught]))
+    assert not failed
 
 
 def test_scan_parallel(tmp_path):

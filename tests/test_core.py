@@ -200,6 +200,19 @@ def test_inverse_of_a_tiny_metric_is_taken_at_a_unit_scale():
     assert gi.d == 0.0 and np.allclose(gi.matrix * 1e-160, unit, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (1e-300, 5e-301, 9.999999999999e-301),  # condition number about 3e13
+        (4 * 2.0**-1030, 2.0**-1030, 2 * 2.0**-1030),  # the const metric at 2^-1030
+    ],
+)
+def test_an_overflowing_inverse_is_singular(triple):
+    # Finite factors and a nonzero d at unit scale, but g^-1 beyond the largest float.
+    with pytest.raises(SingularMetricError, match="inverse overflows"):
+        inverse_metric(MetricAtPoint.from_constants(*triple))
+
+
 def test_inverse_keeps_the_bits_of_the_unscaled_closed_form():
     rng = np.random.default_rng(18)
     for _ in range(300):
