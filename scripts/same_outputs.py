@@ -89,6 +89,16 @@ def command_lines() -> list[list[str]]:
         lines.append([command, "tiny-near-equal", "--point=0,0,0,0"])
     lines.append(["verify", "tiny-near-equal", "--grid", "2"])
     lines.append(["scan", "tiny-near-equal", "--check", "parallel", "--grid", "2"])
+    # log-edge's A leaves the domain of log where x1 > 0.5, first at the 55th
+    # of 81 grid points: each error names it, exit 3.
+    lines.append(["verify", "log-edge", "--grid", "3"])
+    lines.append(["scan", "log-edge", "--check", "parallel", "--grid", "3"])
+    lines.append(["metric", "log-edge", "--point=1,0,0,0"])
+    lines.append(["validate", "log-edge", "--grid", "3"])
+    # The const metric times 2^-1040: a q-basis exists (exit 0), but the
+    # inverse overflows (exit 3).
+    lines.append(["basis", "const-subnormal", "--point=0,0,0,0"])
+    lines.append(["metric", "const-subnormal", "--point=0,0,0,0"])
     # A grid of 4.4 EiB, more than any address space holds: the allocation
     # fails at once, taking no memory, and the run exits 2.
     lines.append(["verify", "curved-par", "--grid", "20000"])

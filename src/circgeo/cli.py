@@ -46,7 +46,7 @@ from .core import (
     load_spec,
     metric_at,
 )
-from .expr import DomainError, ParseError, _error_at
+from .expr import DomainError, ParseError, _at_point, _error_at
 from .tensor import DegeneratePlaneError, christoffel_from_metric, nabla_q, riemann_from_christoffel
 from .verify import _BLOCK, convention_text, run_suite, write_report
 
@@ -197,11 +197,12 @@ def _cmd_validate(args, spec) -> int:
         _, failures = _metric_jets(spec, block)
         # Only the points where some failure's mask is set can fail.
         for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in failures])):
-            exc = _error_at(failures, i)  # what `metric_at(spec, block[i])` would raise
+            # What `metric_at(spec, block[i])` would raise; the entry states its point once.
+            exc = _error_at(failures, i)
             if isinstance(exc, (AdmissibilityError, DomainError)):
                 bad.append({"point": [float(v) for v in block[i]], "reason": str(exc)})
             else:
-                raise exc
+                raise _at_point(exc, block[i])
     report = {
         "command": "validate",
         "spec": spec.name,
@@ -230,8 +231,8 @@ def _metric_fields(m, seed) -> tuple[dict, list[str]]:
     ordered, minors = admissibility(m.a, m.b, m.c)
     for k, minor in enumerate(minors, 1):
         if not np.isfinite(minor):
-            where = f"(A, B, C) = ({m.a}, {m.b}, {m.c}) at point {m.point.tolist()}"
-            raise SingularMetricError(f"leading minor {k} overflows for {where}")
+            message = f"leading minor {k} overflows for (A, B, C) = ({m.a}, {m.b}, {m.c})"
+            raise _at_point(SingularMetricError(message), m.point)
     fields = {
         "a": m.a,
         "b": m.b,

@@ -296,7 +296,7 @@ class MetricAtPoint:
     @cached_property
     def _inverse(self) -> "InverseMetricAtPoint":
         inverse, singular = _inverse_factors(*np.atleast_1d(self.a, self.b, self.c))
-        _raise_first([_naming_points(singular, self.point)])
+        _raise_first([singular], self.point)
         if np.ndim(self.a):
             return inverse
         *factors, matrix = astuple(inverse)
@@ -316,9 +316,7 @@ def _metric_jets(
         _point_failure(xs),
         (
             ~spec.domain._inside(xs),
-            lambda i: OutsideDomainError(
-                f"point {xs[i].tolist()} outside the domain box of spec '{spec.name}'"
-            ),
+            lambda i: OutsideDomainError(f"outside the domain box of spec '{spec.name}'"),
         ),
     ]
     jets = []
@@ -331,8 +329,7 @@ def _metric_jets(
         (
             ~_ordered(a, b, c),
             lambda i: AdmissibilityError(
-                f"0 < B < C < A fails at {xs[i].tolist()}: "
-                f"A={float(a[i])}, B={float(b[i])}, C={float(c[i])}"
+                f"0 < B < C < A fails: A={float(a[i])}, B={float(b[i])}, C={float(c[i])}"
             ),
         )
     )
@@ -342,13 +339,14 @@ def _metric_jets(
 def metric_at(spec: ManifoldSpec, p) -> MetricAtPoint:
     """Evaluate the circulant metric of a spec at a point.
 
-    Raises OutsideDomainError when p leaves the domain box, DomainError when
-    a field cannot be evaluated there (or is not finite) and
-    AdmissibilityError when the ordering 0 < B < C < A fails there.
+    Raises ValueError when p is not finite, OutsideDomainError when p
+    leaves the domain box, DomainError when a field cannot be evaluated
+    there (or is not finite) and AdmissibilityError when the ordering
+    0 < B < C < A fails there, each ending in " at point [...]".
     """
     x = as_point(p)
     jets, failures = _metric_jets(spec, x[None])
-    _raise_first(failures)
+    _raise_first(failures, x)
     ja, jb, jc = (_single(jet) for jet in jets)
     return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=x)
 
@@ -412,23 +410,6 @@ def _inverse_factors(
         )
 
     return InverseMetricAtPoint(*factors, matrix), (singular, make)
-
-
-def _naming_points(failure: _Failure, points: np.ndarray | None) -> _Failure:
-    """`failure` with each error ending in its point, as "... at point
-    [x1, x2, x3, x4]": row i of `points`, (n, 4), or the one point (4,).
-    Unchanged where `points` is None (a metric built from constants has no
-    point)."""
-    if points is None:
-        return failure
-    mask, make = failure
-    xs = np.reshape(points, (-1, 4))
-
-    def make_named(i: int) -> Exception:
-        exc = make(i)
-        return type(exc)(f"{exc} at point {xs[i].tolist()}")
-
-    return mask, make_named
 
 
 def inverse_metric(m: MetricAtPoint) -> InverseMetricAtPoint:
@@ -520,7 +501,8 @@ def basis_angles(m: MetricAtPoint, x) -> BasisAngles:
     ring = [cosines[0, 1], cosines[1, 2], cosines[2, 3], cosines[0, 3]]
     diag = [cosines[0, 2], cosines[1, 3]]
     eigenvalues = _circulant_eigenvalues(m.a, m.b, m.c)
-    tol = _EQUAL_ANGLE_TOL * max(eigenvalues) / min(eigenvalues)
+    # The ratio first: 1e-12 lambda_max underflows to 0 for a subnormal metric.
+    tol = _EQUAL_ANGLE_TOL * (max(eigenvalues) / min(eigenvalues))
     if max(ring) - min(ring) > tol or abs(diag[0] - diag[1]) > tol:
         raise ValueError(
             f"q-basis angle symmetry violated beyond rounding: ring={ring}, diag={diag}"
@@ -600,5 +582,5 @@ def find_orthogonal_q_basis(m: MetricAtPoint, seed: int | np.random.Generator = 
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x, failure = _orthogonal_q_bases(*np.atleast_1d(m.a, m.b, m.c), *_basis_draws(rng)[:, None])
-    _raise_first([_naming_points(failure, m.point)])
+    _raise_first([failure], m.point)
     return x[0]

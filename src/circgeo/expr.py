@@ -455,12 +455,23 @@ def _error_at(failures: list[_Failure], i: int) -> Exception | None:
     return next((make(i) for mask, make in failures if i < len(mask) and mask[i]), None)
 
 
-def _raise_first(failures: list[_Failure]) -> None:
+def _at_point(exc: Exception, point) -> Exception:
+    """`exc`, its message ending in " at point [x1, x2, x3, x4]" (set through
+    `args`, which keeps any exception's type and attributes), or unchanged
+    where `point` is None: a metric built from constants has no point."""
+    if point is not None:
+        exc.args = (f"{exc} at point {np.asarray(point, float).tolist()}",)
+    return exc
+
+
+def _raise_first(failures: list[_Failure], points: np.ndarray | None = None) -> None:
     """Raise what a point-by-point walk over the failures would raise first:
-    the error at the first point where any mask is set (`_error_at`)."""
+    the error at the first point where any mask is set (`_error_at`), named
+    by `_at_point` with row i of `points` (n, 4), the one point (4,) or None."""
     i = _first_failing(failures)
     if i is not None:
-        raise _error_at(failures, i)
+        exc = _error_at(failures, i)
+        raise exc if points is None else _at_point(exc, np.reshape(points, (-1, 4))[i])
 
 
 def _check_finite(jet: FieldJet, node: Node, failures: list[_Failure] | None) -> None:
@@ -545,11 +556,8 @@ def _jets(node: Node, xs: np.ndarray, failures: list[_Failure] | None) -> FieldJ
 
 
 def _point_failure(xs: np.ndarray) -> _Failure:
-    """Rows of xs with a non-finite coordinate, as `as_point` would reject them."""
-    return (
-        ~np.isfinite(xs).all(axis=1),
-        lambda i: ValueError(f"point coordinates must be finite, got {xs[i].tolist()}"),
-    )
+    """Rows of xs with a non-finite coordinate."""
+    return ~np.isfinite(xs).all(axis=1), lambda i: ValueError("point coordinates must be finite")
 
 
 def _field_jets(node: Node, xs: np.ndarray) -> tuple[FieldJet, list[_Failure]]:
@@ -613,12 +621,10 @@ def parse(source: str) -> ScalarField:
 
 
 def as_point(p) -> np.ndarray:
-    """Coerce to a finite 4-coordinate point."""
+    """Coerce to a 4-coordinate point; only the shape is checked here."""
     x = np.asarray(p, dtype=float)
     if x.shape != (4,):
         raise ValueError(f"a point needs exactly 4 coordinates, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"point coordinates must be finite, got {x.tolist()}")
     return x
 
 
@@ -636,12 +642,12 @@ def eval_jets(field: ScalarField | Node, points) -> FieldJet:
     """Values (n,), gradients (n, 4) and packed Hessians (n, 10) at n points.
 
     Raises the ValueError or DomainError that evaluating the points one at a
-    time, in order, would raise first.
+    time, in order, would raise first, naming its point.
     """
     xs = _as_points(points)
     node = field.ast if isinstance(field, ScalarField) else field
     jet, failures = _field_jets(node, xs)
-    _raise_first([_point_failure(xs), *failures])
+    _raise_first([_point_failure(xs), *failures], xs)
     return jet
 
 

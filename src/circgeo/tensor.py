@@ -35,12 +35,11 @@ from .core import (
     _UP,
     _inverse_factors,
     _metric_jets,
-    _naming_points,
     _scale_exponent,
     inverse_metric,
     metric_at,
 )
-from .expr import FieldJet, _Failure, _first_failing
+from .expr import FieldJet, _Failure, _at_point, _first_failing
 
 __all__ = [
     "ChristoffelAtPoint",
@@ -174,7 +173,7 @@ def _christoffel_block(
     and in that order."""
     jets, failures = _metric_jets(spec, xs)
     _, singular = _inverse_factors(*(jet.value for jet in jets))
-    failures.append(_naming_points(singular, xs))
+    failures.append(singular)
     keep = slice(_first_failing(failures))
     jets = tuple(FieldJet(j.value[keep], j.grad[keep], j.hess_packed[keep]) for j in jets)
     m = MetricAtPoint(*(jet.value for jet in jets), *jets, point=xs[keep])
@@ -210,7 +209,7 @@ def sectional_curvature(r: ChristoffelAtPoint, m: MetricAtPoint, x, y) -> float:
     gxx, gyy = float(x @ g @ x), float(y @ g @ y)
     gram = gxx * gyy - float(x @ g @ y) ** 2
     if _degenerate_planes(gram, gxx, gyy):
-        raise _degenerate_plane_error(float(np.ldexp(gram, 2 * e)))
+        raise _at_point(_degenerate_plane_error(float(np.ldexp(gram, 2 * e))), m.point)
     numerator = float(np.einsum("ijkl,i,j,k,l->", r.r_low, x, y, x, y))
     return float(np.ldexp(numerator / gram, -2 * e))
 

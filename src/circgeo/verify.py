@@ -59,7 +59,6 @@ from .core import (
     _SHIFTS,
     _UP,
     _basis_draws,
-    _naming_points,
     _orthogonal_q_bases,
     _q_basis_criterion,
     _scale_exponent,
@@ -356,29 +355,21 @@ def _identity_residuals(r_low: np.ndarray) -> np.ndarray:
     return _max_abs(shifted - r_low, 4)[:, None]
 
 
-def _integrability_residuals(
-    r_mixed: np.ndarray, r_low: np.ndarray, ginv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _integrability_residuals(r_mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q on the output slot against q on the argument at n points, from
-    R^l_ijk and R_ijkl (n, 4, 4, 4, 4) and g^-1 (n, 4, 4): the largest
-    |residual| and the scale max(1, max |R^l_ijk|), each (n, 1), and the
-    alternate raising's residual, (n,).
+    R^l_ijk (n, 4, 4, 4, 4): the largest |residual| and the scale
+    max(1, max |R^l_ijk|), each (n, 1).
 
-    The primary residual uses this package's (1,3) tensor, R^l_ijk with the
-    plane slots first.  Because the raised-slot placement is ambiguous in
-    classical component notation, the alternate raising (first slot of the
-    covariant tensor, plane slots last) is evaluated too and reported in
-    the payload rather than silently chosen.
+    Raising the first slot of R_ijkl instead, with the plane slots last as
+    in classical component notation, gives no other residual: R_ijkl is
+    antisymmetric in its last pair, so g^ab R_klbj = -R^a_klj, the same
+    tensor with its indices relabelled.
     """
     # q R(x, y) z against R(x, y) q z, on the output slot l and the argument k
     # of R^l_ijk.
     lhs, rhs = r_mixed[:, _UP], r_mixed[..., _DOWN]
     scale = np.maximum(1.0, _max_abs(r_mixed, 4))
-    # Alternate raising: classical component order puts the plane slots last,
-    # so lift the first slot of R_(ajkl) = r_low[k, l, a, j].
-    alt = np.einsum("...ab,...klbj->...ajkl", ginv, r_low)
-    lhs_alt, rhs_alt = alt[:, _UP], alt[:, :, _DOWN]
-    return _max_abs(lhs - rhs, 4)[:, None], scale[:, None], _max_abs(lhs_alt - rhs_alt, 4)
+    return _max_abs(lhs - rhs, 4)[:, None], scale[:, None]
 
 
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
@@ -517,9 +508,9 @@ def _suite_block(
     sampled checks over runs of a few points (`_sub_blocks`, each with the
     size of its widest array a point), their columns joined; the random
     streams stay per point.  Each failure is made once over the block.
-    Raises what running the points one at a time would raise first: at
-    each point a geometry error, then a degenerate sectional plane, then an
-    inaccurate q-basis.
+    Raises what running the points one at a time would raise first, naming
+    its point: at each point a geometry error, then a degenerate sectional
+    plane, then an inaccurate q-basis.
     """
     isometry_samples, sectional_samples, mu_samples = samples
 
@@ -530,7 +521,7 @@ def _suite_block(
     m = geo.metric
     n = len(m.point)
     if n == 0:
-        _raise_first(failures)  # the first point fails, before any check
+        _raise_first(failures, xs)  # the first point fails, before any check
 
     def sampled(sel: np.ndarray, floats_per_point: int, run) -> list:
         """`run(sub)` over the runs of the points `sel`, each giving values
@@ -576,11 +567,10 @@ def _suite_block(
         add("curvature-identity", ("max",), identity, norm, {})
 
     if "integrability" in selected:
-        resid, int_scale, alternate = _integrability_residuals(geo.r_mixed, geo.r_low, geo.ginv)
+        resid, int_scale = _integrability_residuals(geo.r_mixed)
         parallel = rows["gradient_holds"] & rows["parallel_holds"]
-        payload = {"alternate_raising_residual": alternate.tolist()}
         skip = (~parallel, _NOT_PARALLEL)
-        add("integrability", ("primary",), resid, int_scale, payload, skip=skip)
+        add("integrability", ("primary",), resid, int_scale, {}, skip=skip)
 
     if "sectional-relations" in selected:
 
@@ -610,7 +600,7 @@ def _suite_block(
         for i in sel:
             draws[i] = _basis_draws(stream(start + i, 2))
         bases, (bad, make) = _orthogonal_q_bases(m.a, m.b, m.c, *draws.T)
-        failures.append(_naming_points((bad & holds, make), m.point))
+        failures.append((bad & holds, make))
 
         def mu_law_run(sub):
             coeffs = np.array(
@@ -624,7 +614,7 @@ def _suite_block(
         payload["angle_law_prediction"] = rho.tolist()
         add("mu-law", ("expansion_max",), worst[:, None], norm[sel], payload, ran=holds)
 
-    _raise_first(failures)
+    _raise_first(failures, xs)
     return [column[i] for i in range(n) for column in columns], rows
 
 

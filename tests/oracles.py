@@ -279,16 +279,11 @@ def curvature_identity_entry(m, r, tolerance) -> dict:
 
 def integrability_entry(m, r, tolerance) -> dict:
     """q R(x, y) z = R(x, y) q z on R^l_ijk ((q v)^s = v^(s+1) on the output
-    slot l, q e_k = e_(k-1) on the argument k), and the same on the first
-    slot of R_(ajkl) = g^ab R_klbj, raised with numpy's generic inverse."""
+    slot l, q e_k = e_(k-1) on the argument k)."""
     mixed = r.r_mixed
     primary = float(np.max(np.abs(np.roll(mixed, -1, axis=0) - np.roll(mixed, 1, axis=3))))
-    alt = np.einsum("ab,klbj->ajkl", np.linalg.inv(m.matrix), r.r_low)
-    alternate = float(np.max(np.abs(np.roll(alt, -1, axis=0) - np.roll(alt, 1, axis=1))))
     entries = {"primary": (primary, max(1.0, float(np.max(np.abs(mixed)))))}
-    return _entry(
-        "integrability", m.point, entries, tolerance, {"alternate_raising_residual": alternate}
-    )
+    return _entry("integrability", m.point, entries, tolerance, {})
 
 
 def sectional_entry(m, r, xs, tolerance) -> dict:

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 
 from circgeo import _floattext, cli
 from circgeo.cli import main
-from circgeo.core import AdmissibilityError, Box, load_spec, metric_at
-from circgeo.expr import DomainError, ParseError, unparse
+from circgeo.core import Q, AdmissibilityError, Box, MetricAtPoint, load_spec, metric_at
+from circgeo.expr import DomainError, ParseError, eval_jets, unparse
+from circgeo.tensor import (
+    DegeneratePlaneError,
+    christoffel_from_metric,
+    riemann_from_christoffel,
+    sectional_curvature,
+)
 from circgeo.verify import run_suite
 
 from conftest import fixture_path
@@ -327,18 +333,20 @@ def test_validate_records_what_metric_at_raises_at_each_point(tmp_path):
     fields = {"A": "10 + log(x1 + 0.5)", "B": "1 + 0.1/(x2 - 0.5)", "C": "2 + 1.5*x3"}
     spec.write_text(json.dumps({"name": "mixed", **fields, "domain": {"min": [-1] * 4, "max": [1] * 4}}))
     loaded = load_spec(spec)
-    bad = []
+    raised = []
     for p in loaded.domain.grid(5):
         try:
             metric_at(loaded, p)
         except (AdmissibilityError, DomainError) as exc:
-            bad.append({"point": p.tolist(), "reason": str(exc)})
-    kinds = {b["reason"].split(" ")[0] for b in bad}
-    assert 0 < len(bad) < 625 and kinds == {"log", "division", "0"}, kinds
+            raised.append((p.tolist(), str(exc)))
+    kinds = {message.split(" ")[0] for _, message in raised}
+    assert 0 < len(raised) < 625 and kinds == {"log", "division", "0"}, kinds
     out = tmp_path / "report.json"
     assert main(["validate", str(spec), "--grid", "5", "--json", str(out)]) == 3
     report = json.loads(out.read_text())
-    assert report["inadmissible"] == bad and report["points_checked"] == 625
+    # Each reason is the message without its point, which the entry states once.
+    bad = [(b["point"], f"{b['reason']} at point {b['point']}") for b in report["inadmissible"]]
+    assert bad == raised and report["points_checked"] == 625
 
 
 def test_out_of_domain_point_exits_3(capsys):
@@ -431,19 +439,77 @@ def test_the_tiny_ill_conditioned_fixture_exits_3(capsys, argv):
     assert ("Gram residual" if argv[0] == "basis" else "inverse overflows") in err
 
 
+_LOG_EDGE_FIRST = [1.0, -1.0, -1.0, -1.0]  # the 55th of 81 grid points, the first with x1 = 1
+
+
+@pytest.mark.parametrize(
+    "spec,argv,kind,point",
+    [
+        ("log-edge", ["verify", "--grid", "3"], "DomainError", _LOG_EDGE_FIRST),
+        ("log-edge", ["scan", "--check", "parallel", "--grid", "3"], "DomainError", _LOG_EDGE_FIRST),
+        ("log-edge", ["metric", "--point=1,0,0,0"], "DomainError", [1.0, 0.0, 0.0, 0.0]),
+        (("2.0000000000000004",), ["verify", "--grid", "2"], "DegeneratePlaneError", [-1.0] * 4),
+        ("bad-order", ["metric", "--point=0,0,0,0"], "AdmissibilityError", [0.0] * 4),
+        ("bad-order", ["verify", "--grid", "2"], "AdmissibilityError", [-1.0] * 4),
+        ("const", ["curvature", "--point=5,0,0,0"], "OutsideDomainError", [5.0, 0.0, 0.0, 0.0]),
+        # The inverse overflows, at one point and in a block.
+        ("const-subnormal", ["metric", "--point=0,0,0,0"], "SingularMetricError", [0.0] * 4),
+        ("const-subnormal", ["verify", "--grid", "2"], "SingularMetricError", [-1.0] * 4),
+        # No q-basis is accurate, and leading minor 4 overflows.
+        (("2.000000001",), ["basis", "--point=0.5,0,0,0"], "SingularMetricError", [0.5, 0.0, 0.0, 0.0]),
+        (("4e80", "1e80", "2e80"), ["metric", "--point=0,0,0,0"], "SingularMetricError", [0.0] * 4),
+        ("const", ["metric", "--point=nan,0,0,0"], "ValueError", [math.nan, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_an_error_about_one_point_names_it_once(tmp_path, capsys, spec, argv, kind, point):
+    path = str(fixture_path(spec)) if isinstance(spec, str) else _write_spec(tmp_path, *spec)
+    out = tmp_path / "err.json"
+    assert main([argv[0], path, *argv[1:], "--json", str(out)]) in (2, 3)
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == kind and capsys.readouterr().err == f"error: {error['message']}\n"
+    message = error["message"]
+    assert message.endswith(f" at point {point}") and message.count(" at point ") == 1
+
+
+def test_the_library_names_a_failing_point_once_and_validate_never(tmp_path):
+    log_edge = load_spec(fixture_path("log-edge"))
+    xs, inf_point = log_edge.domain.grid(3), [0.0, math.inf, 0.0, 0.0]
+    with pytest.raises(DomainError) as jets:
+        eval_jets(log_edge.A, xs)
+    with pytest.raises(ValueError) as not_finite:
+        metric_at(log_edge, inf_point)
+    for exc, point in ((jets.value, _LOG_EDGE_FIRST), (not_finite.value, inf_point)):
+        assert str(exc).endswith(f" at point {point}") and str(exc).count(" at point ") == 1
+    # A metric built from constants has no point to name.
+    m = MetricAtPoint.from_constants(4.0, 1.0, 2.0)
+    with pytest.raises(DegeneratePlaneError) as constant:
+        sectional_curvature(riemann_from_christoffel(m, christoffel_from_metric(m)), m, Q[0], Q[0])
+    assert "at point" not in str(constant.value)
+    # validate states each point once, under "point".
+    out = tmp_path / "validate.json"
+    assert main(["validate", str(fixture_path("log-edge")), "--grid", "3", "--json", str(out)]) == 3
+    report = json.loads(out.read_text())
+    bad = report["inadmissible"]
+    assert len(bad) == 27 and bad[0]["point"] == _LOG_EDGE_FIRST
+    assert not any("at point" in entry["reason"] for entry in bad)
+
+
 def test_a_degenerate_sampled_plane_exits_3(tmp_path, capsys):
     # A - C is one ulp of 2: the suite's sampled planes are degenerate under g.
     spec = _write_spec(tmp_path, "2.0000000000000004")
     assert main(["verify", spec, "--grid", "2"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: vectors span no 2-plane (Gram determinant 0.000e+00)\n"
+    message = "vectors span no 2-plane (Gram determinant 0.000e+00) at point [-1.0, -1.0, -1.0, -1.0]"
+    assert out == "" and err == f"error: {message}\n"
 
 
 _SCALED_COMMANDS = [
     ["metric", "--point=0.1,0.2,0.3,0.4"],
     ["christoffel", "--point=0.1,0.2,0.3,0.4"],
     ["curvature", "--point=0.1,0.2,0.3,0.4"],
+    ["basis", "--point=0.1,0.2,0.3,0.4"],
     ["verify", "--grid", "2"],
+    ["validate", "--grid", "2"],
     ["scan", "--grid", "2", "--check", "parallel"],
 ]
 
@@ -654,10 +720,10 @@ def test_an_allocation_failure_is_one_line_and_exit_2(command, monkeypatch, tmp_
     assert json.loads(out.read_text()) == {"error": {"type": "MemoryError", "message": message}}
 
 
-def _write_spec(tmp_path, A):
+def _write_spec(tmp_path, A, B="1", C="2"):
     path = tmp_path / "spec.json"
     domain = {"min": [-1, -1, -1, -1], "max": [1, 1, 1, 1]}
-    path.write_text(json.dumps({"name": "probe", "A": A, "B": "1", "C": "2", "domain": domain}))
+    path.write_text(json.dumps({"name": "probe", "A": A, "B": B, "C": C, "domain": domain}))
     return str(path)
 
 

@@ -13,6 +13,7 @@ from circgeo.core import (
     cos_angle,
     find_orthogonal_q_basis,
     induces_q_basis,
+    load_spec,
     metric_at,
     q_apply,
 )
@@ -33,6 +34,7 @@ from circgeo.verify import (
     sample_q_basis_vectors,
 )
 
+from conftest import fixture_path
 from oracles import (
     angle_law_scalar,
     assert_reports_match,
@@ -273,9 +275,23 @@ def test_curvature_identity_fails_on_nonpar(nonpar):
 
 
 def test_integrability_curved_par(curved_par):
-    rep = single_entry(curved_par, [ORIGIN], "integrability")
-    assert rep["status"] == "pass"
-    assert rep["payload"]["alternate_raising_residual"] <= 1e-9
+    assert single_entry(curved_par, [ORIGIN], "integrability")["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["const", "curved-par", "cone", "cone-bent", "nonpar"])
+def test_raising_the_first_slot_gives_the_primary_integrability_residual(name):
+    # g^ab R_klbj = -R^a_klj, as R_ijkl is antisymmetric in its last pair:
+    # q on the first slot of the classical raising, against q on its second
+    # slot, is the primary residual with its indices relabelled.
+    spec = load_spec(fixture_path(name))
+    points = spec.domain.grid(3)
+    entries = run_suite(spec, points, checks=["integrability"])["checks"]
+    for p, entry in zip(points, entries):
+        m, r = riemann_of(spec, p)
+        alt = np.einsum("ab,klbj->ajkl", np.linalg.inv(m.matrix), r.r_low)
+        alternate = np.max(np.abs(np.roll(alt, -1, axis=0) - np.roll(alt, 1, axis=1)))
+        primary, scale = entry["residuals"]["primary"], entry["payload"]["scales"]["primary"]
+        assert abs(alternate - primary) <= 1e-13 * scale, (p, alternate, primary)
 
 
 def test_integrability_residual_reported_on_nonpar(nonpar):
@@ -850,7 +866,9 @@ def test_sectional_entries_reject_degenerate_plane(curved_par):
     *_, degenerate = _sectional_residuals(m.matrix[None], r.r_low[None], norm, xs[None])
     # The Gram determinant of the first degenerate plane is exactly 0 on both.
     assert degenerate.tolist() == [0.0]
-    assert str(want.value) == "vectors span no 2-plane (Gram determinant 0.000e+00)"
+    # The one-point API names the metric's point.
+    where = f"at point {ORIGIN}"
+    assert str(want.value) == f"vectors span no 2-plane (Gram determinant 0.000e+00) {where}"
 
 
 def test_mu_law_cases_match_scalar_formulas(curved_par, nonpar):
