@@ -4,23 +4,27 @@
     python3 scripts/invocation_costs.py [--runs N] ARGS...
 
 ARGS is the command line after `circgeo`, for example
-`verify fixtures/curved-par.json --grid 3`.  Each round starts five fresh
-interpreters, one after the other, in an order that rotates from round to
-round:
+`verify fixtures/curved-par.json --grid 3`; its second word is the spec.
+Each round starts five fresh interpreters, one after the other, in an
+order that rotates from round to round:
 
   python    `python -c pass`: interpreter start and exit
   numpy     `python -c "import numpy"`
-  circgeo   `python -c "import circgeo"`
+  circgeo   `python -c "import circgeo; circgeo.load_spec(SPEC)"`: the
+            library, which a bare `import circgeo` does not load
   command   `python -m circgeo ARGS`
-  teardown  the command once more, timed from the return of `cli.main`
-            to the end of the process
+  teardown  the command once more, through the same entry function, timed
+            from the return of `cli.main` to the end of the process
 
 and after N rounds prints the median wall time and CPU time (user plus
 system, of all threads) of each, in ms.  These are the costs an in-process
 timing of `cli.main` (`perfbench/run.py --trace 1`) cannot see.  The
 children run this checkout's `src` with the rest of the environment as
 given, so `PYTHONDONTWRITEBYTECODE` and `OPENBLAS_NUM_THREADS` apply to
-them; their output is discarded, and their exit codes are printed.
+them; their output is discarded, and their exit codes are printed.  The
+two command rows run through the CLI's entry function, which sets
+`OPENBLAS_NUM_THREADS=1` where it is unset, so the script prints the
+setting those rows ran with beside the one the other rows ran with.
 """
 
 from __future__ import annotations
@@ -35,19 +39,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs `cli.app()` as `python -m circgeo` does, with `cli.main` wrapped to
-# write the monotonic clock and the process CPU time when it returns.
+# Runs the entry function of `python -m circgeo`, with `cli.main` wrapped as
+# the module is loaded (after the entry has set the environment) to write the
+# monotonic clock, the process CPU time and the `OPENBLAS_NUM_THREADS` it ran
+# with when it returns.
 _TEARDOWN = """
-import os, sys, time
-from circgeo import cli
+import importlib.machinery, os, sys, time
 fd = os.open(sys.argv.pop(1), os.O_WRONLY)
-main = cli.main
-def timed_main(argv=None):
-    code = main(argv)
-    os.write(fd, f"{time.monotonic()!r} {time.process_time()!r}".encode())
-    return code
-cli.main = timed_main
-cli.app()
+
+class WrapMain:
+    def find_spec(self, name, path, target=None):
+        if name != "circgeo.cli":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        load = spec.loader.exec_module
+        def exec_module(module):
+            load(module)
+            main = module.main
+            def timed_main(argv=None):
+                code = main(argv)
+                threads = os.environ.get("OPENBLAS_NUM_THREADS")
+                os.write(fd, f"{time.monotonic()!r} {time.process_time()!r} {threads}".encode())
+                return code
+            module.main = timed_main
+        spec.loader.exec_module = exec_module
+        return spec
+
+sys.meta_path.insert(0, WrapMain())
+from circgeo.__main__ import main
+main()
 """
 
 
@@ -71,20 +91,21 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=21, metavar="N", help="rounds (default 21)")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="command line after `circgeo`")
     options = parser.parse_args()
-    if options.runs < 1 or not options.args:
-        parser.error("needs --runs >= 1 and a command line")
+    if options.runs < 1 or len(options.args) < 2:
+        parser.error("needs --runs >= 1 and a command line with a spec")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     kinds = {
         "python": ["-c", "pass"],
         "numpy": ["-c", "import numpy"],
-        "circgeo": ["-c", "import circgeo"],
+        "circgeo": ["-c", f"import circgeo; circgeo.load_spec({options.args[1]!r})"],
         "command": ["-m", "circgeo", *options.args],
     }
     names = [*kinds, "teardown"]
     wall = {name: [] for name in names}
     cpu = {name: [] for name in names}
     codes = {name: set() for name in names}
+    command_threads = set()
     with tempfile.TemporaryDirectory() as tmp:
         stamp = Path(tmp) / "main-returned"
         for k in range(options.runs):
@@ -96,7 +117,9 @@ def main() -> int:
                     _, end, used, code = spawn(["-c", _TEARDOWN, str(stamp), *options.args], env)
                     if not stamp.read_text():
                         sys.exit(f"cli.main did not return (exit code {code}): {' '.join(options.args)}")
-                    returned, cpu_then = map(float, stamp.read_text().split())
+                    returned, cpu_then, threads = stamp.read_text().split()
+                    returned, cpu_then = float(returned), float(cpu_then)
+                    command_threads.add(threads)
                     seconds, used = end - returned, used - cpu_then
                 wall[name].append(seconds)
                 cpu[name].append(used)
@@ -107,7 +130,8 @@ def main() -> int:
 
     print(f"circgeo {' '.join(options.args)}")
     print(f"medians of {options.runs} interleaved runs; "
-          f"{flag('PYTHONDONTWRITEBYTECODE')}, {flag('OPENBLAS_NUM_THREADS')}")
+          f"{flag('PYTHONDONTWRITEBYTECODE')}, {flag('OPENBLAS_NUM_THREADS')}; "
+          f"command rows ran with OPENBLAS_NUM_THREADS={'/'.join(sorted(command_threads))}")
     print(f"  {'':<10} {'wall ms':>9} {'cpu ms':>9}  exit codes")
     for name in names:
         print(f"  {name:<10} {statistics.median(wall[name]) * 1e3:9.1f} "
