@@ -2,9 +2,9 @@
 
 Every theorem about the class is expressed here as a named check that
 produces scaled residuals, a tolerance and a pass/fail/skipped verdict.
-Residuals are reported as absolute values together with the scale used, and
-the verdict compares residual/scale against the tolerance, with the scale
-floored at 1 so that near-zero quantities do not inflate into false alarms.
+Residuals are reported as absolute values with their raw scales; only the
+verdict floors a scale at 1 (`_scaled`), residual / max(1, scale) against
+the tolerance, so that near-zero quantities do not inflate into false alarms.
 
 Check names (also the names accepted by tolerance overrides):
 
@@ -121,13 +121,17 @@ _GATED = "curvature identity does not hold at this point"
 _NOT_PARALLEL = "nabla q does not vanish here; residual recorded without a pass expectation"
 
 
+def _scaled(resid, scale):
+    """The scaled residual r / max(1, s), a NaN scale reading as 1 (np.fmax):
+    the one place a scale is floored, as the reports keep the raw scales."""
+    return resid / np.fmax(1.0, scale)
+
+
 def _fails(resid: np.ndarray, scale: np.ndarray, tolerance: float) -> np.ndarray:
-    """The verdict rule at each of n points: some residual of the row
-    resid[i] (k,) exceeds the tolerance once divided by its scale floored
-    at 1, r / max(1, s) > tolerance, as Python reads it: a NaN scale floors
-    to 1 (np.fmax) and a NaN quotient does not exceed."""
+    """The verdict rule at each of n points: some scaled residual of the row
+    resid[i] (k,) exceeds the tolerance (`_scaled`); a NaN does not exceed."""
     with np.errstate(invalid="ignore"):
-        return (resid / np.fmax(1.0, scale) > tolerance).any(axis=1)
+        return (_scaled(resid, scale) > tolerance).any(axis=1)
 
 
 def _entries(
@@ -235,20 +239,18 @@ def _unit_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
 def _isometry_residuals(g: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g(q^k x, q^k y) = g(x, y) for k = 1, 2, 3 at n points, from g (n, 4, 4)
     and the sample pairs (n, 2, S, 4) of each point, all x then all y: the
-    largest |residual| of each k, (n, 3), and the scale max(1, max |g(x, y)|),
-    (n, 1)."""
+    largest |residual| of each k, (n, 3), and the scale max |g(x, y)|, (n, 1)."""
     xs, ys = pairs[:, 0], pairs[:, 1]
 
     def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # g(x, y) of every pair, (n, S)
         return np.einsum("nsi,nsi->ns", x @ g, y)
 
     base = form(xs, ys)
-    scale = np.maximum(1.0, np.abs(base).max(axis=1))
     resid = np.stack(
         [np.abs(form(xs[..., shift], ys[..., shift]) - base).max(axis=1) for shift in _SHIFTS[1:]],
         axis=1,
     )
-    return resid, scale[:, None]
+    return resid, np.abs(base).max(axis=1)[:, None]
 
 
 _PARALLEL_LABELS = (
@@ -267,8 +269,8 @@ def _parallel_residuals(
     ga: np.ndarray, gb: np.ndarray, gc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """|residual| of each gradient condition, (n, 8) in `_PARALLEL_LABELS`
-    order, and the scale max(1, max |grad A|, |grad B|, |grad C|), (n,),
-    from gradients of shape (n, 4).
+    order, and the scale max |grad A|, |grad B|, |grad C|, (n,), from
+    gradients of shape (n, 4).
 
     The conditions tie grad A and grad B to shifted grad C, componentwise
     A_i = C_(i+2), B_i = B_(i+2) and 2 B_i = C_(i+1) + C_(i+3), indices
@@ -280,8 +282,7 @@ def _parallel_residuals(
         (gb - gb[:, _SHIFTS[2]])[:, :2],
         (2.0 * gb - gc[:, _SHIFTS[1]] - gc[:, _SHIFTS[3]])[:, :2],
     ]
-    scale = np.maximum(1.0, np.abs(np.concatenate((ga, gb, gc), axis=1)).max(axis=1))
-    return np.abs(values), scale
+    return np.abs(values), np.abs(np.concatenate((ga, gb, gc), axis=1)).max(axis=1)
 
 
 def _equivalence_rows(
@@ -293,14 +294,14 @@ def _equivalence_rows(
 ) -> dict[str, np.ndarray]:
     """Both parallelism predicates at each of n points, evaluated independently.
 
-    `values` and `scale` (at least 1) come from `_parallel_residuals`;
-    `geo` is the connection of the n points.  Returns the columns of the
-    points' scan rows.
+    `values` and `scale` come from `_parallel_residuals`; `geo` is the
+    connection of the n points, nabla q's scale max |Gamma|.  Returns the
+    columns of the points' scan rows, with the scaled residuals of `_scaled`.
     """
     gradient = values.max(axis=1)
-    f4_scaled = gradient / scale
+    f4_scaled = _scaled(gradient, scale)
     nq = nabla_q(geo).max_abs
-    nq_scaled = nq / np.maximum(1.0, geo.max_abs)
+    nq_scaled = _scaled(nq, geo.max_abs)
     return {
         "point": geo.metric.point,
         "gradient_residual": gradient,
@@ -358,7 +359,7 @@ def _identity_residuals(r_low: np.ndarray) -> np.ndarray:
 def _integrability_residuals(r_mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """q on the output slot against q on the argument at n points, from
     R^l_ijk (n, 4, 4, 4, 4): the largest |residual| and the scale
-    max(1, max |R^l_ijk|), each (n, 1).
+    max |R^l_ijk|, each (n, 1).
 
     Raising the first slot of R_ijkl instead, with the plane slots last as
     in classical component notation, gives no other residual: R_ijkl is
@@ -368,8 +369,7 @@ def _integrability_residuals(r_mixed: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # q R(x, y) z against R(x, y) q z, on the output slot l and the argument k
     # of R^l_ijk.
     lhs, rhs = r_mixed[:, _UP], r_mixed[..., _DOWN]
-    scale = np.maximum(1.0, _max_abs(r_mixed, 4))
-    return _max_abs(lhs - rhs, 4)[:, None], scale[:, None]
+    return _max_abs(lhs - rhs, 4)[:, None], _max_abs(r_mixed, 4)[:, None]
 
 
 # The six planes of a q-basis {x, qx, q^2 x, q^3 x} as pairs of shift powers:
@@ -398,7 +398,7 @@ def _sectional_residuals(
     curvature identity holds (the suite gates on it) and each vector
     induces a q-basis.  Returns, in `_SECTIONAL_LABELS` order, the spread of
     the ring curvatures and the largest |curvature| of each diagonal plane,
-    (n, 3), with their scales max(1, max |ring curvature|) and max |R_ijkl|,
+    (n, 3), with their scales max |ring curvature| and max |R_ijkl|,
     (n, 3); the six curvatures of the first vector (n, min(V, 1), 6), rings
     first; and the Gram determinant of each point's first degenerate plane
     (`_degenerate_planes`), NaN where no plane is degenerate, (n,), each
@@ -426,7 +426,7 @@ def _sectional_residuals(
         ),
         axis=1,
     )
-    scale = np.stack((np.max(np.abs(ring), axis=(1, 2), initial=1.0), norm, norm), axis=1)
+    scale = np.stack((np.max(np.abs(ring), axis=(1, 2), initial=0.0), norm, norm), axis=1)
     return resid, scale, mu[:, :1], dets[np.arange(n), bad.argmax(axis=1)]
 
 

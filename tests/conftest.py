@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -8,6 +9,16 @@ from circgeo.core import ManifoldSpec, load_spec
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def child_env(env: dict | None = None) -> dict:
+    """The environment, updated by `env`, for a child Python that imports
+    this checkout's circgeo, installed or not: `src` first on PYTHONPATH,
+    as on the tests' own path (`pythonpath` in pyproject.toml)."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def fixture_path(name: str) -> Path:

@@ -253,7 +253,7 @@ def isometry_entry(m, pairs, tolerance) -> dict:
     g = m.matrix
     xs, ys = pairs
     base = np.einsum("ni,ij,nj->n", xs, g, ys)
-    scale = max(1.0, float(np.max(np.abs(base))))
+    scale = float(np.max(np.abs(base)))
     entries = {}
     for k in (1, 2, 3):
         shifted = np.einsum("ni,ij,nj->n", np.roll(xs, -k, axis=1), g, np.roll(ys, -k, axis=1))
@@ -263,7 +263,7 @@ def isometry_entry(m, pairs, tolerance) -> dict:
 
 def parallel_condition_entry(m, tolerance) -> dict:
     ga, gb, gc = m.jet_a.grad, m.jet_b.grad, m.jet_c.grad
-    scale = max(1.0, float(np.max(np.abs(np.concatenate((ga, gb, gc))))))
+    scale = float(np.max(np.abs(np.concatenate((ga, gb, gc)))))
     entries = {k: (v, scale) for k, v in gradient_conditions(ga, gb, gc).items()}
     payload = {"grad_A": ga.tolist(), "grad_B": gb.tolist(), "grad_C": gc.tolist()}
     return _entry("parallel-condition", m.point, entries, tolerance, payload)
@@ -282,7 +282,7 @@ def integrability_entry(m, r, tolerance) -> dict:
     slot l, q e_k = e_(k-1) on the argument k)."""
     mixed = r.r_mixed
     primary = float(np.max(np.abs(np.roll(mixed, -1, axis=0) - np.roll(mixed, 1, axis=3))))
-    entries = {"primary": (primary, max(1.0, float(np.max(np.abs(mixed)))))}
+    entries = {"primary": (primary, float(np.max(np.abs(mixed))))}
     return _entry("integrability", m.point, entries, tolerance, {})
 
 
@@ -294,7 +294,7 @@ def sectional_entry(m, r, xs, tolerance) -> dict:
     ring, diag = mu[:, :4], mu[:, 4:]
     spread = float(np.max(ring.max(axis=1) - ring.min(axis=1), initial=0.0))
     entries = {
-        "ring_spread": (spread, max(1.0, float(np.max(np.abs(ring), initial=0.0)))),
+        "ring_spread": (spread, float(np.max(np.abs(ring), initial=0.0))),
         "mu_x_q2x": (float(np.max(np.abs(diag[:, 0]), initial=0.0)), r.norm_inf),
         "mu_qx_q3x": (float(np.max(np.abs(diag[:, 1]), initial=0.0)), r.norm_inf),
     }

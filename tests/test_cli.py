@@ -26,7 +26,7 @@ from circgeo.tensor import (
 )
 from circgeo.verify import run_suite
 
-from conftest import fixture_path
+from conftest import child_env, fixture_path
 from oracles import report_to_json_reference, scan_stdout_reference
 from test_expr import _ast_strategy
 
@@ -646,6 +646,7 @@ def test_module_entrypoint_runs():
         [sys.executable, "-m", "circgeo", "validate", CONST],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "pass" in result.stdout
@@ -693,7 +694,7 @@ def test_app_does_not_freeze_when_main_raises(monkeypatch):
 def test_a_process_run_gives_the_outputs_of_an_in_process_main(argv, code, tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = [*argv, "--json", str(out)]
-    done = subprocess.run([sys.executable, "-m", "circgeo", *argv], capture_output=True)
+    done = subprocess.run([sys.executable, "-m", "circgeo", *argv], capture_output=True, env=child_env())
     process = (done.returncode, done.stdout, done.stderr, out.read_bytes())
     out.unlink()
     returned = main(argv)

@@ -12,7 +12,7 @@ import pytest
 import circgeo
 import circgeo.__main__
 
-from conftest import fixture_path
+from conftest import child_env, fixture_path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONST = str(fixture_path("const"))
@@ -41,10 +41,8 @@ NAMED = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def run_python(code: str, env: dict | None = None) -> str:
-    env = {**os.environ, **(env or {})}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(env), check=True
     )
     return done.stdout
 

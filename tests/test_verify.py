@@ -1,5 +1,8 @@
 """Residual checks: positive cases, negative controls, gating and determinism."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,7 +294,7 @@ def test_raising_the_first_slot_gives_the_primary_integrability_residual(name):
         alt = np.einsum("ab,klbj->ajkl", np.linalg.inv(m.matrix), r.r_low)
         alternate = np.max(np.abs(np.roll(alt, -1, axis=0) - np.roll(alt, 1, axis=1)))
         primary, scale = entry["residuals"]["primary"], entry["payload"]["scales"]["primary"]
-        assert abs(alternate - primary) <= 1e-13 * scale, (p, alternate, primary)
+        assert abs(alternate - primary) <= 1e-13 * max(1.0, scale), (p, alternate, primary)
 
 
 def test_integrability_residual_reported_on_nonpar(nonpar):
@@ -469,6 +472,44 @@ def test_suite_deterministic(curved_par):
     a = report_to_json(run_suite(curved_par, [ORIGIN], **kwargs))
     b = report_to_json(run_suite(curved_par, [ORIGIN], **kwargs))
     assert a == b
+
+
+def _scale_degree(name: str, key: str) -> int:
+    """The power of 2^k by which scale `key` of check `name` follows A, B
+    and C times 2^k: the metric, its gradients and R_ijkl scale by 2^k,
+    R^l_ijk not at all, and the ring curvatures by 2^-k.  Each is exact, as
+    the inverse and the Gram determinants are taken at unit scale
+    (`_scale_exponent`)."""
+    if name in ("integrability", "parallel-equivalence"):
+        return 0
+    return -1 if key == "ring_spread" else 1
+
+
+@pytest.mark.parametrize("name", ["curved-par", "cone"])
+def test_reported_scales_are_raw_and_follow_the_metric_scale_exactly(name):
+    # The reports give raw scales; only the verdict floors them at 1.  So a
+    # scale on either side of 1 scales exactly with the metric, and for
+    # k >= 0 the verdicts, residual / max(1, scale), stay where they are.
+    data = json.loads(fixture_path(name).read_text())
+    points = ManifoldSpec.from_dict(data).domain.grid(3)
+
+    def entries(k):
+        scaled = {**data, **{f: f"{2.0**k!r}*({data[f]})" for f in "ABC"}}
+        return run_suite(ManifoldSpec.from_dict(scaled), points, seed=3)["checks"]
+
+    base = entries(0)
+    for k in range(-8, 9):
+        found = entries(k)
+        assert [(e["name"], e["point"]) for e in found] == [(e["name"], e["point"]) for e in base]
+        for old, new in zip(base, found):
+            if k >= 0:
+                assert new["status"] == old["status"], (k, old["name"], old["point"])
+            if "scales" in old["payload"] and "scales" in new["payload"]:
+                scales = old["payload"]["scales"].items()
+                expected = {
+                    key: math.ldexp(s, k * _scale_degree(old["name"], key)) for key, s in scales
+                }
+                assert new["payload"]["scales"] == expected, (k, old["name"], old["point"])
 
 
 def test_equal_reports_compare_equal(curved_par):
@@ -845,7 +886,7 @@ def test_sectional_entries_match_per_plane_loop(curved_par, nonpar):
         ring, diag = mu[:, :4], mu[:, 4:]
         spread = np.max(ring.max(axis=1) - ring.min(axis=1))
         expected = {
-            "ring_spread": (spread, max(1.0, np.max(np.abs(ring)))),
+            "ring_spread": (spread, np.max(np.abs(ring))),
             "mu_x_q2x": (np.max(np.abs(diag[:, 0])), r.norm_inf),
             "mu_qx_q3x": (np.max(np.abs(diag[:, 1])), r.norm_inf),
         }
