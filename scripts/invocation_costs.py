@@ -5,13 +5,16 @@
 
 ARGS is the command line after `circgeo`, for example
 `verify fixtures/curved-par.json --grid 3`; its second word is the spec.
-Each round starts five fresh interpreters, one after the other, in an
+Each round starts six fresh interpreters, one after the other, in an
 order that rotates from round to round:
 
   python    `python -c pass`: interpreter start and exit
   numpy     `python -c "import numpy"`
   circgeo   `python -c "import circgeo; circgeo.load_spec(SPEC)"`: the
             library, which a bare `import circgeo` does not load
+  cached    the circgeo row's code with bytecode cached: with
+            `PYTHONDONTWRITEBYTECODE` unset and `PYTHONPYCACHEPREFIX` a
+            temporary directory, which one run before the first round fills
   command   `python -m circgeo ARGS`
   teardown  the command once more, through the same entry function, timed
             from the return of `cli.main` to the end of the process
@@ -20,8 +23,12 @@ and after N rounds prints the median wall time and CPU time (user plus
 system, of all threads) of each, in ms.  These are the costs an in-process
 timing of `cli.main` (`perfbench/run.py --trace 1`) cannot see.  The
 children run this checkout's `src` with the rest of the environment as
-given, so `PYTHONDONTWRITEBYTECODE` and `OPENBLAS_NUM_THREADS` apply to
-them; their output is discarded, and their exit codes are printed.  The
+given, so `OPENBLAS_NUM_THREADS` applies to them all and
+`PYTHONDONTWRITEBYTECODE` to all but the cached row; their output is
+discarded, and their exit codes are printed.  With `PYTHONDONTWRITEBYTECODE=1` and no
+`__pycache__` in `src`, the circgeo row compiles circgeo from source and
+the cached row does not, so the two differ by the compile time and the
+cached row less the numpy row is the import work every process pays.  The
 two command rows run through the CLI's entry function, which sets
 `OPENBLAS_NUM_THREADS=1` where it is unset, so the script prints the
 setting those rows ran with beside the one the other rows ran with.
@@ -95,10 +102,12 @@ def main() -> int:
         parser.error("needs --runs >= 1 and a command line with a spec")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    load = ["-c", f"import circgeo; circgeo.load_spec({options.args[1]!r})"]
     kinds = {
         "python": ["-c", "pass"],
         "numpy": ["-c", "import numpy"],
-        "circgeo": ["-c", f"import circgeo; circgeo.load_spec({options.args[1]!r})"],
+        "circgeo": load,
+        "cached": load,
         "command": ["-m", "circgeo", *options.args],
     }
     names = [*kinds, "teardown"]
@@ -108,10 +117,14 @@ def main() -> int:
     command_threads = set()
     with tempfile.TemporaryDirectory() as tmp:
         stamp = Path(tmp) / "main-returned"
+        cached_env = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        cached_env["PYTHONPYCACHEPREFIX"] = str(Path(tmp) / "pycache")
+        spawn(load, cached_env)
         for k in range(options.runs):
             for name in names[k % len(names):] + names[: k % len(names)]:
                 if name != "teardown":
-                    seconds, _, used, code = spawn(kinds[name], env)
+                    run_env = cached_env if name == "cached" else env
+                    seconds, _, used, code = spawn(kinds[name], run_env)
                 else:
                     stamp.write_bytes(b"")
                     _, end, used, code = spawn(["-c", _TEARDOWN, str(stamp), *options.args], env)

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +39,8 @@ from .expr import (
     ParseError,
     ScalarField,
     _Failure,
+    _Record,
+    _Value,
     _field_jets,
     _point_failure,
     _raise_first,
@@ -132,15 +132,13 @@ def q_apply(x, k: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Record):
     """Axis-aligned domain box in R^4 with a finite extent; a ValueError names a bad domain."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = _domain_bound(self.lo, "min"), _domain_bound(self.hi, "max")
+    def __init__(self, lo, hi):
+        lo, hi = _domain_bound(lo, "min"), _domain_bound(hi, "max")
         with np.errstate(over="ignore"):
             if not np.isfinite(hi - lo).all():
                 raise ValueError(
@@ -148,8 +146,7 @@ class Box:
                 )
         if np.any(lo > hi):
             raise ValueError("domain min exceeds max")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.__dict__.update(lo=lo, hi=hi)
 
     def _inside(self, xs: np.ndarray) -> np.ndarray:
         """Which rows of xs (n, 4) lie in the box, up to 1e-12 per coordinate."""
@@ -189,15 +186,13 @@ def _domain_bound(value, key: str) -> np.ndarray:
     return bound
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(_Record):
     """Named triple of scalar fields (A, B, C) plus a domain box."""
 
-    name: str
-    A: ScalarField
-    B: ScalarField
-    C: ScalarField
-    domain: Box
+    __match_args__ = ("name", "A", "B", "C", "domain")
+
+    def __init__(self, name: str, A: ScalarField, B: ScalarField, C: ScalarField, domain: Box):
+        self.__dict__.update(name=name, A=A, B=B, C=C, domain=domain)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifoldSpec":
@@ -216,7 +211,8 @@ class ManifoldSpec:
 
 def load_spec(path) -> ManifoldSpec:
     """Load a manifold spec from a JSON file."""
-    text = Path(path).read_text()
+    with open(path) as f:
+        text = f.read()
     try:
         data = json.loads(text)
     except RecursionError:  # json's reader recurses once per nested array or object
@@ -246,8 +242,7 @@ def admissibility(a: float, b: float, c: float) -> tuple[bool, tuple[float, floa
     return bool(_ordered(a, b, c)), minors
 
 
-@dataclass(frozen=True)
-class MetricAtPoint:
+class MetricAtPoint(_Record):
     """Circulant metric realized at one point or at n points, with entry-wise jets.
 
     At one point `a`, `b`, `c` are floats and `point` has shape (4,); at n
@@ -258,13 +253,19 @@ class MetricAtPoint:
     circulant entry pattern, `d2` anew on each use.
     """
 
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
-    jet_a: FieldJet
-    jet_b: FieldJet
-    jet_c: FieldJet
-    point: np.ndarray | None = None
+    __match_args__ = ("a", "b", "c", "jet_a", "jet_b", "jet_c", "point")
+
+    def __init__(
+        self,
+        a: float | np.ndarray,
+        b: float | np.ndarray,
+        c: float | np.ndarray,
+        jet_a: FieldJet,
+        jet_b: FieldJet,
+        jet_c: FieldJet,
+        point: np.ndarray | None = None,
+    ):
+        self.__dict__.update(a=a, b=b, c=c, jet_a=jet_a, jet_b=jet_b, jet_c=jet_c, point=point)
 
     @classmethod
     def from_constants(cls, a: float, b: float, c: float) -> "MetricAtPoint":
@@ -299,8 +300,8 @@ class MetricAtPoint:
         _raise_first([singular], self.point)
         if np.ndim(self.a):
             return inverse
-        *factors, matrix = astuple(inverse)
-        return InverseMetricAtPoint(*(float(f[0]) for f in factors), matrix[0])
+        factors = (inverse.a_bar, inverse.b_bar, inverse.c_bar, inverse.d)
+        return InverseMetricAtPoint(*(float(f[0]) for f in factors), inverse.matrix[0])
 
 
 def _metric_jets(
@@ -351,8 +352,7 @@ def metric_at(spec: ManifoldSpec, p) -> MetricAtPoint:
     return MetricAtPoint(ja.value, jb.value, jc.value, ja, jb, jc, point=x)
 
 
-@dataclass(frozen=True)
-class InverseMetricAtPoint:
+class InverseMetricAtPoint(_Record):
     """Closed-form inverse of a circulant metric.
 
     The inverse is circulant again, with first row (a_bar, b_bar, c_bar,
@@ -364,11 +364,17 @@ class InverseMetricAtPoint:
     from the factors at unit scale (`_scale_exponent`) and scaled back.
     """
 
-    a_bar: float | np.ndarray
-    b_bar: float | np.ndarray
-    c_bar: float | np.ndarray
-    d: float | np.ndarray
-    matrix: np.ndarray
+    __match_args__ = ("a_bar", "b_bar", "c_bar", "d", "matrix")
+
+    def __init__(
+        self,
+        a_bar: float | np.ndarray,
+        b_bar: float | np.ndarray,
+        c_bar: float | np.ndarray,
+        d: float | np.ndarray,
+        matrix: np.ndarray,
+    ):
+        self.__dict__.update(a_bar=a_bar, b_bar=b_bar, c_bar=c_bar, d=d, matrix=matrix)
 
 
 def _factors(a, b, c) -> tuple:
@@ -470,12 +476,14 @@ def induces_q_basis(x) -> tuple[bool, float]:
     return bool(flag), float(value)
 
 
-@dataclass(frozen=True)
-class BasisAngles:
-    """Cosines of the two independent angles inside a q-basis."""
+class BasisAngles(_Value):
+    """Cosines of the two independent angles inside a q-basis: `cos_phi` of
+    angle(x, qx) and `cos_theta` of angle(x, q^2 x)."""
 
-    cos_phi: float  # angle(x, qx)
-    cos_theta: float  # angle(x, q^2 x)
+    __match_args__ = ("cos_phi", "cos_theta")
+
+    def __init__(self, cos_phi: float, cos_theta: float):
+        self.__dict__.update(cos_phi=cos_phi, cos_theta=cos_theta)
 
 
 _EQUAL_ANGLE_TOL = 1e-12

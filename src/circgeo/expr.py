@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -90,52 +89,99 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Base of circgeo's record types: each `__init__` writes the fields into
+    `__dict__` once, and assigning or deleting an attribute afterwards raises
+    AttributeError.  `__match_args__` names the fields in constructor order,
+    for `repr` and positional `match` patterns.  These are plain classes, not
+    frozen dataclasses, because a dataclass `exec`s its generated methods
+    when its class is created: about 1 ms a class in every process.
+    (`functools.cached_property` writes `__dict__` directly, so it works.)"""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record equal to another of its type with equal fields, and hashed by them."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+# ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(_Value):
+    __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1..4
+class Var(_Value):
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int):  # 1..4
+        self.__dict__["index"] = index
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Neg(_Value):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Node):
+        self.__dict__["operand"] = operand
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of "+", "-", "*", "/"
-    left: "Node"
-    right: "Node"
+class BinOp(_Value):
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node):  # op one of "+", "-", "*", "/"
+        self.__dict__.update(op=op, left=left, right=right)
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Value):
     """base^exponent for an integer exponent n whose n(n - 1), the largest
     coefficient of the jet (`_pow_jet`), fits a float; else ValueError."""
 
-    base: "Node"
-    exponent: int
+    __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        n = self.exponent
+    def __init__(self, base: Node, exponent: int):
         try:
-            float(n * (n - 1))
+            float(exponent * (exponent - 1))
         except OverflowError:
-            raise ValueError(f"exponent of {n.bit_length()} bits is too large") from None
+            raise ValueError(f"exponent of {exponent.bit_length()} bits is too large") from None
+        self.__dict__.update(base=base, exponent=exponent)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
+class Call(_Value):
+    __match_args__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Node):
+        self.__dict__.update(func=func, arg=arg)
 
 
 Node = Union[Const, Var, Neg, BinOp, Pow, Call]
@@ -356,8 +402,7 @@ def _col(v) -> np.ndarray:
     return np.asarray(v)[..., None]
 
 
-@dataclass(frozen=True)
-class FieldJet:
+class FieldJet(_Record):
     """Value, gradient and Hessian of a scalar field, at one point or many.
 
     At one point `value` is a float, `grad` has shape (4,) and `hess_packed`
@@ -367,9 +412,14 @@ class FieldJet:
     The arithmetic below is the jet calculus for both.
     """
 
-    value: float | np.ndarray
-    grad: np.ndarray
-    hess_packed: np.ndarray
+    __match_args__ = ("value", "grad", "hess_packed")
+
+    def __init__(self, value: float | np.ndarray, grad: np.ndarray, hess_packed: np.ndarray):
+        # One jet per tree node per block of points: three plain stores.
+        fields = self.__dict__
+        fields["value"] = value
+        fields["grad"] = grad
+        fields["hess_packed"] = hess_packed
 
     @property
     def hess(self) -> np.ndarray:
@@ -597,12 +647,13 @@ def _single(jet: FieldJet) -> FieldJet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Value):
     """A parsed expression over x1..x4, evaluable to a second-order jet."""
 
-    ast: Node
-    source: str
+    __match_args__ = ("ast", "source")
+
+    def __init__(self, ast: Node, source: str):
+        self.__dict__.update(ast=ast, source=source)
 
     def jet(self, point) -> FieldJet:
         return eval_jet(self, point)

@@ -23,7 +23,6 @@ work on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +38,7 @@ from .core import (
     inverse_metric,
     metric_at,
 )
-from .expr import FieldJet, _Failure, _at_point, _first_failing
+from .expr import FieldJet, _Failure, _Record, _at_point, _first_failing
 
 __all__ = [
     "ChristoffelAtPoint",
@@ -111,8 +110,7 @@ def _max_abs(a: np.ndarray, ndim: int) -> float | np.ndarray:
     return float(found) if found.ndim == 0 else found
 
 
-@dataclass(frozen=True)
-class ChristoffelAtPoint:
+class ChristoffelAtPoint(_Record):
     """Gamma^s_ij (symmetric in i, j), its analytic derivatives and the curvature.
 
     `gamma[..., s, i, j]` is Gamma^s_ij of `metric`, at one point or with
@@ -127,8 +125,10 @@ class ChristoffelAtPoint:
     point, one value per point over a block.
     """
 
-    gamma: np.ndarray
-    metric: MetricAtPoint
+    __match_args__ = ("gamma", "metric")
+
+    def __init__(self, gamma: np.ndarray, metric: MetricAtPoint):
+        self.__dict__.update(gamma=gamma, metric=metric)
 
     @property
     def ginv(self) -> np.ndarray:
@@ -214,8 +214,7 @@ def sectional_curvature(r: ChristoffelAtPoint, m: MetricAtPoint, x, y) -> float:
     return float(np.ldexp(numerator / gram, -2 * e))
 
 
-@dataclass(frozen=True)
-class NablaQ:
+class NablaQ(_Record):
     """Covariant derivative of the shift structure.
 
     `components[..., i, s, j]` holds Gamma^s_ik q^k_j - Gamma^k_ij q^s_k
@@ -224,7 +223,10 @@ class NablaQ:
     metric, not an invariant of the type.
     """
 
-    components: np.ndarray
+    __match_args__ = ("components",)
+
+    def __init__(self, components: np.ndarray):
+        self.__dict__["components"] = components
 
     @cached_property
     def max_abs(self) -> float | np.ndarray:

@@ -1,6 +1,5 @@
 """Circulant metric construction, inverse, q action, angles and orthonormal q-bases."""
 
-import dataclasses
 import math
 import warnings
 
@@ -176,8 +175,10 @@ def test_inverse_pinned_312():
 
 
 def test_inverse_singular_when_a_equals_c():
+    # from_constants rejects A = C as inadmissible, so the metric is built directly.
+    m = MetricAtPoint.from_constants(4, 1, 2)
     with pytest.raises(SingularMetricError):
-        inverse_metric(dataclasses.replace(MetricAtPoint.from_constants(4, 1, 2), c=4.0))
+        inverse_metric(MetricAtPoint(m.a, m.b, 4.0, m.jet_a, m.jet_b, m.jet_c))
 
 
 def test_inverse_rejects_overflowing_factors():

@@ -1,5 +1,6 @@
-"""The package namespace, loaded on first use, and the CLI's BLAS threads."""
+"""The package namespace, loaded on first use, the CLI's BLAS threads and the record types."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circgeo
@@ -151,3 +153,65 @@ circgeo.load_spec({CONST!r})
 print("OPENBLAS_NUM_THREADS" in os.environ)
 """
     assert run_python(code).strip() == "False"
+
+
+RECORD_MODULES = ["expr", "core", "tensor", "verify", "_table", "cli"]
+
+
+def test_no_circgeo_class_is_a_dataclass():
+    # A dataclass execs its generated methods when its class is created, in
+    # every process; circgeo's record types are plain classes.
+    found = [
+        f"{module}.{name}"
+        for module in RECORD_MODULES
+        for name, value in vars(importlib.import_module(f"circgeo.{module}")).items()
+        if isinstance(value, type)
+        and value.__module__ == f"circgeo.{module}"
+        and dataclasses.is_dataclass(value)
+    ]
+    assert found == []
+
+
+def test_records_cannot_be_changed():
+    from circgeo.core import Box, MetricAtPoint
+    from circgeo.expr import BinOp, Var, parse
+
+    m = MetricAtPoint.from_constants(3, 1, 2)
+    records = [
+        (parse("x1 + x2").ast, "left", Var(3)),
+        (BinOp("*", Var(1), Var(2)), "op", "+"),
+        (m.jet_a, "value", 0.0),
+        (Box([0, 0, 0, 0], [1, 1, 1, 1]), "lo", np.zeros(4)),
+        (m, "c", 4.0),
+        (m, "point", np.zeros(4)),
+    ]
+    for record, name, value in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.new_attribute = value
+        assert getattr(record, name) is before
+
+
+def test_records_keep_their_constructors_equality_and_repr():
+    from circgeo.core import BasisAngles, MetricAtPoint
+    from circgeo.expr import BinOp, Const, Pow, ScalarField, Var, parse
+
+    assert BinOp(op="+", left=Var(1), right=Const(2.0)) == parse("x1 + 2").ast
+    assert hash(Pow(Var(1), 2)) == hash(Pow(base=Var(1), exponent=2))
+    assert Var(1) != Var(2) and Var(1) != Const(1)
+    assert repr(BinOp("+", Var(1), Const(2.0))) == (
+        "BinOp(op='+', left=Var(index=1), right=Const(value=2.0))"
+    )
+    assert parse("x1") == ScalarField(Var(1), "x1")
+    assert BasisAngles(0.5, cos_theta=0.25) == BasisAngles(cos_phi=0.5, cos_theta=0.25)
+    with pytest.raises(ValueError, match="too large"):
+        Pow(Var(1), 10**400)
+    m = MetricAtPoint.from_constants(3, 1, 2)
+    assert m.point is None
+    x = np.zeros(4)
+    jets = {"jet_a": m.jet_a, "jet_b": m.jet_b, "jet_c": m.jet_c}
+    assert MetricAtPoint(m.a, m.b, m.c, **jets, point=x).point is x
