@@ -25,7 +25,6 @@ printed number is also in the file.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import re
 import sys
@@ -419,21 +418,3 @@ def _report_error(exc: Exception, json_path: str | None) -> None:
         except OSError as write_error:
             line += f"; error report not written: {write_error}"
     print(line, file=sys.stderr)
-
-
-def app() -> None:
-    """Process entry point: run `main`, then exit with its code.
-
-    Freezing the heap first moves every object alive by then out of the
-    collector's reach, so the collections the interpreter forces at
-    shutdown skip the numpy and circgeo heap (20 to 30 ms of a `verify` or
-    `scan` run).  `gc.disable()` does not stop those collections, and
-    `os._exit` would skip atexit handlers and the flush of stdout and stderr.
-    """
-    code = main()
-    gc.freeze()
-    sys.exit(code)
-
-
-if __name__ == "__main__":
-    app()

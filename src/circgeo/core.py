@@ -173,10 +173,12 @@ def _spec_field(data: dict, key: str) -> ScalarField:
 
 
 def _domain_bound(value, key: str) -> np.ndarray:
-    """A domain bound (a list, tuple or array) as four finite floats, or a
-    ValueError naming the bound."""
+    """A domain bound (a list, tuple or array of numbers; a bool is not one)
+    as four finite floats, or a ValueError naming the bound."""
     items = value.tolist() if isinstance(value, np.ndarray) else value
-    numbers = isinstance(items, (list, tuple)) and all(isinstance(v, (int, float)) for v in items)
+    numbers = isinstance(items, (list, tuple)) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
+    )
     try:
         bound = np.array(items, float) if numbers else None
     except OverflowError:  # an integer beyond the largest float
@@ -197,7 +199,9 @@ class ManifoldSpec(_Record):
     @classmethod
     def from_dict(cls, data: dict) -> "ManifoldSpec":
         try:
-            name = str(data["name"])
+            name = data["name"]
+            if not isinstance(name, str):
+                raise ValueError("malformed manifold spec: name must be a string")
             fields = {key: _spec_field(data, key) for key in ("A", "B", "C")}
             lo, hi = (data["domain"][key] for key in ("min", "max"))
         except (KeyError, TypeError) as exc:

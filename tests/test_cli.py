@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import circgeo.__main__
 from circgeo import _floattext, cli
 from circgeo.cli import main
 from circgeo.core import Q, AdmissibilityError, Box, MetricAtPoint, load_spec, metric_at
@@ -174,6 +176,19 @@ def test_negative_point_reads_the_same_with_or_without_equals(tmp_path, capsys, 
     assert runs[0][0] == (3 if point.startswith("-2") else 0)
 
 
+def test_a_point_that_is_not_numbers_exits_2(capsys):
+    assert main(["verify", CURVED, "--point", "a,b,c,d"]) == 2
+    message = "argument --point: bad point 'a,b,c,d': could not convert string to float: 'a'"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_json_without_a_path_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", CURVED, "--point", "0,0,0,0", "--json"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --json: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_option_after_point_is_still_a_missing_value(capsys):
     assert main(["verify", CURVED, "--point", "--seed", "1"]) == 2
     assert capsys.readouterr().err == "error: argument --point: expected one argument\n"
@@ -263,8 +278,10 @@ def test_malformed_spec_exits_2(capsys, tmp_path):
         ("A", "10 - 1.2.3*x1", "unexpected '.3' after expression (offset 8)"),
         ("C", "x1^" + "9" * 5000, "exponent of 5000 digits is too long (offset 3)"),
         ("A", "4 + 0*x1^" + "9" * 155, "exponent of 155 digits is too large (offset 9)"),
+        ("A", "1e400", "number literal '1e400' overflows (offset 0)"),
+        ("B", "4 + sin x1", "expected '(' after sin (offset 8)"),
     ],
-    ids=["B", "A", "C", "A-exponent"],
+    ids=["B", "A", "C", "A-exponent", "A-overflow", "B-call"],
 )
 def test_a_malformed_field_is_a_parse_error_naming_the_field(tmp_path, capsys, key, source, says):
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
@@ -312,6 +329,7 @@ def test_a_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, ar
         ({"min": ["a", 0, 0, 0], "max": [1] * 4}, "domain min must be four finite numbers"),
         ({"min": [-(10**400), 0, 0, 0], "max": [1] * 4}, "domain min must be four finite numbers"),
         ({"min": [-1e308] * 4, "max": [1e308] * 4}, "domain extent max - min overflows"),
+        ({"min": [False, 0, 0, 0], "max": [True, 1, 1, 1]}, "domain min must be four finite numbers"),
     ],
 )
 def test_a_bad_domain_is_one_line_and_exit_2(tmp_path, capsys, domain, says):
@@ -324,6 +342,17 @@ def test_a_bad_domain_is_one_line_and_exit_2(tmp_path, capsys, domain, says):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: malformed manifold spec: {says}")
+
+
+@pytest.mark.parametrize("name", [{"a": [1, 2]}, 3])
+def test_a_name_that_is_not_a_string_exits_2(tmp_path, capsys, name):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    domain = {"min": [-1] * 4, "max": [1] * 4}
+    spec.write_text(json.dumps({"name": name, "A": "4", "B": "1", "C": "2", "domain": domain}))
+    assert main(["validate", str(spec), "--json", str(out)]) == 2
+    message = "malformed manifold spec: name must be a string"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert json.loads(out.read_text()) == {"error": {"type": "ValueError", "message": message}}
 
 
 def test_validate_records_what_metric_at_raises_at_each_point(tmp_path):
@@ -652,6 +681,9 @@ def test_module_entrypoint_runs():
     assert "pass" in result.stdout
 
 
+# The process entry, `circgeo.__main__.main`, freezes the heap once
+# `cli.main` has returned and exits with its code.  `main` sets
+# OPENBLAS_NUM_THREADS, so the tests set it first for monkeypatch to restore.
 @pytest.mark.parametrize("code", [0, 1, 2, 3])
 def test_app_exits_with_mains_code_after_freezing_the_heap(code, monkeypatch):
     # The recorder stands in for gc.freeze, so the test process is never frozen.
@@ -661,10 +693,11 @@ def test_app_exits_with_mains_code_after_freezing_the_heap(code, monkeypatch):
         events.append("main called")
         return code
 
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     with pytest.raises(SystemExit) as exit_info:
-        cli.app()
+        circgeo.__main__.main()
     assert exit_info.value.code == code
     assert events == ["main called", "freeze"]
 
@@ -675,10 +708,11 @@ def test_app_does_not_freeze_when_main_raises(monkeypatch):
     def failing_main():
         raise RuntimeError("unexpected")
 
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(cli, "main", failing_main)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     with pytest.raises(RuntimeError):
-        cli.app()
+        circgeo.__main__.main()
     assert events == []
 
 

@@ -95,6 +95,7 @@ def test_metric_jets_follow_entry_pattern(curved_par):
         ([0, 0, 0, 0], np.array(5.0), "domain max must be four finite numbers"),
         (np.full(4, -1e308), np.full(4, 1e308), "domain extent max - min overflows"),
         ([1, 0, 0, 0], [0] * 4, "domain min exceeds max"),
+        ([False, 0, 0, 0], [True, 1, 1, 1], "domain min must be four finite numbers"),
     ],
 )
 def test_a_box_built_directly_rejects_a_bad_domain_without_warnings(lo, hi, says):
@@ -109,6 +110,11 @@ def test_a_box_takes_lists_and_arrays_alike():
     assert box.lo.dtype == box.hi.dtype == float
     assert box.hi.tolist() == [1e307, 1.0, 2.5, 3.0]
     assert np.isfinite(box.grid(3)).all()
+
+
+def test_a_grid_needs_at_least_one_sample_per_axis():
+    with pytest.raises(ValueError, match="^grid resolution must be >= 1$"):
+        Box([0] * 4, [1] * 4).grid(0)
 
 
 # ---------------------------------------------------------------------------

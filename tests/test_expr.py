@@ -18,6 +18,7 @@ from circgeo.expr import (
     ParseError,
     Pow,
     Var,
+    as_point,
     eval_jet,
     eval_jets,
     parse,
@@ -313,6 +314,11 @@ def test_batch_raises_the_pointwise_first_error(source, points):
     with pytest.raises(type(expected)) as err:
         eval_jets(field, points)
     assert str(err.value) == str(expected)
+
+
+def test_a_point_needs_four_coordinates():
+    with pytest.raises(ValueError, match=r"^a point needs exactly 4 coordinates, got shape \(3,\)$"):
+        as_point([1, 2, 3])
 
 
 def test_batch_shape_is_checked():

@@ -19,7 +19,7 @@ from conftest import child_env, fixture_path
 ROOT = Path(__file__).resolve().parent.parent
 CONST = str(fixture_path("const"))
 
-# Every name `circgeo/__init__.py` bound by eager imports, by defining module.
+# The package's names besides its modules: each library module's `__all__`.
 EXPORTS = {
     "core": [
         "AdmissibilityError", "BasisAngles", "Box", "InverseMetricAtPoint", "ManifoldSpec",
@@ -29,15 +29,18 @@ EXPORTS = {
         "metric_at", "q_apply",
     ],
     "expr": [
-        "DomainError", "FieldJet", "ParseError", "ScalarField", "as_point", "eval_jet",
-        "eval_jets", "parse", "unparse",
+        "BinOp", "Call", "Const", "DomainError", "FieldJet", "Neg", "ParseError", "Pow",
+        "ScalarField", "Var", "as_point", "eval_jet", "eval_jets", "parse", "unparse",
     ],
     "tensor": [
         "ChristoffelAtPoint", "DegeneratePlaneError", "NablaQ", "christoffel_at",
         "christoffel_from_metric", "metric_compatibility_residual", "nabla_q", "riemann_at",
         "riemann_from_christoffel", "sectional_curvature",
     ],
-    "verify": ["run_suite"],
+    "verify": [
+        "DEFAULT_TOLERANCES", "KNOWN_CHECKS", "Table", "convention_text", "report_to_json",
+        "run_suite", "sample_q_basis_vectors", "write_report",
+    ],
 }
 NAMED = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -57,6 +60,16 @@ def test_every_exported_name_resolves_both_ways(module, name):
     assert namespace[name] is defined
     assert getattr(circgeo, name) is defined
     assert name in dir(circgeo)
+
+
+def test_the_namespace_is_the_library_modules_and_their_names():
+    assert sorted(circgeo.__all__) == sorted([*EXPORTS, *(name for _, name in NAMED)])
+    assert len(circgeo.__all__) == 59
+    for module, names in EXPORTS.items():
+        assert importlib.import_module(f"circgeo.{module}").__all__ == names
+    namespace = {}
+    exec("from circgeo import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(circgeo.__all__)
 
 
 def test_submodules_and_version_resolve():
@@ -80,14 +93,24 @@ def loaded():
 import circgeo
 bare = loaded()
 circgeo.__version__
-version = loaded()
+wrapped = hasattr(circgeo, "__wrapped__")
+dunders = loaded()
 circgeo.load_spec
-print(json.dumps([bare, version, loaded()]))
+print(json.dumps([bare, wrapped, dunders, loaded()]))
 """
-    bare, version, first_use = json.loads(run_python(code))
-    assert bare == version == ["circgeo"]
+    bare, wrapped, dunders, first_use = json.loads(run_python(code))
+    assert bare == dunders == ["circgeo"] and not wrapped
     library = ["circgeo._table", "circgeo.core", "circgeo.expr", "circgeo.tensor", "circgeo.verify"]
     assert first_use == ["circgeo", *library, "numpy"]
+
+
+def test_dir_loads_the_library():
+    code = """
+import sys, circgeo
+names = dir(circgeo)
+print("numpy" in sys.modules, "circgeo.verify" in sys.modules, "run_suite" in names)
+"""
+    assert run_python(code).split() == ["True", "True", "True"]
 
 
 def test_the_console_script_is_the_pinned_entry():
